@@ -1,36 +1,7 @@
-"""Small shared helpers: deterministic parallel map and stable JSON."""
+"""Small shared helpers: stable JSON."""
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def thread_count() -> int:
-    raw = os.environ.get("LIU_THREADS", "1").strip() or "1"
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LIU_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def pmap(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map preserving input order; worker count comes from LIU_THREADS.
-
-    Output is independent of the thread count, so reports serialize
-    byte-identically whether or not the work is spread over threads.
-    """
-    seq: Sequence[T] = list(items)
-    n = thread_count()
-    if n <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, seq))
 
 
 def stable_json(obj) -> str:

@@ -80,6 +80,15 @@ class FuncSym:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "deps", deps)
         object.__setattr__(self, "orders", tuple(p[1] for p in pairs))
+        # Hashed and keyed once: symbols key monomial dicts just as jets do.
+        object.__setattr__(self, "atom_key", (1, name, tuple(d.sort_key() for d in deps), self.orders))
+        object.__setattr__(self, "_hash", hash((name, deps, self.orders)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (FuncSym, (self.name, self.deps, self.orders))
 
     def bump(self, dep: JetVariable) -> "FuncSym":
         """Increment the derivative order with respect to `dep`."""
@@ -112,18 +121,10 @@ class FuncSym:
 
 Atom = Union[JetVariable, FuncSym]
 
-_AKEY_CACHE: dict = {}
-
 
 def atom_key(a: Atom) -> tuple:
-    k = _AKEY_CACHE.get(a)
-    if k is None:
-        if isinstance(a, JetVariable):
-            k = (0, a.field, a.t_order, a.x_order)
-        else:
-            k = (1, a.name, tuple(d.sort_key() for d in a.deps), a.orders)
-        _AKEY_CACHE[a] = k
-    return k
+    """Canonical atom order: jets first, then function symbols."""
+    return a.atom_key
 
 
 def atom_text(a: Atom) -> str:
@@ -151,31 +152,50 @@ def mono_from_pairs(pairs: Iterable[tuple[Atom, int]]) -> Mono:
     items = [(a, e) for a, e in acc.items() if e]
     if any(e < 0 for _, e in items):
         raise ExprError("negative exponent in monomial")
-    items.sort(key=lambda p: atom_key(p[0]))
+    items.sort(key=lambda p: p[0].atom_key)
     return tuple(items)
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """Merge two sorted monomials."""
     if not m1:
         return m2
     if not m2:
         return m1
-    return mono_from_pairs(list(m1) + list(m2))
-
-
-def mono_deg(m: Mono) -> int:
-    return sum(e for _, e in m)
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        p1, p2 = m1[i], m2[j]
+        k1, k2 = p1[0].atom_key, p2[0].atom_key
+        if k1 == k2:
+            out.append((p1[0], p1[1] + p2[1]))
+            i += 1
+            j += 1
+        elif k1 < k2:
+            out.append(p1)
+            i += 1
+        else:
+            out.append(p2)
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
 
 
 def mono_cmp(m1: Mono, m2: Mono) -> int:
-    d1, d2 = mono_deg(m1), mono_deg(m2)
+    d1 = d2 = 0
+    for _, e in m1:
+        d1 += e
+    for _, e in m2:
+        d2 += e
     if d1 != d2:
         return -1 if d1 < d2 else 1
     i = j = 0
     while i < len(m1) and j < len(m2):
         a1, e1 = m1[i]
         a2, e2 = m2[j]
-        k1, k2 = atom_key(a1), atom_key(a2)
+        k1, k2 = a1.atom_key, a2.atom_key
         if k1 == k2:
             if e1 != e2:
                 return 1 if e1 > e2 else -1
@@ -206,7 +226,7 @@ def mono_div(m: Mono, d: Mono) -> Mono | None:
             del rest[a]
         else:
             rest[a] = have - e
-    return tuple(sorted(rest.items(), key=lambda p: atom_key(p[0])))
+    return tuple(sorted(rest.items(), key=lambda p: p[0].atom_key))
 
 
 def p_add_into(dst: Poly, src: Poly, scale: Fraction = Fraction(1)) -> None:
@@ -291,7 +311,7 @@ def _strip_mono(p: Poly, content: dict) -> Poly:
                 del rest[a]
             else:
                 rest[a] -= e
-        out[tuple(sorted(rest.items(), key=lambda q: atom_key(q[0])))] = c
+        out[tuple(sorted(rest.items(), key=lambda q: q[0].atom_key))] = c
     return out
 
 
@@ -689,10 +709,20 @@ class Expression:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, env: Mapping) -> float:
-        dv = _p_eval(self._den, env)
-        if dv == 0.0:
-            raise EvaluationError("denominator vanished at the sample point")
-        return _p_eval(self._num, env) / dv
+        """Float value at a point; a vanishing denominator, an overflow or a
+        non-finite value raises EvaluationError, so samplers can skip the point."""
+        try:
+            dv = _p_eval(self._den, env)
+            if dv == 0.0:
+                raise EvaluationError("denominator vanished at the sample point")
+            out = _p_eval(self._num, env) / dv
+        except OverflowError as exc:
+            raise EvaluationError(f"overflow at the sample point: {exc}") from None
+        # Checked once per call, not per term: inf - inf is nan, and a finite
+        # numerator over an infinite denominator is an underflowed guess.
+        if not (math.isfinite(out) and math.isfinite(dv)):
+            raise EvaluationError("non-finite value at the sample point")
+        return out
 
 
 def _wrap(num_t: tuple, den_t: tuple) -> Expression:
@@ -733,7 +763,9 @@ def _normalize(num: Poly, den: Poly) -> tuple[tuple, tuple]:
                 num = _p_div_exact(num, g)
                 den = _p_div_exact(den, g)
     if p_is_const(den):
-        num = p_scale(num, 1 / den[()])
+        c = den[()]
+        if c != 1:
+            num = p_scale(num, 1 / c)
         return _freeze(num), _ONE_T
     # nonconstant denominator: coprime integer coefficients, positive leading
     lcm = 1
@@ -879,6 +911,7 @@ class _Resolver:
     def __init__(self, bind: Mapping):
         self.bind = bind
         self.cache: dict = {}
+        self.powers: dict = {}
         self.sym_bases: dict[tuple, list] = {}
         for k in bind:
             if isinstance(k, FuncSym):
@@ -892,6 +925,16 @@ class _Resolver:
         out = self._resolve(a)
         self.cache[a] = out
         return out
+
+    def power(self, a: Atom, e: int, den: bool) -> Poly:
+        """Numerator (or denominator) of the replacement of `a`, to the e-th power."""
+        key = (a, e, den)
+        p = self.powers.get(key)
+        if p is None:
+            rep = self.cache[a]
+            p = p_pow(rep.den_poly() if den else rep.num_poly(), e)
+            self.powers[key] = p
+        return p
 
     def _resolve(self, a: Atom) -> Expression | None:
         hit = self.bind.get(a)
@@ -927,26 +970,57 @@ class _Resolver:
         return e
 
 
+def _rebuild(part: tuple, resolver: _Resolver) -> tuple[Poly, Poly]:
+    """One substituted part of a normal form, as a polynomial over a shared denominator.
+
+    The shared denominator is the product of den(rep_a)^E_a over the bound
+    atoms a whose replacement has a nonconstant denominator, E_a being the
+    largest exponent of a in the part.  A monomial holding a^e then
+    contributes num(rep_a)^e * den(rep_a)^(E_a - e).  Monomials with equal
+    bound exponents share those factors, so each such group costs one
+    product per factor.
+    """
+    tops: dict = {}  # bound atom with a nonconstant denominator -> E_a
+    groups: dict = {}  # bound (atom, e) pairs -> polynomial in the unbound atoms
+    for m, c in part:
+        bound = []
+        rest = []
+        for a, e in m:
+            rep = resolver.resolve(a)
+            if rep is None:
+                rest.append((a, e))
+                continue
+            bound.append((a, e))
+            if not rep.den_is_one and tops.get(a, 0) < e:
+                tops[a] = e
+        groups.setdefault(tuple(bound), {})[tuple(rest)] = c
+    acc: Poly = {}
+    for bound, rest in groups.items():
+        have = dict(bound)
+        term = rest
+        for a, e in bound:
+            term = p_mul(term, resolver.power(a, e, False))
+        for a, top in tops.items():
+            k = top - have.get(a, 0)
+            if k:
+                term = p_mul(term, resolver.power(a, k, True))
+        p_add_into(acc, term)
+    den = _p_one()
+    for a, top in tops.items():
+        den = p_mul(den, resolver.power(a, top, True))
+    return acc, den
+
+
 def _subs_pass(expr: Expression, resolver: _Resolver) -> Expression:
+    """One substitution pass, normalized once."""
     hits = {a for a in expr.atoms() if resolver.resolve(a) is not None}
     if not hits:
         return expr
-
-    def rebuild(part: tuple) -> Expression:
-        total = ZERO
-        for m, c in part:
-            term = Expression.number(c)
-            for a, e in m:
-                rep = resolver.resolve(a)
-                base = rep if rep is not None else Expression.atom(a)
-                term = term * base ** e
-            total = total + term
-        return total
-
-    num = rebuild(expr._num)
+    num, num_den = _rebuild(expr._num, resolver)
     if expr.den_is_one:
-        return num
-    return num / rebuild(expr._den)
+        return Expression(num, num_den)
+    den, den_den = _rebuild(expr._den, resolver)
+    return Expression(p_mul(num, den_den), p_mul(num_den, den))
 
 
 # -- parsing --------------------------------------------------------------

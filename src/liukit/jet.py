@@ -25,6 +25,17 @@ class JetVariable:
             raise StateSpaceError(f"invalid field name {self.field!r}")
         if self.t_order < 0 or self.x_order < 0:
             raise StateSpaceError(f"negative derivative order on {self.field!r}")
+        # Jets key every monomial dict in the expression kernel, so the hash
+        # and the canonical atom ordering key are computed once, here.
+        object.__setattr__(self, "atom_key", (0, self.field, self.t_order, self.x_order))
+        object.__setattr__(self, "_hash", hash((self.field, self.t_order, self.x_order)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild on unpickling: string hashes differ between processes.
+        return (JetVariable, (self.field, self.t_order, self.x_order))
 
     def dt(self) -> "JetVariable":
         return JetVariable(self.field, self.t_order + 1, self.x_order)

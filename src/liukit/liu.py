@@ -32,7 +32,6 @@ from typing import Iterable, Sequence
 from .jet import DerivativeClassification, JetVariable, classify
 from .expr import Expression, FuncSym, ZERO, to_latex, to_text
 from .balance import ModelSpec, entropy_production
-from ._util import pmap
 
 
 class EngineError(RuntimeError):
@@ -145,17 +144,11 @@ def constraint_extensions(
     for i, k in selection.entries:
         tops[i] = max(k, tops.get(i, 0))
 
-    def row_exts(item):
-        i, top = item
-        exts = [dec.rows[i - 1].residual]
-        for _ in range(top):
-            exts.append(exts[-1].total_x())
-        return i, exts
-
     out: dict[tuple[int, int], Expression] = {}
-    for i, exts in pmap(row_exts, sorted(tops.items())):
-        for k, e in enumerate(exts):
-            out[(i, k)] = e
+    for i, top in sorted(tops.items()):
+        e = out[(i, 0)] = dec.rows[i - 1].residual
+        for k in range(1, top + 1):
+            e = out[(i, k)] = e.total_x()
     return {key: out[key] for key in selection.entries}
 
 
@@ -452,11 +445,7 @@ def _principal_minors(
         subsets.append(tuple(support[i] for i in range(m) if mask & (1 << i)))
     subsets.sort(key=lambda s: (len(s), s))
 
-    def one(sub: tuple[int, ...]):
-        sm = [[mat[i][j] for j in sub] for i in sub]
-        return sub, _det(sm)
-
-    return tuple(pmap(one, subsets))
+    return tuple((sub, _det([[mat[i][j] for j in sub] for i in sub])) for sub in subsets)
 
 
 @dataclass(frozen=True)

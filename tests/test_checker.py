@@ -282,6 +282,52 @@ class TestRunScenario:
         assert neg.worst_minor < 0.0
 
 
+class TestNonFiniteSamples:
+    """Overflowing or NaN values are singular points, never silent passes."""
+
+    RHO = JetVariable("rho")
+    EPS = JetVariable("eps")
+
+    def _run(self, report, residual: str, ranges=()):
+        restr = Restrictions((), None, (), parse(residual, report.model.ctx))
+        return run_scenario(
+            report.model,
+            dataclasses.replace(report, restrictions=restr),
+            CandidateSolution((), (), (), ()),
+            NumericScenario("huge", 32, 11, 1e-9, "pass", tuple(ranges), ()),
+        )
+
+    def test_overflow_is_resampled(self, grade2_report):
+        # rho^2000 overflows a float for rho above about 1.43.
+        res = self._run(grade2_report, "rho^2000")
+        assert res.as_expected and res.failure is None
+        assert res.points == 32
+        assert res.resamples > 0
+
+    def test_nan_residual_does_not_pass(self, grade2_report):
+        # Both monomials are inf at every point of the range, so the float
+        # sum is inf - inf = nan; the true value is negative.
+        res = self._run(
+            grade2_report,
+            "rho^1000*eps^1000 - rho^1001*eps^1000",
+            ((self.RHO, 1.9, 2.0), (self.EPS, 1.9, 2.0)),
+        )
+        assert not res.as_expected
+        assert res.points == 0
+        assert "singular" in res.failure
+
+    def test_nan_condition_does_not_pass(self, korteweg_model, korteweg_report, korteweg_solution):
+        sc = _scenario(korteweg_solution, "fourier")
+        s1 = _let_atom(sc, "s1")
+        lets = tuple((a, v) for a, v in sc.lets if a != s1) + (
+            (s1, parse("rho^1000*eps^1000 - rho^1001*eps^1000", korteweg_model.ctx)),
+        )
+        bad = dataclasses.replace(sc, lets=lets, ranges=((self.RHO, 1.9, 2.0), (self.EPS, 1.9, 2.0)))
+        res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, bad)
+        assert not res.as_expected
+        assert res.points == 0
+
+
 class TestMaxEntropyAtEquilibrium:
     def test_fixture_confirmed(self, grade2_model, grade2_solution):
         res = max_entropy_at_equilibrium(grade2_model, grade2_solution)

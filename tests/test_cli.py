@@ -232,6 +232,34 @@ class TestCheck:
         assert code == 2
         assert "unbound constitutive unknowns: Js" in err
 
+    def test_overflowing_scenario_fails_without_traceback(self, tmp_path, capsys):
+        from liukit.models import _read
+
+        # Every sample overflows a float, so the scenario runs out of points.
+        text = _read("korteweg.solution").replace(
+            "let tau1 = 1\n", "let tau1 = rho^2000\nrange rho = 1.5 .. 2\n", 1
+        )
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text)
+        code, out, _ = _run(["check", str(mp), str(sp)], capsys)
+        assert code == 4
+        assert "too many singular sample points" in out
+
+
+class TestThreadsSetting:
+    def test_non_integer_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("LIU_THREADS", "abc")
+        code, out, err = _run(["derive", "--builtin", "korteweg"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: LIU_THREADS must be an integer, got 'abc'\n"
+
+    def test_integer_is_accepted(self, monkeypatch, capsys):
+        monkeypatch.setenv("LIU_THREADS", "3")
+        code, _, _ = _run(["derive", "--builtin", "korteweg"], capsys)
+        assert code == 0
+
 
 class TestFdb:
     def test_first_order_text(self, capsys):

@@ -10,15 +10,38 @@ Five suites, each run over at least a thousand generated cases:
 
 The generators are derandomized, so every run exercises the same case set
 and failures reproduce exactly.
+
+A sixth suite, outside that set, checks `Expression.subs` against a
+term-by-term reference substitution and against point evaluation; fixed
+cases also go through sympy when it is installed.  A deterministic guard
+keeps the number of normalizations per substitution independent of the
+expression size.
 """
 from __future__ import annotations
 
+import functools
+import math
+import random
+import re
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from liukit.expr import Expression, ParseContext, ZERO, parse, to_text
+from liukit import expr as expr_mod
+from liukit.expr import (
+    EvaluationError,
+    ExprError,
+    Expression,
+    ParseContext,
+    ZERO,
+    _Resolver,
+    _check_acyclic,
+    as_expression,
+    parse,
+    to_text,
+)
 from liukit.jet import JetVariable
 
 RHO = JetVariable("rho")
@@ -198,3 +221,207 @@ def test_total_derivative_commutation_suite():
 
 def test_collect_reconstruction_suite():
     _run("collect")
+
+
+# -- substitution -------------------------------------------------------------
+
+
+def _reference_subs(e: Expression, bindings) -> Expression:
+    """`Expression.subs` with each pass summed one monomial at a time."""
+    bind = {k: as_expression(v) for k, v in bindings.items()}
+    _check_acyclic(bind)
+    resolver = _Resolver(bind)
+
+    def rebuild(part) -> Expression:
+        total = ZERO
+        for m, c in part:
+            term = Expression.number(c)
+            for a, k in m:
+                rep = resolver.resolve(a)
+                term = term * (rep if rep is not None else Expression.atom(a)) ** k
+            total = total + term
+        return total
+
+    for _ in range(len(bind) + 2):
+        num = rebuild(e._num)
+        nxt = num if e.den_is_one else num / rebuild(e._den)
+        if nxt == e:
+            return nxt
+        e = nxt
+    raise AssertionError("reference substitution did not reach a fixed point")
+
+
+class _Point(dict):
+    """Sample point that gives every atom, even one created by closure, a value."""
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self.seed = seed
+
+    def __contains__(self, a) -> bool:
+        return True
+
+    def __missing__(self, a) -> float:
+        v = self[a] = random.Random(f"{self.seed}:{a.text()}").uniform(0.5, 1.5)
+        return v
+
+
+def _value(e: Expression, point: _Point, resolver: _Resolver) -> float:
+    """e at the point, each bound atom taking its replacement's value there."""
+    env = _Point(point.seed)
+    env.update(point)
+    for a in e.atoms():
+        rep = resolver.resolve(a)
+        if rep is not None:
+            env[a] = _value(rep, point, resolver)
+    return e.evaluate(env)
+
+
+# Binding slots in a fixed order: a value may name only the slots after its
+# own, so any subset of bindings is acyclic.  Binding s0 (or D(s0, eps))
+# closes over its derivative atoms; binding a field closes over its jets.
+_SLOTS = (
+    ("q1", (Q1,)),
+    ("s0", (S0, S0.bump(EPS))),
+    ("eps", (EPS,)),
+    ("v", (JetVariable("v"),)),
+)
+# Distinct nonconstant denominators, one per slot, free of every slot name.
+_DENS = ("1 + rho", "rho^2 + 2", "rho - 3", "2*rho")
+
+
+def _names(e: Expression) -> set:
+    return {getattr(a, "field", None) or a.name for a in e.atoms()}
+
+
+def _slot_values(i: int):
+    banned = {name for name, _ in _SLOTS[: i + 1]}
+    leaves = [a for a in _ATOMS if not (_names(a) & banned)]
+    leaf = st.sampled_from(leaves) | _numbers
+    den = parse(_DENS[i], CTX)
+    poly = st.recursive(leaf, _extend_poly, max_leaves=6)
+    return st.one_of(
+        poly,
+        poly.map(lambda p: p / den),
+        st.recursive(leaf, _extend, max_leaves=6),
+    )
+
+
+_SLOT_VALUES = [_slot_values(i) for i in range(len(_SLOTS))]
+
+
+# Atoms that some slot binds or closes over.
+_BOUND_ATOMS = [Expression.sym(Q1), Expression.sym(S0), Expression.sym(S0.bump(EPS)),
+                Expression.jet(EPS), Expression.jet(EPS_X), Expression.jet(V_X)]
+
+
+@st.composite
+def substitutions(draw):
+    """A binding set, and a target whose leaves lean on the atoms it binds."""
+    bind = {}
+    for i in sorted(draw(st.sets(st.integers(0, len(_SLOTS) - 1), min_size=1))):
+        bind[draw(st.sampled_from(_SLOTS[i][1]))] = draw(_SLOT_VALUES[i])
+    resolver = _Resolver(bind)
+    hit = tuple(
+        i for i, e in enumerate(_BOUND_ATOMS) if resolver.resolve(next(iter(e.atoms()))) is not None
+    )
+    return draw(_targets(hit)), bind
+
+
+@functools.lru_cache(maxsize=None)
+def _targets(hit: tuple):
+    leaf = st.sampled_from([_BOUND_ATOMS[i] for i in hit]) | _leaf
+    return st.recursive(leaf, _extend, max_leaves=10)
+
+
+@_suite
+@given(case=substitutions(), seed=st.integers(0, 2**16))
+def check_substitution(case, seed):
+    a, bind = case
+    CASES["subs"] += 1
+    try:
+        want = _reference_subs(a, bind)
+    except ExprError as exc:
+        with pytest.raises(type(exc)):
+            a.subs(bind)
+        return
+    got = a.subs(bind)
+    assert got == want
+    assert to_text(got) == to_text(want)
+    point = _Point(seed)
+    try:
+        direct = _value(a, point, _Resolver(bind))
+        value = got.evaluate(point)
+    except EvaluationError:
+        return
+    assert math.isclose(value, direct, rel_tol=1e-7, abs_tol=1e-7)
+
+
+def test_substitution_suite():
+    CASES["subs"] = 0
+    check_substitution()
+    assert CASES["subs"] >= 1000
+
+
+_SUBS_CASES = [
+    ("q1^2*rho + s0/(q1 - eps)", {"q1": "rho/(1 + eps)", "s0": "eps^2 + rho"}),
+    ("(s0*D(s0, eps) + q1)/(rho + q1^2)", {"q1": "s0 - 1", "s0": "rho*eps^3/(2 + rho)"}),
+    ("(rho + eps + q1)^5 - q1^5", {"q1": "1/(rho - eps^2)"}),
+    ("q1^3/(s0^2 - 1) + D(s0, eps)", {"s0": "(rho + 1)/eps", "q1": "eps/(rho + 1)"}),
+]
+
+
+@pytest.mark.parametrize("text, bound", _SUBS_CASES, ids=["pair", "chain", "power", "closure"])
+def test_substitution_matches_sympy(text, bound):
+    sympy = pytest.importorskip("sympy")
+
+    def sym(a):
+        return sympy.Symbol(re.sub(r"\W+", "_", a.text()))
+
+    def to_sympy(e: Expression):
+        def part(p):
+            return sympy.Add(*[
+                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[sym(a) ** k for a, k in m])
+                for m, c in p.items()
+            ])
+
+        return part(e.num_poly()) / part(e.den_poly())
+
+    bind = {CTX.sym(name): parse(value, CTX) for name, value in bound.items()}
+    got = parse(text, CTX).subs(bind)
+    want = to_sympy(parse(text, CTX))
+    d_s0 = Expression.sym(S0.bump(EPS))
+    for key in (Q1, S0):  # q1 may name s0, never the other way round
+        if key in bind:
+            value = to_sympy(bind[key])
+            if key == S0:
+                want = want.subs(to_sympy(d_s0), sympy.diff(value, to_sympy(Expression.jet(EPS))))
+            want = want.subs(to_sympy(Expression.sym(key)), value)
+    assert sympy.cancel(to_sympy(got) - want) == 0
+
+
+def _normalizations_in_subs(n: int, monkeypatch) -> int:
+    """Calls of _normalize while substituting into an n-term polynomial."""
+    rho, eps, q1 = Expression.jet(RHO), Expression.jet(EPS), Expression.sym(Q1)
+    poly = ZERO
+    for i in range(1, n + 1):
+        poly = poly + i * rho ** i * q1 ** (i % 3) + i * eps ** i
+    assert len(poly.num_poly()) >= n
+    bind = {Q1: parse("eps/(1 + rho)", CTX)}
+    calls = Counter()
+    normalize = expr_mod._normalize
+
+    def counting(num, den):
+        calls["n"] += 1
+        return normalize(num, den)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(expr_mod, "_normalize", counting)
+        poly.subs(bind)
+    return calls["n"]
+
+
+def test_subs_normalizations_do_not_grow_with_size(monkeypatch):
+    small = _normalizations_in_subs(10, monkeypatch)
+    assert small == _normalizations_in_subs(200, monkeypatch)
+    assert small <= 2
