@@ -17,6 +17,7 @@ three parts:
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,6 +31,7 @@ from .expr import (
     FuncSym,
     ZERO,
     atom_text,
+    principal_minors,
     to_text,
 )
 from .balance import ModelSpec
@@ -58,6 +60,19 @@ class Condition:
         if self.kind == "eq":
             return self.lhs - self.rhs
         return self.lhs
+
+
+def sampling_error(samples: int | None, tol: float | None) -> str | None:
+    """Why a sample count or tolerance is unusable, or None.
+
+    Zero samples would pass any scenario, and a NaN tolerance makes every
+    violation test false.
+    """
+    if samples is not None and samples < 1:
+        return f"samples must be at least 1, got {samples}"
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        return f"tol must be finite and nonnegative, got {tol}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -452,12 +467,11 @@ def max_entropy_at_equilibrium(
             )
     if not support:
         return ConcavityResult("confirmed", "entropy has no gradient dependence")
-    from .liu import _det
-
     sup = sorted(support)
-    for mask in range(1, 1 << len(sup)):
-        sub = [sup[i] for i in range(len(sup)) if mask & (1 << i)]
-        minor = _det([[mat[i][j] for j in sub] for i in sub])
+    subsets = [
+        [sup[i] for i in range(len(sup)) if mask & (1 << i)] for mask in range(1, 1 << len(sup))
+    ]
+    for sub, minor in zip(subsets, principal_minors(mat, subsets)):
         required_sign = -1 if len(sub) % 2 else 1
         target = minor if required_sign > 0 else -minor
         verdict = _decide_sign(target, solution.conditions)
@@ -517,6 +531,9 @@ def check(
     seed: int | None = None,
     tol: float | None = None,
 ) -> CheckResult:
+    problem = sampling_error(samples, tol)
+    if problem is not None:
+        raise CheckError(problem)
     validate_solution(model, solution)
     statuses, failures = check_equalities(report, solution)
     scen_results: list[ScenarioResult] = []

@@ -223,9 +223,6 @@ def main(argv=None) -> int:
     except (FileFormatError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (CliUsage, ModelError, StateSpaceError, CheckError, KeyError, ExprError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
@@ -238,6 +235,10 @@ def main(argv=None) -> int:
         # stdout on devnull so the interpreter's exit flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except OSError as exc:
+        # A missing file, a directory, a permission: any file that cannot be read.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ __all__ = [
     "Atom", "BindingError", "CollectError", "EvaluationError", "ExprError",
     "Expression", "FuncSym", "ONE", "ParseContext", "ParseError", "ZERO",
     "as_expression", "atom_key", "atom_text", "parse", "poly_gcd",
-    "to_latex", "to_text",
+    "principal_minors", "to_latex", "to_text",
 ]
 
 
@@ -80,9 +80,16 @@ class FuncSym:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "deps", deps)
         object.__setattr__(self, "orders", tuple(p[1] for p in pairs))
-        # Hashed and keyed once: symbols key monomial dicts just as jets do.
+        # Hashed, keyed and printed once: symbols key monomial dicts just as jets do.
         object.__setattr__(self, "atom_key", (1, name, tuple(d.sort_key() for d in deps), self.orders))
         object.__setattr__(self, "_hash", hash((name, deps, self.orders)))
+        if any(self.orders):
+            parts = [name]
+            for dep, o in zip(deps, self.orders):
+                parts.extend([dep.text()] * o)
+            object.__setattr__(self, "_text", "D(" + ", ".join(parts) + ")")
+        else:
+            object.__setattr__(self, "_text", name)
 
     def __hash__(self) -> int:
         return self._hash
@@ -108,12 +115,7 @@ class FuncSym:
         return FuncSym(self.name, self.deps)
 
     def text(self) -> str:
-        if self.total_order == 0:
-            return self.name
-        parts = [self.name]
-        for dep, o in zip(self.deps, self.orders):
-            parts.extend([dep.text()] * o)
-        return "D(" + ", ".join(parts) + ")"
+        return self._text
 
     def __repr__(self) -> str:
         return f"Sym({self.text()})"
@@ -466,13 +468,14 @@ Number = Union[int, Fraction]
 class Expression:
     """Immutable rational normal form.  All operators return normalized results."""
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den", "_hash", "_floats")
 
     def __init__(self, num: Poly, den: Poly):
         num_t, den_t = _normalize(num, den)
         object.__setattr__(self, "_num", num_t)
         object.__setattr__(self, "_den", den_t)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_floats", None)
 
     # -- constructors ---------------------------------------------------
 
@@ -711,11 +714,16 @@ class Expression:
     def evaluate(self, env: Mapping) -> float:
         """Float value at a point; a vanishing denominator, an overflow or a
         non-finite value raises EvaluationError, so samplers can skip the point."""
+        floats = self._floats
+        if floats is None:
+            # Converted once per expression; samplers evaluate it at many points.
+            floats = tuple(tuple((m, float(c)) for m, c in part) for part in (self._num, self._den))
+            object.__setattr__(self, "_floats", floats)
         try:
-            dv = _p_eval(self._den, env)
+            dv = _p_eval(floats[1], env)
             if dv == 0.0:
                 raise EvaluationError("denominator vanished at the sample point")
-            out = _p_eval(self._num, env) / dv
+            out = _p_eval(floats[0], env) / dv
         except OverflowError as exc:
             raise EvaluationError(f"overflow at the sample point: {exc}") from None
         # Checked once per call, not per term: inf - inf is nan, and a finite
@@ -731,6 +739,7 @@ def _wrap(num_t: tuple, den_t: tuple) -> Expression:
     object.__setattr__(e, "_num", num_t)
     object.__setattr__(e, "_den", den_t)
     object.__setattr__(e, "_hash", None)
+    object.__setattr__(e, "_floats", None)
     return e
 
 
@@ -738,6 +747,7 @@ _ONE_T = (((), Fraction(1)),)
 
 
 def _freeze(p: Poly) -> tuple:
+    """Terms in ascending monomial order; printers and leading-term lookups rely on it."""
     return tuple(sorted(p.items(), key=lambda kv: _MONO_KEY(kv[0])))
 
 
@@ -799,6 +809,62 @@ def as_expression(v) -> Expression:
     raise ExprError(f"cannot interpret {v!r} as an expression")
 
 
+# -- principal minors ----------------------------------------------------
+
+
+_PLUS_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+
+def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequence[int]]) -> list[Expression]:
+    """det(mat[S, S]) for each index subset S, computed over polynomials.
+
+    Row i is cleared by r_i, the product of the distinct denominators of its
+    nonzero entries, so N_ij = M_ij * r_i * r_j is a polynomial and
+    det_S(M) = det_S(N) / prod_{i in S} r_i^2.  det_S(N) is a plain Laplace
+    expansion along the first row; each minor is normalized once, and the
+    canonical normal form makes the result that of a cofactor expansion over
+    expressions.
+    """
+    subsets = [tuple(s) for s in subsets]
+    rows = sorted({i for s in subsets for i in s})
+    r: dict[int, Poly] = {}
+    for i in rows:
+        ri = _p_one()
+        for d in dict.fromkeys(mat[i][j]._den for j in rows if not mat[i][j].is_zero):
+            if d != _ONE_T:
+                ri = p_mul(ri, dict(d))
+        r[i] = ri
+    n: dict[tuple[int, int], Poly] = {}
+    for i in rows:
+        for j in rows:
+            e = mat[i][j]
+            if not e.is_zero:
+                n[i, j] = _p_div_exact(p_mul(p_mul(e.num_poly(), r[i]), r[j]), e.den_poly())
+
+    def det(sub: tuple, cols: tuple) -> Poly:
+        if len(sub) == 1:
+            return n.get((sub[0], cols[0]), P_ZERO)
+        out: Poly = {}
+        for k, j in enumerate(cols):
+            a = n.get((sub[0], j))
+            if a is None:
+                continue
+            rest = det(sub[1:], cols[:k] + cols[k + 1:])
+            if rest:
+                p_add_into(out, p_mul(a, rest), _MINUS_ONE if k % 2 else _PLUS_ONE)
+        return out
+
+    squares = {i: p_mul(ri, ri) for i, ri in r.items()}
+    minors = []
+    for sub in subsets:
+        den = _p_one()
+        for i in sub:
+            den = p_mul(den, squares[i])
+        minors.append(Expression(det(sub, sub), den))
+    return minors
+
+
 # -- derivative rules ---------------------------------------------------
 
 
@@ -857,9 +923,9 @@ def _atom_total_t(a: Atom) -> Poly:
 
 
 def _p_eval(p, env) -> float:
+    """Value of a part whose coefficients are already floats."""
     total = 0.0
-    for m, c in p:
-        v = float(c)
+    for m, v in p:
         for a, e in m:
             if a not in env:
                 raise EvaluationError(f"no value supplied for {atom_text(a)}")
@@ -1278,9 +1344,8 @@ def _mono_text(m: Mono, c: Fraction) -> str:
 
 
 def _poly_text(part: tuple) -> str:
-    terms = sorted(part, key=lambda kv: _MONO_KEY(kv[0]), reverse=True)
     out = []
-    for i, (m, c) in enumerate(terms):
+    for i, (m, c) in enumerate(part[::-1]):
         body = _mono_text(m, c)
         if i == 0:
             out.append(("-" if c < 0 else "") + body)
@@ -1371,9 +1436,8 @@ def _mono_latex(m: Mono, c: Fraction) -> str:
 
 
 def _poly_latex(part: tuple) -> str:
-    terms = sorted(part, key=lambda kv: _MONO_KEY(kv[0]), reverse=True)
     out = []
-    for i, (m, c) in enumerate(terms):
+    for i, (m, c) in enumerate(part[::-1]):
         body = _mono_latex(m, c)
         if i == 0:
             out.append(("-" if c < 0 else "") + body)

@@ -25,10 +25,12 @@ class JetVariable:
             raise StateSpaceError(f"invalid field name {self.field!r}")
         if self.t_order < 0 or self.x_order < 0:
             raise StateSpaceError(f"negative derivative order on {self.field!r}")
-        # Jets key every monomial dict in the expression kernel, so the hash
-        # and the canonical atom ordering key are computed once, here.
+        # Jets key every monomial dict in the expression kernel, so the hash,
+        # the canonical atom ordering key and the text are computed once, here.
         object.__setattr__(self, "atom_key", (0, self.field, self.t_order, self.x_order))
         object.__setattr__(self, "_hash", hash((self.field, self.t_order, self.x_order)))
+        suffix = "t" * self.t_order + "x" * self.x_order
+        object.__setattr__(self, "_text", self.field + "_" + suffix if suffix else self.field)
 
     def __hash__(self) -> int:
         return self._hash
@@ -48,9 +50,7 @@ class JetVariable:
         return self.t_order == 0 and self.x_order == 0
 
     def text(self) -> str:
-        if self.is_field:
-            return self.field
-        return self.field + "_" + "t" * self.t_order + "x" * self.x_order
+        return self._text
 
     def sort_key(self) -> tuple:
         return (self.field, self.t_order, self.x_order)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
-from .expr import Expression, FuncSym, ZERO, to_latex, to_text
+from .expr import Expression, FuncSym, ZERO, principal_minors, to_latex, to_text
 from .balance import ModelSpec, entropy_production
 
 
@@ -331,13 +331,9 @@ class Restrictions:
 
 def _normalize_sign(e: Expression) -> Expression:
     """Flip the sign so the leading numerator coefficient is positive."""
-    num = e.num_poly()
-    if not num:
+    if e.is_zero:
         return e
-    from .expr import _MONO_KEY
-
-    m = max(num, key=_MONO_KEY)
-    return -e if num[m] < 0 else e
+    return -e if e._num[-1][1] < 0 else e
 
 
 def _mono_label(variables: Sequence[JetVariable], idx: tuple[int, ...]) -> str:
@@ -348,20 +344,6 @@ def _mono_label(variables: Sequence[JetVariable], idx: tuple[int, ...]) -> str:
         elif e > 1:
             parts.append(f"{v.text()}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def _det(mat: list[list[Expression]]) -> Expression:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = ZERO
-    for j in range(n):
-        if mat[0][j].is_zero:
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det(sub)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 def emit_restrictions(
@@ -444,8 +426,7 @@ def _principal_minors(
     for mask in range(1, 1 << m):
         subsets.append(tuple(support[i] for i in range(m) if mask & (1 << i)))
     subsets.sort(key=lambda s: (len(s), s))
-
-    return tuple((sub, _det([[mat[i][j] for j in sub] for i in sub])) for sub in subsets)
+    return tuple(zip(subsets, principal_minors(mat, subsets)))
 
 
 @dataclass(frozen=True)

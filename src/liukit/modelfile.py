@@ -39,6 +39,7 @@ from .checker import (
     DEFAULT_SAMPLES,
     DEFAULT_TOL,
     NumericScenario,
+    sampling_error,
 )
 
 
@@ -361,16 +362,17 @@ def _parse_scenario(
         try:
             if key == "samples":
                 samples = int(value)
-                continue
-            if key == "seed":
+            elif key == "seed":
                 seed = int(value)
-                continue
-            if key == "tol":
+            elif key == "tol":
                 tol = float(value)
-                continue
         except ValueError:
             raise FileFormatError(f"line {lineno}: bad number for {key!r}")
-        if key == "expect":
+        if key in ("samples", "seed", "tol"):
+            problem = sampling_error(samples, tol)
+            if problem is not None:
+                raise FileFormatError(f"line {lineno}: {problem}")
+        elif key == "expect":
             if value not in ("pass", "violate"):
                 raise FileFormatError(f"line {lineno}: expect must be 'pass' or 'violate'")
             expect = value
@@ -387,13 +389,17 @@ def _parse_scenario(
     )
 
 
-def load_model(path: str, name: str | None = None) -> ModelSpec:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_model(text, name or os.path.splitext(os.path.basename(path))[0])
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: not UTF-8 text") from None
+
+
+def load_model(path: str, name: str | None = None) -> ModelSpec:
+    return parse_model(_read_text(path), name or os.path.splitext(os.path.basename(path))[0])
 
 
 def load_solution(path: str, model: ModelSpec) -> CandidateSolution:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_solution(text, model)
+    return parse_solution(_read_text(path), model)

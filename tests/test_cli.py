@@ -146,6 +146,21 @@ class TestDerive:
         assert code == 1
         assert "error:" in err
 
+    def test_directory_is_an_input_error(self, tmp_path, capsys):
+        code, out, err = _run(["derive", str(tmp_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err
+
+    def test_non_utf8_model_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.model"
+        path.write_bytes(b"[fields]\nfields = u\xff\xfe\n")
+        code, out, err = _run(["derive", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: not UTF-8 text\n"
+
     def test_unparsable_model(self, tmp_path, capsys):
         path = tmp_path / "broken.model"
         path.write_text("[fields]\nfields = u\n[state]\norder = zero\nvars = u\n")
@@ -223,6 +238,33 @@ class TestCheck:
         assert out_a == out_b
         payload = json.loads(out_a)
         assert all(s["points"] == 16 for s in payload["scenarios"])
+
+    def test_non_utf8_solution_is_an_input_error(self, tmp_path, capsys):
+        mp, sp = tmp_path / "local.model", tmp_path / "latin1.solution"
+        mp.write_text(LOCAL_MODEL)
+        sp.write_bytes(GOOD_SOLUTION.replace("s = u", "s = u  # \xb5").encode("latin-1"))
+        code, out, err = _run(["check", str(mp), str(sp)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {sp}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_samples_is_a_usage_error(self, value, capsys):
+        code, out, err = _run(["check", "--builtin", "korteweg", "--samples", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: samples must be at least 1, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_unusable_tol_is_a_usage_error(self, value, capsys):
+        code, out, err = _run(["check", "--builtin", "korteweg", "--tol", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and nonnegative" in err
+
+    def test_zero_tol_is_accepted(self, capsys):
+        code, _, _ = _run(["check", "--builtin", "korteweg", "--samples", "4", "--tol", "0"], capsys)
+        assert code == 0
 
     def test_unbound_unknown_is_a_validation_error(self, tmp_path, capsys):
         mp, sp = tmp_path / "local.model", tmp_path / "short.solution"

@@ -16,6 +16,10 @@ term-by-term reference substitution and against point evaluation; fixed
 cases also go through sympy when it is installed.  A deterministic guard
 keeps the number of normalizations per substitution independent of the
 expression size.
+
+Further suites, also outside that set, check `principal_minors` against a
+cofactor expansion over expressions (and sympy), and the printers against
+a reference that sorts the terms before printing.
 """
 from __future__ import annotations
 
@@ -40,6 +44,8 @@ from liukit.expr import (
     _check_acyclic,
     as_expression,
     parse,
+    principal_minors,
+    to_latex,
     to_text,
 )
 from liukit.jet import JetVariable
@@ -363,6 +369,19 @@ def test_substitution_suite():
     assert CASES["subs"] >= 1000
 
 
+def _to_sympy(sympy, e: Expression):
+    def sym(a):
+        return sympy.Symbol(re.sub(r"\W+", "_", a.text()))
+
+    def part(p):
+        return sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[sym(a) ** k for a, k in m])
+            for m, c in p.items()
+        ])
+
+    return part(e.num_poly()) / part(e.den_poly())
+
+
 _SUBS_CASES = [
     ("q1^2*rho + s0/(q1 - eps)", {"q1": "rho/(1 + eps)", "s0": "eps^2 + rho"}),
     ("(s0*D(s0, eps) + q1)/(rho + q1^2)", {"q1": "s0 - 1", "s0": "rho*eps^3/(2 + rho)"}),
@@ -374,19 +393,7 @@ _SUBS_CASES = [
 @pytest.mark.parametrize("text, bound", _SUBS_CASES, ids=["pair", "chain", "power", "closure"])
 def test_substitution_matches_sympy(text, bound):
     sympy = pytest.importorskip("sympy")
-
-    def sym(a):
-        return sympy.Symbol(re.sub(r"\W+", "_", a.text()))
-
-    def to_sympy(e: Expression):
-        def part(p):
-            return sympy.Add(*[
-                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[sym(a) ** k for a, k in m])
-                for m, c in p.items()
-            ])
-
-        return part(e.num_poly()) / part(e.den_poly())
-
+    to_sympy = functools.partial(_to_sympy, sympy)
     bind = {CTX.sym(name): parse(value, CTX) for name, value in bound.items()}
     got = parse(text, CTX).subs(bind)
     want = to_sympy(parse(text, CTX))
@@ -425,3 +432,164 @@ def test_subs_normalizations_do_not_grow_with_size(monkeypatch):
     small = _normalizations_in_subs(10, monkeypatch)
     assert small == _normalizations_in_subs(200, monkeypatch)
     assert small <= 2
+
+
+# -- principal minors ------------------------------------------------------------
+
+
+def _cofactor_det(mat) -> Expression:
+    """Laplace expansion along the first row over expressions."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    total = ZERO
+    for j in range(n):
+        if mat[0][j].is_zero:
+            continue
+        term = mat[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in mat[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _all_subsets(n: int) -> list:
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
+
+
+# Distinct nonconstant denominators, two of them sums.  Sums in two or more
+# atoms are left out: the cofactor reference and the kernel's gcd then take
+# seconds on a single 5x5 case.
+_ENTRY_DENS = [parse(t, CTX) for t in ("1 + rho", "1 + eps", "rho", "2*eps")]
+_entry_poly = st.recursive(st.sampled_from(_ATOMS[:3]) | _numbers, _extend_poly, max_leaves=3)
+_entries = st.one_of(
+    st.just(ZERO),
+    _numbers,
+    _entry_poly,
+    st.tuples(_entry_poly, st.sampled_from(_ENTRY_DENS)).map(lambda t: t[0] / t[1]),
+)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 5))
+    mat = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = draw(_entries)
+    return mat
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(mat=symmetric_matrices())
+def check_principal_minors(mat):
+    CASES["minors"] += 1
+    dens = {e._den for row in mat for e in row if not e.den_is_one}
+    if len(mat) >= 4 and len(dens) >= 2:
+        CASES["minors_mixed"] += 1
+    subsets = _all_subsets(len(mat))
+    got = principal_minors(mat, subsets)
+    assert len(got) == len(subsets)
+    for sub, minor in zip(subsets, got):
+        assert minor == _cofactor_det([[mat[i][j] for j in sub] for i in sub])
+
+
+def test_principal_minor_suite():
+    CASES["minors"] = CASES["minors_mixed"] = 0
+    check_principal_minors()
+    assert CASES["minors"] >= 150
+    # Large matrices that mix distinct denominators are the cases that matter.
+    assert CASES["minors_mixed"] >= 20, CASES["minors_mixed"]
+
+
+def _fixed_matrix(rows):
+    return [[parse(t, CTX) for t in row] for row in rows]
+
+
+_MINOR_CASES = [
+    [["rho/(1 + rho)", "eps"], ["eps", "1/eps"]],
+    [
+        ["rho", "q1/(rho^2 + 2)", "0"],
+        ["q1/(rho^2 + 2)", "s0/eps", "1/2"],
+        ["0", "1/2", "rho - q1"],
+    ],
+    [
+        ["1/(1 + rho)", "eps", "rho_x", "0"],
+        ["eps", "s0", "0", "q1/(1 + rho)"],
+        ["rho_x", "0", "eps/(rho - 3)", "1"],
+        ["0", "q1/(1 + rho)", "1", "rho*eps"],
+    ],
+]
+
+
+@pytest.mark.parametrize("rows", _MINOR_CASES, ids=["2x2", "3x3", "4x4"])
+def test_principal_minors_match_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    mat = _fixed_matrix(rows)
+    subsets = _all_subsets(len(mat))
+    for sub, minor in zip(subsets, principal_minors(mat, subsets)):
+        want = sympy.Matrix([[_to_sympy(sympy, mat[i][j]) for j in sub] for i in sub]).det()
+        assert sympy.cancel(_to_sympy(sympy, minor) - want) == 0
+
+
+def test_principal_minors_normalize_once_per_minor(monkeypatch):
+    mat = _fixed_matrix(_MINOR_CASES[-1])
+    subsets = _all_subsets(len(mat))
+    calls = Counter()
+    normalize = expr_mod._normalize
+
+    def counting(num, den):
+        calls["n"] += 1
+        return normalize(num, den)
+
+    monkeypatch.setattr(expr_mod, "_normalize", counting)
+    minors = principal_minors(mat, subsets)
+    assert calls["n"] == len(subsets) == len(minors)
+
+
+# -- printing ----------------------------------------------------------------
+
+
+def _sorted_part(part, mono) -> str:
+    """Terms printed from the leading monomial down, sorted afresh."""
+    terms = sorted(part, key=lambda kv: expr_mod._MONO_KEY(kv[0]), reverse=True)
+    out = []
+    for i, (m, c) in enumerate(terms):
+        sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
+        out.append(sign + mono(m, c))
+    return "".join(out)
+
+
+def _reference_text(e: Expression) -> str:
+    if e.is_zero:
+        return "0"
+    num = _sorted_part(e._num, expr_mod._mono_text)
+    if e.den_is_one:
+        return num
+    den = _sorted_part(e._den, expr_mod._mono_text)
+    if len(e._num) > 1:
+        num = f"({num})"
+    if not (len(e._den) == 1 and e._den[0][1] == 1 and len(e._den[0][0]) == 1):
+        den = f"({den})"
+    return f"{num}/{den}"
+
+
+def _reference_latex(e: Expression) -> str:
+    if e.is_zero:
+        return "0"
+    num = _sorted_part(e._num, expr_mod._mono_latex)
+    if e.den_is_one:
+        return num
+    return rf"\frac{{{num}}}{{{_sorted_part(e._den, expr_mod._mono_latex)}}}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(a=exprs)
+def test_printers_match_sorting_reference(a):
+    for e in (a, -a):
+        assert to_text(e) == _reference_text(e)
+        assert to_latex(e) == _reference_latex(e)

@@ -304,6 +304,20 @@ class TestSolutionErrors:
     def test_bad_scenario_number(self):
         self._raises(lambda t: t.replace("samples = 12", "samples = many"), "bad number for 'samples'")
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_scenario_samples_must_be_positive(self, value):
+        self._raises(
+            lambda t: t.replace("samples = 12", f"samples = {value}"),
+            f"line 15: samples must be at least 1, got {value}",
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "-1e-9", "inf"])
+    def test_scenario_tol_must_be_finite_and_nonnegative(self, value):
+        self._raises(
+            lambda t: t.replace("tol = 1e-8", f"tol = {value}"),
+            "line 17: tol must be finite and nonnegative",
+        )
+
     def test_bad_expect_value(self):
         self._raises(lambda t: t.replace("expect = violate", "expect = maybe"), "expect must be 'pass' or 'violate'")
 
