@@ -20,15 +20,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .jet import JetVariable
 from .expr import (
     Atom,
+    CoefficientRangeError,
     EvaluationError,
     Expression,
     ExprError,
     FuncSym,
+    Substitution,
     ZERO,
     atom_text,
     principal_minors,
@@ -96,6 +99,17 @@ class CandidateSolution:
     def binding_map(self) -> dict[FuncSym, Expression]:
         return {k: v for k, v in self.bindings}
 
+    # Built once per candidate and shared by every part of a check, so each
+    # derivative atom of a bound symbol is derived once.
+    @cached_property
+    def binding_substitution(self) -> Substitution:
+        return Substitution(self.binding_map())
+
+    @cached_property
+    def condition_substitution(self) -> Substitution:
+        """Equality conditions whose left side is a single atom, as bindings."""
+        return Substitution(_condition_substitutions(self.conditions))
+
     def condition(self, name: str) -> Condition:
         for c in self.conditions:
             if c.name == name:
@@ -154,10 +168,7 @@ def binding_singularities(solution: CandidateSolution) -> tuple[tuple[str, str],
     """
     out: list[tuple[str, str]] = []
     for sym, expr in solution.bindings:
-        den_jets = sorted(
-            {a for m, _ in expr.den_poly().items() for a, _e in m if isinstance(a, JetVariable)},
-            key=JetVariable.sort_key,
-        )
+        den_jets = sorted(expr.denominator().jets(), key=JetVariable.sort_key)
         if den_jets:
             out.append((sym.name, ", ".join(j.text() for j in den_jets)))
     return tuple(out)
@@ -174,26 +185,25 @@ def _condition_substitutions(conditions: Sequence[Condition]) -> dict[Atom, Expr
     return subs
 
 
-def _substitute(expr: Expression, bindings: Mapping, cond_subs: Mapping) -> Expression:
-    out = expr.subs(bindings)
-    if cond_subs:
-        out = out.subs(cond_subs)
-    return out
+def _substitute(expr: Expression, *subs: Substitution) -> Expression:
+    """expr with each substitution applied in turn; empty ones are skipped."""
+    for sub in subs:
+        if sub.bind:
+            expr = expr.subs(sub)
+    return expr
 
 
 def check_equalities(
     report: LiuReport, solution: CandidateSolution
 ) -> tuple[list[EqualityStatus], list[str]]:
-    bindings = solution.binding_map()
-    cond_subs = _condition_substitutions(solution.conditions)
     statuses: list[EqualityStatus] = []
     failures: list[str] = []
     for eq in report.restrictions.equalities:
-        bound = eq.expr.subs(bindings)
+        bound = _substitute(eq.expr, solution.binding_substitution)
         if bound.is_zero:
             statuses.append(EqualityStatus(eq.label, "identical", (), ZERO))
             continue
-        after = bound.subs(cond_subs) if cond_subs else bound
+        after = _substitute(bound, solution.condition_substitution)
         if after.is_zero:
             used = _conditions_touching(bound, solution.conditions)
             statuses.append(EqualityStatus(eq.label, "conditional", used, ZERO))
@@ -257,18 +267,15 @@ def run_scenario(
     higher even forms have no finite minor criterion, so their polynomials
     are sampled directly alongside the quadratic minors.
     """
-    bindings = solution.binding_map()
-    cond_subs = _condition_substitutions(solution.conditions)
-    lets = dict(scenario.lets)
+    bindings = solution.binding_substitution
+    cond_subs = solution.condition_substitution
+    lets = Substitution(dict(scenario.lets))
     n = samples if samples is not None else scenario.samples
     sd = seed if seed is not None else scenario.seed
     tl = tol if tol is not None else scenario.tol
 
     def prepare(e: Expression) -> Expression:
-        out = _substitute(e, bindings, cond_subs)
-        if lets:
-            out = out.subs(lets)
-        return out
+        return _substitute(e, bindings, cond_subs, lets)
 
     residual = prepare(report.restrictions.residual)
     minors: list[tuple[str, Expression]] = []
@@ -291,10 +298,7 @@ def run_scenario(
             minors.append((f"degree-{f.degree} form", poly))
     conds: list[tuple[Condition, Expression]] = []
     for c in solution.conditions:
-        e = _substitute(c.as_zero(), bindings, {})
-        if lets:
-            e = e.subs(lets)
-        conds.append((c, e))
+        conds.append((c, _substitute(c.as_zero(), bindings, lets)))
 
     targets = [residual] + [d for _, d in minors] + [e for _, e in conds]
     free: set[JetVariable] = set()
@@ -335,6 +339,10 @@ def run_scenario(
         except EvaluationError:
             resamples += 1
             continue
+        except CoefficientRangeError as exc:
+            # A property of the bound targets: no other point can help.
+            failure = f"scenario {scenario.name!r}: {exc}"
+            break
         produced += 1
         bad = _condition_violation(cvals, tl)
         if bad is not None:
@@ -427,9 +435,9 @@ def max_entropy_at_equilibrium(
     whose conditions fail to imply semidefiniteness is refuted: it admits
     parameter values for which uniform states are not entropy maxima.
     """
-    bindings = solution.binding_map()
-    cond_subs = _condition_substitutions(solution.conditions)
-    s_expr = _substitute(model.entropy.density, bindings, cond_subs)
+    s_expr = _substitute(
+        model.entropy.density, solution.binding_substitution, solution.condition_substitution
+    )
     grads = [w for w in model.space.sorted_members() if w.x_order >= 1]
     if not grads:
         return ConcavityResult("confirmed", "state space has no gradient variables")

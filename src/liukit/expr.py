@@ -9,27 +9,43 @@ trivial.  Quotients are unavoidable here: solving for Lagrange multipliers and
 substituting candidate constitutive equations both introduce inverses of
 state functions.
 
-Monomials are ordered graded-lexicographically over a canonical atom order
-(jets first, by field name, then time order, then space order; function
-symbols after, by name, dependencies and derivative multi-index), so printing
-and serialization are deterministic.
+Representation.  Every atom has a small integer id, handed out in creation
+order by the registry in `jet.py`.  A monomial is one flat tuple of ints,
+(id0, e0, id1, e1, ...), with the ids ascending and the exponents positive;
+a polynomial is a dict from monomials to coefficients.  A coefficient is a
+Python int whenever it is integral and a Fraction otherwise, so hashing,
+merging and multiplying stay on plain ints.  Ids depend on what a process
+happened to create first, so they order atoms internally and nowhere else.
+
+Canonical order.  Monomials are ordered graded-lexicographically over a
+canonical atom order (jets first, by field name, then time order, then
+space order; function symbols after, by name, dependencies and derivative
+multi-index).  A rank table maps each id to the atom's position in that
+order.  It is brought up to date lazily, by binary insertion of the atoms
+created since it was last read.  The sort key of a monomial is the flat int
+tuple (degree, -rank_a, e_a, -rank_b, e_b, ...) over its atoms in ascending
+rank.  Each part of a normal form is stored in ascending key order, so
+printing, serialization and leading-term lookups are deterministic and do
+not depend on the ids.
 """
 from __future__ import annotations
 
 import functools
 import math
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
-from .jet import JetVariable
+from .jet import ATOMS, JetVariable, intern_atom
 
 __all__ = [
-    "Atom", "BindingError", "CollectError", "EvaluationError", "ExprError",
-    "Expression", "FuncSym", "ONE", "ParseContext", "ParseError", "ZERO",
-    "as_expression", "atom_key", "atom_text", "parse", "poly_gcd",
-    "principal_minors", "to_latex", "to_text",
+    "Atom", "BindingError", "CoefficientRangeError", "CollectError", "EvaluationError",
+    "ExprError", "Expression", "FuncSym", "ONE", "ParseContext", "ParseError",
+    "Substitution", "ZERO", "as_expression", "atom_key", "atom_text", "parse",
+    "poly_gcd", "principal_minors", "to_latex", "to_text",
 ]
 
 
@@ -47,6 +63,10 @@ class CollectError(ExprError):
 
 class EvaluationError(ExprError):
     pass
+
+
+class CoefficientRangeError(ExprError):
+    """A coefficient has no float value: a property of the expression, not of a point."""
 
 
 class BindingError(ExprError):
@@ -80,7 +100,7 @@ class FuncSym:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "deps", deps)
         object.__setattr__(self, "orders", tuple(p[1] for p in pairs))
-        # Hashed, keyed and printed once: symbols key monomial dicts just as jets do.
+        # Hashed, keyed, printed and interned once, as jets are.
         object.__setattr__(self, "atom_key", (1, name, tuple(d.sort_key() for d in deps), self.orders))
         object.__setattr__(self, "_hash", hash((name, deps, self.orders)))
         if any(self.orders):
@@ -90,6 +110,7 @@ class FuncSym:
             object.__setattr__(self, "_text", "D(" + ", ".join(parts) + ")")
         else:
             object.__setattr__(self, "_text", name)
+        object.__setattr__(self, "id", intern_atom(self))
 
     def __hash__(self) -> int:
         return self._hash
@@ -122,6 +143,7 @@ class FuncSym:
 
 
 Atom = Union[JetVariable, FuncSym]
+Number = Union[int, Fraction]
 
 
 def atom_key(a: Atom) -> tuple:
@@ -133,8 +155,48 @@ def atom_text(a: Atom) -> str:
     return a.text()
 
 
-# A monomial is a tuple of (atom, exponent) pairs with positive exponents,
-# sorted by atom_key.  A polynomial is a dict monomial -> Fraction.
+# -- canonical order ------------------------------------------------------
+
+_NRANK: list[int] = []  # atom id -> minus its position in canonical atom order
+_RANKED: list[int] = []  # ids of the ranked atoms, in canonical order
+
+
+def _ranks() -> list[int]:
+    """The negated-rank table, first extended to every atom created so far."""
+    n = len(_NRANK)
+    if n < len(ATOMS):
+        for i in range(n, len(ATOMS)):
+            _RANKED.insert(bisect(_RANKED, ATOMS[i].atom_key, key=_atom_key_of), i)
+        _NRANK.extend([0] * (len(ATOMS) - n))
+        for r, i in enumerate(_RANKED):
+            _NRANK[i] = -r
+    return _NRANK
+
+
+def _atom_key_of(i: int) -> tuple:
+    return ATOMS[i].atom_key
+
+
+def _mono_key(m: Mono) -> tuple:
+    """Graded-lex sort key; the caller brings the rank table up to date first."""
+    if len(m) == 2:
+        return (m[1], _NRANK[m[0]], m[1])
+    pairs = sorted(zip([_NRANK[i] for i in m[::2]], m[1::2]), reverse=True)
+    return (sum(m[1::2]), *chain.from_iterable(pairs))
+
+
+def _atoms_in_order(m: Mono) -> list[tuple[Atom, int]]:
+    """The (atom, exponent) pairs of a monomial in canonical atom order."""
+    if len(m) == 2:
+        return [(ATOMS[m[0]], m[1])]
+    nrank = _ranks()
+    return [(ATOMS[i], e) for _, i, e in sorted(zip([-nrank[i] for i in m[::2]], m[::2], m[1::2]))]
+
+
+# -- monomials and polynomials -------------------------------------------
+#
+# A monomial is a flat tuple (id0, e0, id1, e1, ...) with the ids ascending
+# and the exponents positive.  A polynomial is a dict monomial -> coefficient.
 
 Mono = tuple
 Poly = dict
@@ -143,97 +205,100 @@ P_ZERO: Poly = {}
 
 
 def _p_one() -> Poly:
-    return {(): Fraction(1)}
+    return {(): 1}
 
 
 def mono_from_pairs(pairs: Iterable[tuple[Atom, int]]) -> Mono:
     acc: dict = {}
     for a, e in pairs:
         if e:
-            acc[a] = acc.get(a, 0) + e
-    items = [(a, e) for a, e in acc.items() if e]
-    if any(e < 0 for _, e in items):
+            acc[a.id] = acc.get(a.id, 0) + e
+    if any(e < 0 for e in acc.values()):
         raise ExprError("negative exponent in monomial")
-    items.sort(key=lambda p: p[0].atom_key)
-    return tuple(items)
+    return tuple(chain.from_iterable(sorted((i, e) for i, e in acc.items() if e)))
 
 
 def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    """Merge two sorted monomials."""
+    """Merge two monomials."""
     if not m1:
         return m2
     if not m2:
         return m1
+    if m1[-2] < m2[0]:
+        return m1 + m2
+    if m2[-2] < m1[0]:
+        return m2 + m1
     out = []
     i = j = 0
     n1, n2 = len(m1), len(m2)
     while i < n1 and j < n2:
-        p1, p2 = m1[i], m2[j]
-        k1, k2 = p1[0].atom_key, p2[0].atom_key
-        if k1 == k2:
-            out.append((p1[0], p1[1] + p2[1]))
-            i += 1
-            j += 1
-        elif k1 < k2:
-            out.append(p1)
-            i += 1
+        a, b = m1[i], m2[j]
+        if a == b:
+            out += (a, m1[i + 1] + m2[j + 1])
+            i += 2
+            j += 2
+        elif a < b:
+            out += m1[i:i + 2]
+            i += 2
         else:
-            out.append(p2)
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
+            out += m2[j:j + 2]
+            j += 2
+    out += m1[i:]
+    out += m2[j:]
     return tuple(out)
-
-
-def mono_cmp(m1: Mono, m2: Mono) -> int:
-    d1 = d2 = 0
-    for _, e in m1:
-        d1 += e
-    for _, e in m2:
-        d2 += e
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        a1, e1 = m1[i]
-        a2, e2 = m2[j]
-        k1, k2 = a1.atom_key, a2.atom_key
-        if k1 == k2:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif k1 < k2:
-            return 1
-        else:
-            return -1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
-
-
-_MONO_KEY = functools.cmp_to_key(mono_cmp)
 
 
 def mono_div(m: Mono, d: Mono) -> Mono | None:
     """m / d, or None when d does not divide m."""
-    rest = dict(m)
-    for a, e in d:
-        have = rest.get(a, 0)
-        if have < e:
+    rest = dict(zip(d[::2], d[1::2]))
+    out = []
+    for k in range(0, len(m), 2):
+        e = m[k + 1] - rest.pop(m[k], 0)
+        if e < 0:
             return None
-        if have == e:
-            del rest[a]
-        else:
-            rest[a] = have - e
-    return tuple(sorted(rest.items(), key=lambda p: p[0].atom_key))
+        if e:
+            out += (m[k], e)
+    return None if rest else tuple(out)
 
 
-def p_add_into(dst: Poly, src: Poly, scale: Fraction = Fraction(1)) -> None:
-    for m, c in src.items():
-        v = dst.get(m, 0) + c * scale
+def _mono_gcd(m1: Mono, m2: Mono) -> Mono:
+    """Atom-wise minimum exponents."""
+    have = dict(zip(m2[::2], m2[1::2]))
+    out = []
+    for k in range(0, len(m1), 2):
+        e = have.get(m1[k])
+        if e:
+            out += (m1[k], min(e, m1[k + 1]))
+    return tuple(out)
+
+
+def _mono_content(p: Poly, g: Mono | None = None) -> Mono:
+    """The gcd of all monomials of p, and of g when given."""
+    it = iter(p)
+    if g is None:
+        g = next(it)
+    for m in it:
+        if not g:
+            break
+        g = _mono_gcd(g, m)
+    return g
+
+
+def _p_div_mono(p: Poly, m: Mono) -> Poly:
+    """p / m for a monomial m that divides every term."""
+    return {mono_div(k, m): c for k, c in p.items()} if m else p
+
+
+def _quo(a: Number, b: Number) -> Number:
+    """a / b exactly, an int when integral: int / int must never become a float."""
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def p_add_into(dst: Poly, src: Poly, scale: Number = 1) -> None:
+    items = src.items() if scale == 1 else [(m, c * scale) for m, c in src.items()]
+    for m, c in items:
+        v = dst.get(m, 0) + c
         if v:
             dst[m] = v
         elif m in dst:
@@ -246,10 +311,11 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     if len(a) > len(b):
         a, b = b, a
     out: Poly = {}
+    get = out.get
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = mono_mul(ma, mb)
-            v = out.get(m, 0) + ca * cb
+            v = get(m, 0) + ca * cb
             if v:
                 out[m] = v
             elif m in out:
@@ -257,7 +323,7 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def p_scale(a: Poly, c: Fraction) -> Poly:
+def p_scale(a: Poly, c: Number) -> Poly:
     if not c:
         return {}
     return {m: v * c for m, v in a.items()}
@@ -279,82 +345,55 @@ def p_is_const(p: Poly) -> bool:
     return len(p) == 0 or (len(p) == 1 and () in p)
 
 
-def p_leading(p: Poly) -> tuple[Mono, Fraction]:
-    m = max(p, key=_MONO_KEY)
+def p_leading(p: Poly) -> tuple[Mono, Number]:
+    _ranks()
+    m = max(p, key=_mono_key)
     return m, p[m]
 
 
-def _mono_content(p: Poly) -> dict:
-    """Atom-wise minimum exponents across all monomials."""
-    it = iter(p)
-    first = dict(next(it))
-    for m in it:
-        if not first:
-            break
-        d = dict(m)
-        for a in list(first):
-            e = d.get(a, 0)
-            if e < first[a]:
-                if e:
-                    first[a] = e
-                else:
-                    del first[a]
-    return first
+def _int_scale(coeffs: Iterable[Number], lead: Number) -> tuple[int, int]:
+    """(k, g) such that c * k / g over `coeffs` are coprime ints, k of the sign of `lead`."""
+    coeffs = list(coeffs)
+    lcm = 1
+    for c in coeffs:
+        lcm = math.lcm(lcm, c.denominator)
+    g = 0
+    for c in coeffs:
+        g = math.gcd(g, c.numerator * (lcm // c.denominator))
+    return (-lcm if lead < 0 else lcm), g
 
 
-def _strip_mono(p: Poly, content: dict) -> Poly:
-    if not content:
-        return dict(p)
-    out = {}
-    for m, c in p.items():
-        rest = dict(m)
-        for a, e in content.items():
-            if rest[a] == e:
-                del rest[a]
-            else:
-                rest[a] -= e
-        out[tuple(sorted(rest.items(), key=lambda q: q[0].atom_key))] = c
-    return out
+def _rescale(p: Poly, k: int, g: int) -> Poly:
+    """p * k / g with (k, g) from _int_scale; every result is an int."""
+    return {m: c * k // g for m, c in p.items()}
 
 
 def _int_normalize(p: Poly) -> Poly:
     """Scale to coprime integer coefficients with positive leading coefficient."""
     if not p:
         return {}
-    lcm = 1
-    for c in p.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    g = 0
-    for c in p.values():
-        g = math.gcd(g, abs(c.numerator * (lcm // c.denominator)))
-    scale = Fraction(lcm, g)
-    _, lead = p_leading(p)
-    if lead < 0:
-        scale = -scale
-    return {m: c * scale for m, c in p.items()}
+    return _rescale(p, *_int_scale(p.values(), p_leading(p)[1]))
 
 
-def _var_degree(p: Poly, var: Atom) -> int:
-    deg = 0
-    for m in p:
-        for a, e in m:
-            if a == var and e > deg:
-                deg = e
-    return deg
+def _var_exp(m: Mono, var: int) -> int:
+    ids = m[::2]
+    return m[2 * ids.index(var) + 1] if var in ids else 0
 
 
-def _var_coeff(p: Poly, var: Atom, d: int) -> Poly:
+def _var_degree(p: Poly, var: int) -> int:
+    return max((_var_exp(m, var) for m in p), default=0)
+
+
+def _var_coeff(p: Poly, var: int, d: int) -> Poly:
     out = {}
     for m, c in p.items():
-        e = 0
-        rest = []
-        for a, ee in m:
-            if a == var:
-                e = ee
-            else:
-                rest.append((a, ee))
-        if e == d:
-            out[tuple(rest)] = c
+        ids = m[::2]
+        if var in ids:
+            k = 2 * ids.index(var)
+            if m[k + 1] == d:
+                out[m[:k] + m[k + 2:]] = c
+        elif d == 0:
+            out[m] = c
     return out
 
 
@@ -364,7 +403,7 @@ def _p_div_exact(p: Poly, d: Poly) -> Poly:
         c = d.get((), None)
         if not c:
             raise ExprError("division by zero polynomial")
-        return p_scale(p, 1 / c)
+        return p_scale(p, _quo(1, c))
     q: Poly = {}
     r = dict(p)
     dm, dc = p_leading(d)
@@ -373,13 +412,13 @@ def _p_div_exact(p: Poly, d: Poly) -> Poly:
         m = mono_div(rm, dm)
         if m is None:
             raise ExprError("inexact polynomial division")
-        c = rc / dc
+        c = _quo(rc, dc)
         q[m] = q.get(m, 0) + c
-        p_add_into(r, p_mul({m: c}, d), Fraction(-1))
+        p_add_into(r, p_mul({m: c}, d), -1)
     return {m: c for m, c in q.items() if c}
 
 
-def _prem(a: Poly, b: Poly, var: Atom) -> Poly:
+def _prem(a: Poly, b: Poly, var: int) -> Poly:
     """Pseudo-remainder of a by b with respect to var."""
     db = _var_degree(b, var)
     lb = _var_coeff(b, var, db)
@@ -389,14 +428,14 @@ def _prem(a: Poly, b: Poly, var: Atom) -> Poly:
         if dr < db:
             break
         lr = _var_coeff(r, var, dr)
-        shifted = p_mul({((var, dr - db),) if dr > db else (): Fraction(1)}, b)
+        shifted = p_mul({(var, dr - db) if dr > db else (): 1}, b)
         r2 = p_mul(lb, r)
-        p_add_into(r2, p_mul(lr, shifted), Fraction(-1))
+        p_add_into(r2, p_mul(lr, shifted), -1)
         r = r2
     return r
 
 
-def _content_in_var(p: Poly, var: Atom) -> Poly:
+def _content_in_var(p: Poly, var: int) -> Poly:
     cont: Poly = {}
     for d in range(_var_degree(p, var), -1, -1):
         c = _var_coeff(p, var, d)
@@ -412,11 +451,10 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
         return _p_one()
     if p == q:
         return _int_normalize(p)
-    atoms = set()
-    for m in list(p) + list(q):
-        for a, _ in m:
-            atoms.add(a)
-    var = max(atoms, key=atom_key)
+    ids = set()
+    for m in chain(p, q):
+        ids.update(m[::2])
+    var = min(ids, key=_ranks().__getitem__)  # the last atom in canonical order
     dp, dq = _var_degree(p, var), _var_degree(q, var)
     if dp == 0:
         return poly_gcd(p, _content_in_var(q, var))
@@ -449,20 +487,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _int_normalize(p)
     mcp = _mono_content(p)
     mcq = _mono_content(q)
-    mc = {}
-    for a, e in mcp.items():
-        e2 = mcq.get(a, 0)
-        if e2:
-            mc[a] = min(e, e2)
-    p2 = _strip_mono(p, mcp)
-    q2 = _strip_mono(q, mcq)
-    g = _gcd_primitive(p2, q2)
+    g = _gcd_primitive(_p_div_mono(p, mcp), _p_div_mono(q, mcq))
+    mc = _mono_gcd(mcp, mcq)
     if mc:
-        g = p_mul(g, {mono_from_pairs(mc.items()): Fraction(1)})
+        g = p_mul(g, {mc: 1})
     return g
-
-
-Number = Union[int, Fraction]
 
 
 class Expression:
@@ -477,25 +506,23 @@ class Expression:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_floats", None)
 
+    def __reduce__(self):
+        # Atom ids are local to a process, so the atoms themselves travel.
+        return (_from_pairs, (_pairs(self._num), _pairs(self._den)))
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def number(value: Number) -> "Expression":
         c = Fraction(value)
-        num = ((((), c),) if c else ())
+        num = ((((), c.numerator if c.denominator == 1 else c),) if c else ())
         return _wrap(num, _ONE_T)
 
     @staticmethod
-    def jet(j: JetVariable) -> "Expression":
-        return _wrap(((((j, 1),), Fraction(1)),), _ONE_T)
-
-    @staticmethod
-    def sym(s: FuncSym) -> "Expression":
-        return _wrap(((((s, 1),), Fraction(1)),), _ONE_T)
-
-    @staticmethod
     def atom(a: Atom) -> "Expression":
-        return Expression.jet(a) if isinstance(a, JetVariable) else Expression.sym(a)
+        return _wrap((((a.id, 1), 1),), _ONE_T)
+
+    jet = sym = atom
 
     # -- raw views ------------------------------------------------------
 
@@ -504,6 +531,10 @@ class Expression:
 
     def den_poly(self) -> Poly:
         return {m: c for m, c in self._den}
+
+    def denominator(self) -> "Expression":
+        """The normalized denominator, as a polynomial expression."""
+        return _wrap(self._den, _ONE_T)
 
     @property
     def is_zero(self) -> bool:
@@ -518,16 +549,15 @@ class Expression:
         if not self._num:
             return Fraction(0)
         if self._den == _ONE_T and len(self._num) == 1 and self._num[0][0] == ():
-            return self._num[0][1]
+            return Fraction(self._num[0][1])
         return None
 
     def atoms(self) -> set:
-        out = set()
+        ids = set()
         for part in (self._num, self._den):
             for m, _ in part:
-                for a, _e in m:
-                    out.add(a)
-        return out
+                ids.update(m[::2])
+        return {ATOMS[i] for i in ids}
 
     def jets(self) -> set:
         return {a for a in self.atoms() if isinstance(a, JetVariable)}
@@ -618,13 +648,13 @@ class Expression:
 
     def diff(self, v: JetVariable) -> "Expression":
         """Partial derivative with respect to a single jet variable."""
-        return self._derive(functools.partial(_atom_partial, v))
+        return self._derive(functools.partial(_atom_partial, v.id))
 
     def total_x(self) -> "Expression":
-        return self._derive(_atom_total_x)
+        return self._derive(functools.partial(_atom_total, False))
 
     def total_t(self) -> "Expression":
-        return self._derive(_atom_total_t)
+        return self._derive(functools.partial(_atom_total, True))
 
     def _derive(self, rule) -> "Expression":
         num, den = self.num_poly(), self.den_poly()
@@ -633,7 +663,7 @@ class Expression:
             return Expression(dnum, _p_one())
         dden = _p_derive(den, rule)
         out = p_mul(dnum, den)
-        p_add_into(out, p_mul(num, dden), Fraction(-1))
+        p_add_into(out, p_mul(num, dden), -1)
         return Expression(out, p_mul(den, den))
 
     # -- structure ------------------------------------------------------
@@ -650,10 +680,10 @@ class Expression:
     def _collect(self, variables: Sequence[Atom]) -> dict[tuple[int, ...], "Expression"]:
         if len(set(variables)) != len(variables):
             raise CollectError("duplicate collection variable")
-        vset = {a: i for i, a in enumerate(variables)}
+        vset = {a.id: i for i, a in enumerate(variables)}
         for m, _ in self._den:
-            for a, _e in m:
-                if a in vset:
+            for a, _e in _atoms_in_order(m):
+                if a.id in vset:
                     raise CollectError(
                         f"denominator involves collection variable {atom_text(a)}"
                     )
@@ -661,14 +691,13 @@ class Expression:
         for m, c in self._num:
             exps = [0] * len(variables)
             rest = []
-            for a, e in m:
-                i = vset.get(a)
+            for k in range(0, len(m), 2):
+                i = vset.get(m[k])
                 if i is None:
-                    rest.append((a, e))
+                    rest += m[k:k + 2]
                 else:
-                    exps[i] = e
-            key = tuple(exps)
-            b = buckets.setdefault(key, {})
+                    exps[i] = m[k + 1]
+            b = buckets.setdefault(tuple(exps), {})
             rm = tuple(rest)
             b[rm] = b.get(rm, 0) + c
         den = self.den_poly()
@@ -678,32 +707,32 @@ class Expression:
         return self._collect(variables).get(tuple(exps), ZERO)
 
     def degree_in(self, variables: Iterable[Atom]) -> int:
-        vset = set(variables)
+        vset = {a.id for a in variables}
         deg = 0
         for m, _ in self._num:
-            d = sum(e for a, e in m if a in vset)
+            d = sum(m[k + 1] for k in range(0, len(m), 2) if m[k] in vset)
             if d > deg:
                 deg = d
         return deg
 
     # -- substitution ---------------------------------------------------
 
-    def subs(self, bindings: Mapping) -> "Expression":
+    def subs(self, bindings: Mapping | "Substitution") -> "Expression":
         """Replace atoms by expressions, closing over derivatives.
 
         Binding a base function symbol also binds every derivative atom of
         that symbol to the corresponding derivative of the replacement.
         Binding an undifferentiated field jet binds its jets to total
-        derivatives of the replacement.  Bindings must be acyclic.
+        derivatives of the replacement.  Bindings must be acyclic.  A
+        `Substitution` may stand in for the mapping, so that the atoms it
+        resolves are reused across calls.
         """
-        bind = {k: as_expression(v) for k, v in bindings.items()}
-        if not bind:
+        sub = bindings if isinstance(bindings, Substitution) else Substitution(bindings)
+        if not sub.bind:
             return self
-        _check_acyclic(bind)
-        resolver = _Resolver(bind)
         expr = self
-        for _ in range(len(bind) + 2):
-            nxt = _subs_pass(expr, resolver)
+        for _ in range(len(sub.bind) + 2):
+            nxt = _subs_pass(expr, sub)
             if nxt == expr:
                 return nxt
             expr = nxt
@@ -713,17 +742,23 @@ class Expression:
 
     def evaluate(self, env: Mapping) -> float:
         """Float value at a point; a vanishing denominator, an overflow or a
-        non-finite value raises EvaluationError, so samplers can skip the point."""
+        non-finite value raises EvaluationError, so samplers can skip the point.
+        A coefficient outside the float range raises CoefficientRangeError,
+        since no point can help it."""
         floats = self._floats
         if floats is None:
             # Converted once per expression; samplers evaluate it at many points.
-            floats = tuple(tuple((m, float(c)) for m, c in part) for part in (self._num, self._den))
+            floats = _float_form(self)
             object.__setattr__(self, "_floats", floats)
+        atoms, num, den = floats
         try:
-            dv = _p_eval(floats[1], env)
+            vals = [float(env[a]) for a in atoms]
+            dv = _p_eval(den, vals)
             if dv == 0.0:
                 raise EvaluationError("denominator vanished at the sample point")
-            out = _p_eval(floats[0], env) / dv
+            out = _p_eval(num, vals) / dv
+        except KeyError as exc:
+            raise EvaluationError(f"no value supplied for {atom_text(exc.args[0])}") from None
         except OverflowError as exc:
             raise EvaluationError(f"overflow at the sample point: {exc}") from None
         # Checked once per call, not per term: inf - inf is nan, and a finite
@@ -743,12 +778,36 @@ def _wrap(num_t: tuple, den_t: tuple) -> Expression:
     return e
 
 
-_ONE_T = (((), Fraction(1)),)
+def _pairs(part: tuple) -> tuple:
+    """A frozen part with each monomial as (atom, exponent) pairs."""
+    return tuple((tuple((ATOMS[m[k]], m[k + 1]) for k in range(0, len(m), 2)), c) for m, c in part)
+
+
+def _from_pairs(num: tuple, den: tuple) -> Expression:
+    """Inverse of _pairs; the canonical term order does not depend on ids."""
+    return _wrap(*(tuple((mono_from_pairs(m), c) for m, c in part) for part in (num, den)))
+
+
+_ONE_T = (((), 1),)
 
 
 def _freeze(p: Poly) -> tuple:
-    """Terms in ascending monomial order; printers and leading-term lookups rely on it."""
-    return tuple(sorted(p.items(), key=lambda kv: _MONO_KEY(kv[0])))
+    """Terms in ascending monomial order, integral coefficients as ints.
+
+    Printers and leading-term lookups rely on the order.
+    """
+    if len(p) > 1:
+        _ranks()
+        order = sorted(p, key=_mono_key)
+    else:
+        order = p
+    out = []
+    for m in order:
+        c = p[m]
+        if c.__class__ is not int and c.denominator == 1:
+            c = c.numerator
+        out.append((m, c))
+    return tuple(out)
 
 
 def _normalize(num: Poly, den: Poly) -> tuple[tuple, tuple]:
@@ -757,16 +816,10 @@ def _normalize(num: Poly, den: Poly) -> tuple[tuple, tuple]:
     if not num:
         return (), _ONE_T
     if not p_is_const(den):
-        mcn = _mono_content(num)
-        mcd = _mono_content(den)
-        mc = {}
-        for a, e in mcn.items():
-            e2 = mcd.get(a, 0)
-            if e2:
-                mc[a] = min(e, e2)
+        mc = _mono_content(num, _mono_content(den))
         if mc:
-            num = _strip_mono(num, {a: e for a, e in mc.items()})
-            den = _strip_mono(den, {a: e for a, e in mc.items()})
+            num = _p_div_mono(num, mc)
+            den = _p_div_mono(den, mc)
         if not p_is_const(den) and len(den) > 1:
             g = poly_gcd(num, den)
             if not p_is_const(g):
@@ -775,21 +828,13 @@ def _normalize(num: Poly, den: Poly) -> tuple[tuple, tuple]:
     if p_is_const(den):
         c = den[()]
         if c != 1:
-            num = p_scale(num, 1 / c)
+            num = p_scale(num, _quo(1, c))
         return _freeze(num), _ONE_T
     # nonconstant denominator: coprime integer coefficients, positive leading
-    lcm = 1
-    for c in list(num.values()) + list(den.values()):
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    g = 0
-    for c in list(num.values()) + list(den.values()):
-        g = math.gcd(g, abs(c.numerator * (lcm // c.denominator)))
-    scale = Fraction(lcm, g)
-    _, lead = p_leading(den)
-    if lead < 0:
-        scale = -scale
-    num = p_scale(num, scale)
-    den = p_scale(den, scale)
+    k, g = _int_scale(chain(num.values(), den.values()), p_leading(den)[1])
+    if k != g:
+        num = _rescale(num, k, g)
+        den = _rescale(den, k, g)
     return _freeze(num), _freeze(den)
 
 
@@ -802,25 +847,20 @@ def as_expression(v) -> Expression:
         return v
     if isinstance(v, (int, Fraction)):
         return Expression.number(v)
-    if isinstance(v, JetVariable):
-        return Expression.jet(v)
-    if isinstance(v, FuncSym):
-        return Expression.sym(v)
+    if isinstance(v, (JetVariable, FuncSym)):
+        return Expression.atom(v)
     raise ExprError(f"cannot interpret {v!r} as an expression")
 
 
 # -- principal minors ----------------------------------------------------
 
 
-_PLUS_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
-
-
 def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequence[int]]) -> list[Expression]:
     """det(mat[S, S]) for each index subset S, computed over polynomials.
 
     Row i is cleared by r_i, the product of the distinct denominators of its
-    nonzero entries, so N_ij = M_ij * r_i * r_j is a polynomial and
+    nonzero entries times the lcm of the denominators of their coefficients,
+    so N_ij = M_ij * r_i * r_j is a polynomial with integer coefficients and
     det_S(M) = det_S(N) / prod_{i in S} r_i^2.  det_S(N) is a plain Laplace
     expansion along the first row; each minor is normalized once, and the
     canonical normal form makes the result that of a cofactor expansion over
@@ -830,8 +870,9 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
     rows = sorted({i for s in subsets for i in s})
     r: dict[int, Poly] = {}
     for i in rows:
-        ri = _p_one()
-        for d in dict.fromkeys(mat[i][j]._den for j in rows if not mat[i][j].is_zero):
+        entries = [mat[i][j] for j in rows if not mat[i][j].is_zero]
+        ri = {(): math.lcm(1, *(c.denominator for e in entries for _, c in e._num))}
+        for d in dict.fromkeys(e._den for e in entries):
             if d != _ONE_T:
                 ri = p_mul(ri, dict(d))
         r[i] = ri
@@ -840,7 +881,8 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
         for j in rows:
             e = mat[i][j]
             if not e.is_zero:
-                n[i, j] = _p_div_exact(p_mul(p_mul(e.num_poly(), r[i]), r[j]), e.den_poly())
+                nij = _p_div_exact(p_mul(p_mul(e.num_poly(), r[i]), r[j]), e.den_poly())
+                n[i, j] = {m: c.numerator for m, c in nij.items()}  # integral: plain ints
 
     def det(sub: tuple, cols: tuple) -> Poly:
         if len(sub) == 1:
@@ -852,7 +894,7 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
                 continue
             rest = det(sub[1:], cols[:k] + cols[k + 1:])
             if rest:
-                p_add_into(out, p_mul(a, rest), _MINUS_ONE if k % 2 else _PLUS_ONE)
+                p_add_into(out, p_mul(a, rest), -1 if k % 2 else 1)
         return out
 
     squares = {i: p_mul(ri, ri) for i, ri in r.items()}
@@ -871,19 +913,15 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
 def _p_derive(p: Poly, rule) -> Poly:
     out: Poly = {}
     for m, c in p.items():
-        for i, (a, e) in enumerate(m):
-            da = rule(a)
+        for k in range(0, len(m), 2):
+            da = rule(m[k])
             if not da:
                 continue
-            rest = list(m)
-            if e == 1:
-                rest.pop(i)
-            else:
-                rest[i] = (a, e - 1)
-            rest_m = tuple(rest)
+            e = m[k + 1]
+            rest = m[:k] + m[k + 2:] if e == 1 else m[:k + 1] + (e - 1,) + m[k + 2:]
             f = c * e
             for dm, dc in da.items():
-                key = mono_mul(rest_m, dm)
+                key = mono_mul(rest, dm)
                 v = out.get(key, 0) + f * dc
                 if v:
                     out[key] = v
@@ -892,44 +930,61 @@ def _p_derive(p: Poly, rule) -> Poly:
     return out
 
 
-def _atom_partial(v: JetVariable, a: Atom) -> Poly:
+@functools.lru_cache(maxsize=None)
+def _atom_partial(v: int, i: int) -> Poly:
+    """Partial derivative of atom i with respect to jet v."""
+    a = ATOMS[i]
     if isinstance(a, JetVariable):
-        return _p_one() if a == v else {}
-    if v in a.deps:
-        return {(((a.bump(v)), 1),): Fraction(1)}
+        return _p_one() if i == v else {}
+    if ATOMS[v] in a.deps:
+        return {(a.bump(ATOMS[v]).id, 1): 1}
     return {}
 
 
 @functools.lru_cache(maxsize=None)
-def _atom_total_x(a: Atom) -> Poly:
+def _atom_total(time: bool, i: int) -> Poly:
+    """Total derivative of atom i in t (time) or in x."""
+    a = ATOMS[i]
     if isinstance(a, JetVariable):
-        return {((a.dx(), 1),): Fraction(1)}
+        return {((a.dt() if time else a.dx()).id, 1): 1}
     out: Poly = {}
     for dep in a.deps:
-        m = mono_from_pairs([(a.bump(dep), 1), (dep.dx(), 1)])
-        out[m] = out.get(m, 0) + Fraction(1)
+        m = mono_from_pairs([(a.bump(dep), 1), (dep.dt() if time else dep.dx(), 1)])
+        out[m] = out.get(m, 0) + 1
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _atom_total_t(a: Atom) -> Poly:
-    if isinstance(a, JetVariable):
-        return {((a.dt(), 1),): Fraction(1)}
-    out: Poly = {}
-    for dep in a.deps:
-        m = mono_from_pairs([(a.bump(dep), 1), (dep.dt(), 1)])
-        out[m] = out.get(m, 0) + Fraction(1)
-    return out
+def _float_form(e: Expression) -> tuple:
+    """(atoms, num, den) for evaluate.
+
+    `atoms` lists the atoms in the order evaluation first meets them, the
+    denominator first.  Each part is a tuple of (float coefficient, pairs)
+    terms, the pairs (position in `atoms`, exponent) in canonical atom order,
+    so each product rounds as a product over the printed monomial does.
+    """
+    nrank = _ranks()
+    pos: dict = {}
+    parts = []
+    for part in (e._den, e._num):
+        terms = []
+        for m, c in part:
+            try:
+                fc = float(c)
+            except OverflowError:
+                raise CoefficientRangeError("a coefficient is outside the float range") from None
+            pairs = sorted(zip(m[::2], m[1::2]), key=lambda p: -nrank[p[0]])
+            terms.append((fc, tuple((pos.setdefault(i, len(pos)), k) for i, k in pairs)))
+        parts.append(tuple(terms))
+    den, num = parts
+    return tuple(ATOMS[i] for i in pos), num, den
 
 
-def _p_eval(p, env) -> float:
-    """Value of a part whose coefficients are already floats."""
+def _p_eval(part: tuple, vals: list) -> float:
+    """Value of a part of a float form at the given atom values."""
     total = 0.0
-    for m, v in p:
-        for a, e in m:
-            if a not in env:
-                raise EvaluationError(f"no value supplied for {atom_text(a)}")
-            v *= float(env[a]) ** e
+    for v, pairs in part:
+        for i, e in pairs:
+            v *= vals[i] ** e
         total += v
     return total
 
@@ -973,31 +1028,40 @@ def _check_acyclic(bind: Mapping) -> None:
         visit(n, [])
 
 
-class _Resolver:
-    def __init__(self, bind: Mapping):
-        self.bind = bind
-        self.cache: dict = {}
+class Substitution:
+    """A validated, acyclic binding set and the replacements it has resolved.
+
+    `Expression.subs` builds one per call from a mapping; a caller that
+    substitutes the same bindings into many expressions can build it once
+    and pass it instead, so each derivative atom is derived once.
+    """
+
+    def __init__(self, bindings: Mapping):
+        self.bind = {k: as_expression(v) for k, v in bindings.items()}
+        _check_acyclic(self.bind)
+        self.cache: dict = {}  # atom id -> replacement, or None when unbound
+        self.jets: dict = {}  # jet -> total derivative of its field's replacement
         self.powers: dict = {}
         self.sym_bases: dict[tuple, list] = {}
-        for k in bind:
+        for k in self.bind:
             if isinstance(k, FuncSym):
                 self.sym_bases.setdefault((k.name, k.deps), []).append(k)
         for lst in self.sym_bases.values():
             lst.sort(key=lambda s: (sum(s.orders), s.orders))
 
     def resolve(self, a: Atom) -> Expression | None:
-        if a in self.cache:
-            return self.cache[a]
-        out = self._resolve(a)
-        self.cache[a] = out
+        i = a.id
+        if i in self.cache:
+            return self.cache[i]
+        out = self.cache[i] = self._resolve(a)
         return out
 
-    def power(self, a: Atom, e: int, den: bool) -> Poly:
-        """Numerator (or denominator) of the replacement of `a`, to the e-th power."""
-        key = (a, e, den)
+    def power(self, i: int, e: int, den: bool) -> Poly:
+        """Numerator (or denominator) of the replacement of atom i, to the e-th power."""
+        key = (i, e, den)
         p = self.powers.get(key)
         if p is None:
-            rep = self.cache[a]
+            rep = self.cache[i]
             p = p_pow(rep.den_poly() if den else rep.num_poly(), e)
             self.powers[key] = p
         return p
@@ -1007,17 +1071,9 @@ class _Resolver:
         if hit is not None:
             return hit
         if isinstance(a, JetVariable):
-            base = JetVariable(a.field, 0, 0)
-            if base == a:
+            if a.is_field or JetVariable(a.field) not in self.bind:
                 return None
-            e = self.bind.get(base)
-            if e is None:
-                return None
-            for _ in range(a.t_order):
-                e = e.total_t()
-            for _ in range(a.x_order):
-                e = e.total_x()
-            return e
+            return self._field_jet(a)
         candidates = self.sym_bases.get((a.name, a.deps))
         if not candidates:
             return None
@@ -1029,14 +1085,27 @@ class _Resolver:
                 best = c  # list is sorted ascending, keep the largest fit
         if best is None:
             return None
-        e = self.bind[best]
-        for dep, co, ao in zip(a.deps, best.orders, a.orders):
-            for _ in range(ao - co):
-                e = e.diff(dep)
+        # One derivative of the next-lower atom, which resolves through `best` too.
+        k = max(i for i, (co, ao) in enumerate(zip(best.orders, a.orders)) if ao > co)
+        orders = list(a.orders)
+        orders[k] -= 1
+        return self.resolve(FuncSym(a.name, a.deps, orders)).diff(a.deps[k])
+
+    def _field_jet(self, a: JetVariable) -> Expression:
+        """The replacement of the bound field, differentiated t_order times in t, then in x."""
+        e = self.jets.get(a)
+        if e is None:
+            if a.x_order:
+                e = self._field_jet(JetVariable(a.field, a.t_order, a.x_order - 1)).total_x()
+            elif a.t_order:
+                e = self._field_jet(JetVariable(a.field, a.t_order - 1)).total_t()
+            else:
+                e = self.bind[a]
+            self.jets[a] = e
         return e
 
 
-def _rebuild(part: tuple, resolver: _Resolver) -> tuple[Poly, Poly]:
+def _rebuild(part: tuple, sub: Substitution) -> tuple[Poly, Poly]:
     """One substituted part of a normal form, as a polynomial over a shared denominator.
 
     The shared denominator is the product of den(rep_a)^E_a over the bound
@@ -1046,46 +1115,46 @@ def _rebuild(part: tuple, resolver: _Resolver) -> tuple[Poly, Poly]:
     bound exponents share those factors, so each such group costs one
     product per factor.
     """
-    tops: dict = {}  # bound atom with a nonconstant denominator -> E_a
-    groups: dict = {}  # bound (atom, e) pairs -> polynomial in the unbound atoms
+    tops: dict = {}  # bound atom id with a nonconstant denominator -> E_a
+    groups: dict = {}  # bound (id, e) pairs, flat -> polynomial in the unbound atoms
     for m, c in part:
         bound = []
         rest = []
-        for a, e in m:
-            rep = resolver.resolve(a)
+        for k in range(0, len(m), 2):
+            i, e = m[k], m[k + 1]
+            rep = sub.resolve(ATOMS[i])
             if rep is None:
-                rest.append((a, e))
+                rest += (i, e)
                 continue
-            bound.append((a, e))
-            if not rep.den_is_one and tops.get(a, 0) < e:
-                tops[a] = e
+            bound += (i, e)
+            if not rep.den_is_one and tops.get(i, 0) < e:
+                tops[i] = e
         groups.setdefault(tuple(bound), {})[tuple(rest)] = c
     acc: Poly = {}
     for bound, rest in groups.items():
-        have = dict(bound)
+        have = dict(zip(bound[::2], bound[1::2]))
         term = rest
-        for a, e in bound:
-            term = p_mul(term, resolver.power(a, e, False))
-        for a, top in tops.items():
-            k = top - have.get(a, 0)
+        for i, e in have.items():
+            term = p_mul(term, sub.power(i, e, False))
+        for i, top in tops.items():
+            k = top - have.get(i, 0)
             if k:
-                term = p_mul(term, resolver.power(a, k, True))
+                term = p_mul(term, sub.power(i, k, True))
         p_add_into(acc, term)
     den = _p_one()
-    for a, top in tops.items():
-        den = p_mul(den, resolver.power(a, top, True))
+    for i, top in tops.items():
+        den = p_mul(den, sub.power(i, top, True))
     return acc, den
 
 
-def _subs_pass(expr: Expression, resolver: _Resolver) -> Expression:
+def _subs_pass(expr: Expression, sub: Substitution) -> Expression:
     """One substitution pass, normalized once."""
-    hits = {a for a in expr.atoms() if resolver.resolve(a) is not None}
-    if not hits:
+    if all(sub.resolve(a) is None for a in expr.atoms()):
         return expr
-    num, num_den = _rebuild(expr._num, resolver)
+    num, num_den = _rebuild(expr._num, sub)
     if expr.den_is_one:
         return Expression(num, num_den)
-    den, den_den = _rebuild(expr._den, resolver)
+    den, den_den = _rebuild(expr._den, sub)
     return Expression(p_mul(num, den_den), p_mul(num_den, den))
 
 
@@ -1329,24 +1398,25 @@ def parse(text: str, ctx: ParseContext) -> Expression:
 # -- printing --------------------------------------------------------------
 
 
-def _frac_text(c: Fraction) -> str:
+def _frac_text(c: Number) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _mono_text(m: Mono, c: Fraction) -> str:
+def _mono_text(m: Mono, c: Number) -> str:
     parts = []
     a = abs(c)
     if a != 1 or not m:
         parts.append(_frac_text(a))
-    for atom, e in m:
-        parts.append(atom_text(atom) + (f"^{e}" if e > 1 else ""))
+    for atom, e in _atoms_in_order(m):
+        parts.append(atom.text() if e == 1 else f"{atom.text()}^{e}")
     return "*".join(parts)
 
 
-def _poly_text(part: tuple) -> str:
+def _poly_text(part: tuple, mono=_mono_text) -> str:
+    """A frozen part from its leading term down; `mono` prints one monomial."""
     out = []
     for i, (m, c) in enumerate(part[::-1]):
-        body = _mono_text(m, c)
+        body = mono(m, c)
         if i == 0:
             out.append(("-" if c < 0 else "") + body)
         else:
@@ -1363,7 +1433,7 @@ def to_text(e: Expression) -> str:
     den = _poly_text(e._den)
     if len(e._num) > 1:
         num = f"({num})"
-    lone = len(e._den) == 1 and e._den[0][1] == 1 and len(e._den[0][0]) == 1
+    lone = len(e._den) == 1 and e._den[0][1] == 1 and len(e._den[0][0]) == 2  # one atom
     if not lone:
         den = f"({den})"
     return f"{num}/{den}"
@@ -1424,32 +1494,21 @@ def _atom_latex(a: Atom) -> str:
     return rf"\frac{{{top}{_name_latex(a.name)}}}{{{''.join(bottom)}}}"
 
 
-def _mono_latex(m: Mono, c: Fraction) -> str:
+def _mono_latex(m: Mono, c: Number) -> str:
     parts = []
     a = abs(c)
     if a != 1 or not m:
         parts.append(_frac_text(a) if a.denominator == 1 else rf"\tfrac{{{a.numerator}}}{{{a.denominator}}}")
-    for atom, e in m:
+    for atom, e in _atoms_in_order(m):
         t = _atom_latex(atom)
         parts.append(t + (f"^{{{e}}}" if e > 1 else ""))
     return r" \, ".join(parts)
 
 
-def _poly_latex(part: tuple) -> str:
-    out = []
-    for i, (m, c) in enumerate(part[::-1]):
-        body = _mono_latex(m, c)
-        if i == 0:
-            out.append(("-" if c < 0 else "") + body)
-        else:
-            out.append((" - " if c < 0 else " + ") + body)
-    return "".join(out)
-
-
 def to_latex(e: Expression) -> str:
     if e.is_zero:
         return "0"
-    num = _poly_latex(e._num)
+    num = _poly_text(e._num, _mono_latex)
     if e.den_is_one:
         return num
-    return rf"\frac{{{num}}}{{{_poly_latex(e._den)}}}"
+    return rf"\frac{{{num}}}{{{_poly_text(e._den, _mono_latex)}}}"

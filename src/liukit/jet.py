@@ -14,6 +14,23 @@ class StateSpaceError(ValueError):
     """Raised when a state space or classification request is ill-formed."""
 
 
+# Atom registry: every distinct atom (jet variable or function symbol) gets a
+# small integer id, in creation order, and the expression kernel keys its
+# monomials by these ids.  Ids are local to a process; anything that leaves
+# the process is rebuilt from the atoms themselves.
+_ATOM_IDS: dict = {}
+ATOMS: list = []  # id -> atom
+
+
+def intern_atom(a) -> int:
+    """The id of `a`, registering it first if no equal atom exists yet."""
+    i = _ATOM_IDS.get(a)
+    if i is None:
+        i = _ATOM_IDS[a] = len(ATOMS)
+        ATOMS.append(a)
+    return i
+
+
 @dataclass(frozen=True)
 class JetVariable:
     field: str
@@ -25,18 +42,19 @@ class JetVariable:
             raise StateSpaceError(f"invalid field name {self.field!r}")
         if self.t_order < 0 or self.x_order < 0:
             raise StateSpaceError(f"negative derivative order on {self.field!r}")
-        # Jets key every monomial dict in the expression kernel, so the hash,
-        # the canonical atom ordering key and the text are computed once, here.
+        # Jets are atoms of the expression kernel, so the hash, the canonical
+        # atom ordering key, the text and the atom id are computed once, here.
         object.__setattr__(self, "atom_key", (0, self.field, self.t_order, self.x_order))
         object.__setattr__(self, "_hash", hash((self.field, self.t_order, self.x_order)))
         suffix = "t" * self.t_order + "x" * self.x_order
         object.__setattr__(self, "_text", self.field + "_" + suffix if suffix else self.field)
+        object.__setattr__(self, "id", intern_atom(self))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
-        # Rebuild on unpickling: string hashes differ between processes.
+        # Rebuild on unpickling: string hashes and atom ids differ between processes.
         return (JetVariable, (self.field, self.t_order, self.x_order))
 
     def dt(self) -> "JetVariable":

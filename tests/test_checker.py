@@ -327,6 +327,17 @@ class TestNonFiniteSamples:
         assert not res.as_expected
         assert res.points == 0
 
+    def test_out_of_range_coefficient_fails_at_once(self, korteweg_model, korteweg_report, korteweg_solution):
+        # No sample point can give 10^400 a float value: fail, do not resample.
+        sc = _scenario(korteweg_solution, "fourier")
+        tau1 = _let_atom(sc, "tau1")
+        lets = tuple((a, Expression.number(10**400) if a == tau1 else v) for a, v in sc.lets)
+        bad = dataclasses.replace(sc, lets=lets)
+        res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, bad)
+        assert not res.as_expected
+        assert (res.points, res.resamples) == (0, 0)
+        assert res.failure == "scenario 'fourier': a coefficient is outside the float range"
+
 
 class TestMaxEntropyAtEquilibrium:
     def test_fixture_confirmed(self, grade2_model, grade2_solution):

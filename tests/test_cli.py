@@ -288,6 +288,18 @@ class TestCheck:
         assert code == 4
         assert "too many singular sample points" in out
 
+    def test_out_of_range_coefficient_fails_the_scenario(self, tmp_path, capsys):
+        from liukit.models import _read
+
+        text = _read("korteweg.solution").replace("let tau1 = 1\n", "let tau1 = 10^400\n", 1)
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text)
+        code, out, err = _run(["check", str(mp), str(sp), "--samples", "8"], capsys)
+        assert code == 4
+        assert err == ""
+        assert "  - scenario 'fourier': a coefficient is outside the float range\n" in out
+
 
 class TestThreadsSetting:
     def test_non_integer_is_a_usage_error(self, monkeypatch, capsys):

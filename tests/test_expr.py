@@ -1,12 +1,18 @@
 """Exact rational expression kernel: algebra, calculus, structure, parsing."""
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import liukit
 from liukit.expr import (
     BindingError,
+    CoefficientRangeError,
     CollectError,
     EvaluationError,
     ExprError,
@@ -15,6 +21,7 @@ from liukit.expr import (
     ONE,
     ParseContext,
     ParseError,
+    Substitution,
     ZERO,
     parse,
     to_latex,
@@ -251,6 +258,28 @@ class TestSubstitution:
         got = e("rho/q1", ctx).subs({ctx.sym("q1"): e("eps^2", ctx)})
         assert got == e("rho/eps^2", ctx)
 
+    def test_shared_substitution_derives_each_atom_once(self, ctx, monkeypatch):
+        s0 = ctx.sym("s0")
+        value = e("rho^3*eps/(1 + eps^2)", ctx)
+        targets = [
+            e(t, ctx)
+            for t in ("D(s0, rho, rho, eps)", "D(s0, rho, eps) + D(s0, rho)", "D(s0, rho, rho, eps)*D(s0, eps)")
+        ]
+        want = [t.subs({s0: value}) for t in targets]
+        calls = []
+        diff = Expression.diff
+        monkeypatch.setattr(Expression, "diff", lambda self, v: calls.append(v) or diff(self, v))
+        sub = Substitution({s0: value})
+        assert [t.subs(sub) for t in targets] == want
+        # One diff for each of D(s0, rho, rho, eps), D(s0, rho, eps), D(s0, eps)
+        # and D(s0, rho): every derivative comes from its next-lower one.
+        assert len(calls) == 4
+
+    def test_bound_jet_does_not_shortcut_its_field(self, ctx):
+        # rho_xx follows the binding of rho, not the separate one of rho_x.
+        got = e("rho_xx + rho_x", ctx).subs({RHO: e("eps^2", ctx), RHO_X: e("eps", ctx)})
+        assert got == e("2*eps_x^2 + 2*eps*eps_xx + eps", ctx)
+
 
 class TestEvaluation:
     def test_point_evaluation(self, ctx):
@@ -270,6 +299,44 @@ class TestEvaluation:
         expr = e("D(s0, eps)*eps_x", ctx)
         sym = ctx.sym("s0").bump(EPS)
         assert expr.evaluate({sym: 3.0, EPS_X: 0.5}) == pytest.approx(1.5)
+
+    def test_out_of_range_coefficient_is_not_a_point_failure(self, ctx):
+        expr = e("10^400*rho + 1", ctx)
+        with pytest.raises(CoefficientRangeError):
+            expr.evaluate({RHO: 1.0})
+        assert not issubclass(CoefficientRangeError, EvaluationError)
+
+
+def _python(code: str, stdin: bytes = b"") -> bytes:
+    """Run code in a fresh interpreter that imports this liukit."""
+    src = os.path.dirname(os.path.dirname(liukit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+_ROUND_TRIP = """
+import pickle, sys
+from liukit.expr import FuncSym, to_text
+from liukit.jet import JetVariable
+
+# Atoms created in an order unlike the sending process's, so their ids differ.
+for f in ("v", "eps", "rho"):
+    JetVariable(f, 0, 2)
+    FuncSym("q1", (JetVariable("rho"), JetVariable(f)) if f != "rho" else (JetVariable(f),))
+e = pickle.loads(sys.stdin.buffer.read())
+sys.stdout.buffer.write(pickle.dumps((to_text(e), to_text(e.total_x()), e * e)))
+"""
+
+
+class TestProcessIndependence:
+    def test_pickle_round_trip_in_a_fresh_process(self, ctx):
+        expr = e("(s0*rho_x^2 - 3/2*D(s0, eps))/(q1 + eps^2) + v_x", ctx)
+        text, dx_text, square = pickle.loads(_python(_ROUND_TRIP, pickle.dumps(expr)))
+        assert text == to_text(expr)
+        assert dx_text == to_text(expr.total_x())
+        assert square == expr * expr
 
 
 class TestParsing:

@@ -18,8 +18,14 @@ keeps the number of normalizations per substitution independent of the
 expression size.
 
 Further suites, also outside that set, check `principal_minors` against a
-cofactor expansion over expressions (and sympy), and the printers against
-a reference that sorts the terms before printing.
+cofactor expansion over expressions (and sympy), the canonical monomial
+order against a reference comparator, and the printers against a reference
+that sorts the terms with that comparator before printing.  Fixed cases
+compare `total_x`, `poly_gcd` and the normal form with sympy when it is
+installed.
+
+The references read monomials as (atom, exponent) pairs and order atoms by
+`atom_key`, so they share nothing with the kernel's ids and rank table.
 """
 from __future__ import annotations
 
@@ -38,17 +44,16 @@ from liukit.expr import (
     EvaluationError,
     ExprError,
     Expression,
+    FuncSym,
     ParseContext,
+    Substitution,
     ZERO,
-    _Resolver,
-    _check_acyclic,
-    as_expression,
     parse,
     principal_minors,
     to_latex,
     to_text,
 )
-from liukit.jet import JetVariable
+from liukit.jet import ATOMS, JetVariable
 
 RHO = JetVariable("rho")
 EPS = JetVariable("eps")
@@ -115,6 +120,29 @@ exprs = st.recursive(_leaf, _extend, max_leaves=10)
 poly_exprs = st.recursive(_leaf, _extend_poly, max_leaves=10)
 
 CASES: Counter = Counter()
+
+
+def _pairs(m) -> tuple:
+    """A kernel monomial as (atom, exponent) pairs in canonical atom order."""
+    return tuple(sorted(((ATOMS[i], e) for i, e in zip(m[::2], m[1::2])), key=lambda p: p[0].atom_key))
+
+
+def mono_cmp(m1, m2) -> int:
+    """Reference graded-lex comparison of two monomials given as sorted pairs."""
+    d1 = sum(e for _, e in m1)
+    d2 = sum(e for _, e in m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    for (a1, e1), (a2, e2) in zip(m1, m2):
+        k1, k2 = a1.atom_key, a2.atom_key
+        if k1 != k2:
+            return 1 if k1 < k2 else -1
+        if e1 != e2:
+            return 1 if e1 > e2 else -1
+    return (len(m1) > len(m2)) - (len(m1) < len(m2))
+
+
+_REF_KEY = functools.cmp_to_key(mono_cmp)
 
 _suite = settings(
     max_examples=1000,
@@ -234,21 +262,19 @@ def test_collect_reconstruction_suite():
 
 def _reference_subs(e: Expression, bindings) -> Expression:
     """`Expression.subs` with each pass summed one monomial at a time."""
-    bind = {k: as_expression(v) for k, v in bindings.items()}
-    _check_acyclic(bind)
-    resolver = _Resolver(bind)
+    resolver = Substitution(bindings)
 
     def rebuild(part) -> Expression:
         total = ZERO
         for m, c in part:
             term = Expression.number(c)
-            for a, k in m:
+            for a, k in _pairs(m):
                 rep = resolver.resolve(a)
                 term = term * (rep if rep is not None else Expression.atom(a)) ** k
             total = total + term
         return total
 
-    for _ in range(len(bind) + 2):
+    for _ in range(len(resolver.bind) + 2):
         num = rebuild(e._num)
         nxt = num if e.den_is_one else num / rebuild(e._den)
         if nxt == e:
@@ -272,7 +298,7 @@ class _Point(dict):
         return v
 
 
-def _value(e: Expression, point: _Point, resolver: _Resolver) -> float:
+def _value(e: Expression, point: _Point, resolver: Substitution) -> float:
     """e at the point, each bound atom taking its replacement's value there."""
     env = _Point(point.seed)
     env.update(point)
@@ -327,7 +353,7 @@ def substitutions(draw):
     bind = {}
     for i in sorted(draw(st.sets(st.integers(0, len(_SLOTS) - 1), min_size=1))):
         bind[draw(st.sampled_from(_SLOTS[i][1]))] = draw(_SLOT_VALUES[i])
-    resolver = _Resolver(bind)
+    resolver = Substitution(bind)
     hit = tuple(
         i for i, e in enumerate(_BOUND_ATOMS) if resolver.resolve(next(iter(e.atoms()))) is not None
     )
@@ -356,7 +382,7 @@ def check_substitution(case, seed):
     assert to_text(got) == to_text(want)
     point = _Point(seed)
     try:
-        direct = _value(a, point, _Resolver(bind))
+        direct = _value(a, point, Substitution(bind))
         value = got.evaluate(point)
     except EvaluationError:
         return
@@ -375,7 +401,7 @@ def _to_sympy(sympy, e: Expression):
 
     def part(p):
         return sympy.Add(*[
-            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[sym(a) ** k for a, k in m])
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[sym(a) ** k for a, k in _pairs(m)])
             for m, c in p.items()
         ])
 
@@ -405,6 +431,79 @@ def test_substitution_matches_sympy(text, bound):
                 want = want.subs(to_sympy(d_s0), sympy.diff(value, to_sympy(Expression.jet(EPS))))
             want = want.subs(to_sympy(Expression.sym(key)), value)
     assert sympy.cancel(to_sympy(got) - want) == 0
+
+
+# Concrete functions of x for each field and each function symbol: an
+# expression's total x-derivative must be the x-derivative of its value
+# along them, which sympy computes by the chain rule on its own.
+_FIELD_FNS = {"rho": "1 + x + x**3/2", "eps": "2 - x**2 + x**4", "v": "3*x - x**2"}
+_SYM_FNS = {"s0": "r**3*e + r/(1 + e**2)", "q1": "r**2 - 1/(2 + r)"}
+
+
+def _along_x(sympy, e: Expression):
+    x = sympy.Symbol("x")
+    fields = {f: sympy.sympify(t, locals={"x": x}) for f, t in _FIELD_FNS.items()}
+
+    def atom(a):
+        if isinstance(a, JetVariable):
+            assert a.t_order == 0
+            return sympy.diff(fields[a.field], x, a.x_order)
+        args = sympy.symbols("r e")[: len(a.deps)]
+        fn = sympy.sympify(_SYM_FNS[a.name], locals=dict(zip("re", args)))
+        for arg, o in zip(args, a.orders):
+            fn = sympy.diff(fn, arg, o)
+        return fn.subs({arg: atom(d) for arg, d in zip(args, a.deps)}, simultaneous=True)
+
+    def part(p):
+        return sympy.Add(*[
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[atom(a) ** k for a, k in _pairs(m)])
+            for m, c in p.items()
+        ])
+
+    return part(e.num_poly()) / part(e.den_poly())
+
+
+@pytest.mark.parametrize("text", [
+    "rho^3*eps_x - 2*v_x*rho_xx",
+    "s0*rho_x^2 + D(s0, eps)*eps_x/rho",
+    "(q1 + rho_x)/(s0 - eps^2)",
+    "D(s0, rho, eps)^2*v_x/(1 + q1^2)",
+])
+def test_total_x_matches_sympy(text):
+    sympy = pytest.importorskip("sympy")
+    e = parse(text, CTX)
+    x = sympy.Symbol("x")
+    got = _along_x(sympy, e.total_x())
+    want = sympy.diff(_along_x(sympy, e), x)
+    # Exact values at a few rational points: cancelling the high-degree
+    # difference symbolically takes seconds per case.
+    for at in (sympy.Rational(1, 3), sympy.Rational(-5, 4), sympy.Integer(2)):
+        assert (got - want).subs(x, at) == 0
+
+
+_GCD_CASES = [
+    ("(rho + eps)^2*(rho - 2*eps_x)", "(rho + eps)*(3*rho^2 - eps)"),
+    ("6*rho^2*eps - 4*rho*eps^2", "9*rho^3 - 6*rho^2*eps"),
+    ("(rho^2 + 2)*(s0 - q1)^2*rho_x", "(s0 - q1)*(rho^2 + 2)*(eps + 1)^3"),
+    ("(rho + 1)*(eps^2 - rho)", "(rho + 1)^2*(eps^2 + rho)"),
+    ("rho^3 - 1", "2*rho^2 - 2"),
+]
+
+
+@pytest.mark.parametrize("left, right", _GCD_CASES)
+def test_poly_gcd_and_normal_form_match_sympy(left, right):
+    sympy = pytest.importorskip("sympy")
+    to_sympy = functools.partial(_to_sympy, sympy)
+    p, q = parse(left, CTX), parse(right, CTX)
+    g = expr_mod.poly_gcd(p.num_poly(), q.num_poly())
+    want = sympy.gcd(to_sympy(p), to_sympy(q))
+    ratio = sympy.cancel(to_sympy(Expression(g, {(): 1})) / want)
+    assert ratio.is_number and ratio != 0
+    # The normal form of p/q is reduced: coprime parts of the same value.
+    n = p / q
+    num, den = to_sympy(Expression(n.num_poly(), {(): 1})), to_sympy(n.denominator())
+    assert sympy.gcd(num, den).is_number
+    assert sympy.cancel(num / den - to_sympy(p) / to_sympy(q)) == 0
 
 
 def _normalizations_in_subs(n: int, monkeypatch) -> int:
@@ -550,29 +649,84 @@ def test_principal_minors_normalize_once_per_minor(monkeypatch):
     assert calls["n"] == len(subsets) == len(minors)
 
 
+# -- canonical order ------------------------------------------------------------
+
+_FIELDS = ("rho", "eps", "v", "theta")
+
+
+@st.composite
+def fresh_atoms(draw):
+    """Jets and symbols, many of them new to the process, drawn in any order."""
+    field = st.sampled_from(_FIELDS)
+    jet = st.builds(JetVariable, field, st.integers(0, 2), st.integers(0, 4))
+    deps = st.lists(field, min_size=1, max_size=3, unique=True).map(lambda fs: [JetVariable(f) for f in fs])
+
+    def sym(t):
+        name, ds, orders = t
+        return FuncSym(name, ds, orders[: len(ds)])
+
+    syms = st.tuples(st.sampled_from(("s0", "q1", "psi")), deps, st.lists(st.integers(0, 2), min_size=3, max_size=3))
+    return draw(st.lists(jet | syms.map(sym), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(atoms=fresh_atoms(), data=st.data())
+def test_freeze_orders_as_reference_comparator(atoms, data):
+    monos = data.draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(atoms), st.integers(1, 3)), max_size=4),
+        min_size=1, max_size=12,
+    ))
+    poly = {expr_mod.mono_from_pairs(m): Fraction(2 * i + 2, 2) for i, m in enumerate(monos)}
+    frozen = expr_mod._freeze(poly)
+    assert all(type(c) is int for _, c in frozen)  # integral coefficients are stored as ints
+    got = [_pairs(m) for m, _ in frozen]
+    assert got == sorted(got, key=_REF_KEY)
+    assert _pairs(expr_mod.p_leading(poly)[0]) == got[-1]
+
+
 # -- printing ----------------------------------------------------------------
 
 
-def _sorted_part(part, mono) -> str:
-    """Terms printed from the leading monomial down, sorted afresh."""
-    terms = sorted(part, key=lambda kv: expr_mod._MONO_KEY(kv[0]), reverse=True)
+def _coef_text(c, latex: bool) -> str:
+    c = Fraction(c)
+    if c.denominator == 1:
+        return str(c.numerator)
+    return rf"\tfrac{{{c.numerator}}}{{{c.denominator}}}" if latex else f"{c.numerator}/{c.denominator}"
+
+
+def _ref_mono(pairs, c, latex: bool) -> str:
+    parts = [_coef_text(abs(c), latex)] if abs(c) != 1 or not pairs else []
+    for a, e in pairs:
+        if latex:
+            parts.append(expr_mod._atom_latex(a) + (f"^{{{e}}}" if e > 1 else ""))
+        else:
+            parts.append(a.text() + (f"^{e}" if e > 1 else ""))
+    return (r" \, " if latex else "*").join(parts)
+
+
+def _sorted_part(poly, latex: bool = False) -> str:
+    """Terms printed from the leading monomial down, sorted afresh by the reference."""
+    terms = sorted(((_pairs(m), c) for m, c in poly.items()), key=lambda t: _REF_KEY(t[0]), reverse=True)
     out = []
-    for i, (m, c) in enumerate(terms):
+    for i, (pairs, c) in enumerate(terms):
         sign = ("-" if c < 0 else "") if i == 0 else (" - " if c < 0 else " + ")
-        out.append(sign + mono(m, c))
+        out.append(sign + _ref_mono(pairs, c, latex))
     return "".join(out)
 
 
 def _reference_text(e: Expression) -> str:
     if e.is_zero:
         return "0"
-    num = _sorted_part(e._num, expr_mod._mono_text)
+    num_p, den_p = e.num_poly(), e.den_poly()
+    num = _sorted_part(num_p)
     if e.den_is_one:
         return num
-    den = _sorted_part(e._den, expr_mod._mono_text)
-    if len(e._num) > 1:
+    den = _sorted_part(den_p)
+    if len(num_p) > 1:
         num = f"({num})"
-    if not (len(e._den) == 1 and e._den[0][1] == 1 and len(e._den[0][0]) == 1):
+    (m, c), *more = den_p.items()
+    if more or c != 1 or len(_pairs(m)) != 1:
         den = f"({den})"
     return f"{num}/{den}"
 
@@ -580,10 +734,10 @@ def _reference_text(e: Expression) -> str:
 def _reference_latex(e: Expression) -> str:
     if e.is_zero:
         return "0"
-    num = _sorted_part(e._num, expr_mod._mono_latex)
+    num = _sorted_part(e.num_poly(), latex=True)
     if e.den_is_one:
         return num
-    return rf"\frac{{{num}}}{{{_sorted_part(e._den, expr_mod._mono_latex)}}}"
+    return rf"\frac{{{num}}}{{{_sorted_part(e.den_poly(), latex=True)}}}"
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,

@@ -3,9 +3,13 @@ restriction emission, diagnostics and serialization."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import liukit
 from liukit.balance import BalanceLaw, EntropyDeclaration, ModelSpec
 from liukit.expr import Expression, ParseContext, ZERO, parse, to_text
 from liukit.jet import JetVariable, StateSpace
@@ -383,6 +387,54 @@ class TestSerialization:
         lat = report_latex(grade2_report)
         assert r"\Lambda" in lat
         assert r"\rho" in lat
+
+    def test_json_does_not_depend_on_atom_creation_order(self, korteweg_report):
+        # A fresh process derives korteweg once to learn its atoms; a second
+        # one creates them in reverse canonical order before deriving.
+        atoms = _python(_LIST_ATOMS)
+        blob = _python(_DERIVE_AFTER_ATOMS, atoms)
+        assert blob.decode() == stable_json(report_json_dict(korteweg_report))
+
+
+def _python(code: str, stdin: bytes = b"") -> bytes:
+    """Run code in a fresh interpreter that imports this liukit."""
+    src = os.path.dirname(os.path.dirname(liukit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+_LIST_ATOMS = """
+import pickle, sys
+from liukit.jet import ATOMS
+from liukit.liu import derive
+from liukit.models import load_builtin
+
+derive(load_builtin("korteweg"))
+keys = [(a.field, a.t_order, a.x_order) if a.atom_key[0] == 0 else (a.name, [d.sort_key() for d in a.deps], a.orders)
+        for a in sorted(ATOMS, key=lambda a: a.atom_key, reverse=True)]
+sys.stdout.buffer.write(pickle.dumps(keys))
+"""
+
+_DERIVE_AFTER_ATOMS = """
+import pickle, sys
+from liukit.expr import FuncSym
+from liukit.jet import ATOMS, JetVariable
+from liukit.liu import derive, report_json_dict
+from liukit.models import load_builtin
+from liukit._util import stable_json
+
+for key in pickle.loads(sys.stdin.buffer.read()):
+    if isinstance(key[1], int):
+        JetVariable(*key)
+    else:
+        name, deps, orders = key
+        FuncSym(name, [JetVariable(*d) for d in deps], orders)
+syms = [a for a in ATOMS if isinstance(a, FuncSym)]
+assert syms == sorted(syms, key=lambda a: a.atom_key, reverse=True)
+sys.stdout.write(stable_json(report_json_dict(derive(load_builtin("korteweg")))))
+"""
 
 
 class TestReportEqualityExprs:
