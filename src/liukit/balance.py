@@ -12,8 +12,7 @@ the extended exploitation procedure from the classical one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .jet import JetVariable, StateSpace
 from .expr import Expression, FuncSym, ParseContext, ZERO
@@ -23,8 +22,7 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BalanceLaw:
+class BalanceLaw(NamedTuple):
     """One balance law: time-rate density, space flux, production."""
 
     name: str
@@ -83,8 +81,7 @@ def extension_leibniz(
     return out
 
 
-@dataclass(frozen=True)
-class EntropyDeclaration:
+class EntropyDeclaration(NamedTuple):
     """Entropy density and flux with the chosen form of the production.
 
     form "material": production = weight * (Dt s + velocity * Dx s) + Dx flux,
@@ -99,8 +96,7 @@ class EntropyDeclaration:
     weight: Expression
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class _ModelFields(NamedTuple):
     name: str
     fields: tuple[str, ...]
     velocity: str | None
@@ -111,8 +107,21 @@ class ModelSpec:
     ctx: ParseContext
     source_text: str = ""
 
-    def __post_init__(self):
+
+class ModelSpec(_ModelFields):
+    """A validated model: every way to build one, copies included, runs the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _validate_model(self)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` copies through `_make`, which would skip `__new__`.
+        return cls(*iterable)
 
     def field_jet(self, name: str) -> JetVariable:
         return JetVariable(name, 0, 0)

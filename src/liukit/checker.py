@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .jet import JetVariable
+from .jet import Frozen, JetVariable
 from .expr import (
     Atom,
     CoefficientRangeError,
@@ -51,8 +50,7 @@ class CheckError(ValueError):
     """The candidate file is malformed or incomplete for this model."""
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     name: str
     kind: str  # "eq", "ge" (expr >= 0) or "le" (expr <= 0)
     lhs: Expression
@@ -78,8 +76,7 @@ def sampling_error(samples: int | None, tol: float | None) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class NumericScenario:
+class NumericScenario(NamedTuple):
     name: str
     samples: int
     seed: int
@@ -89,12 +86,15 @@ class NumericScenario:
     lets: tuple[tuple[Atom, Expression], ...]
 
 
-@dataclass(frozen=True)
-class CandidateSolution:
+class _SolutionFields(NamedTuple):
     ansatz: tuple[FuncSym, ...]
     bindings: tuple[tuple[FuncSym, Expression], ...]
     conditions: tuple[Condition, ...]
     scenarios: tuple[NumericScenario, ...]
+
+
+class CandidateSolution(_SolutionFields, Frozen):
+    # Not slotted: the cached substitutions below live in the instance `__dict__`.
 
     def binding_map(self) -> dict[FuncSym, Expression]:
         return {k: v for k, v in self.bindings}
@@ -117,16 +117,14 @@ class CandidateSolution:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class EqualityStatus:
+class EqualityStatus(NamedTuple):
     label: str
     status: str  # "identical", "conditional", "failed"
     conditions_used: tuple[str, ...]
     remainder: Expression  # ZERO unless failed
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     name: str
     expect: str
     points: int
@@ -138,14 +136,12 @@ class ScenarioResult:
     failure: str | None
 
 
-@dataclass(frozen=True)
-class ConcavityResult:
+class ConcavityResult(NamedTuple):
     outcome: str  # "confirmed", "refuted", "undetermined"
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     model_name: str
     equalities: tuple[EqualityStatus, ...]
     scenarios: tuple[ScenarioResult, ...]

@@ -13,11 +13,12 @@ from .jet import JetVariable, StateSpaceError
 from .expr import Expression, ExprError, FuncSym, ParseError, to_text
 from .balance import ModelError, ModelSpec
 from .liu import EngineError, derive, report_json_dict, report_latex, report_text, same_restrictions
-from .checker import CheckError, check, check_json_dict, check_text
 from .modelfile import FileFormatError, load_model, load_solution
 from .models import builtin_names, load_builtin, load_builtin_solution
 from ._util import stable_json
-from . import fdb as fdbmod
+
+# The checker and the fdb expansion are imported by the subcommands that run
+# them, so `derive` loads neither.
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -55,6 +56,8 @@ def _cmd_derive(args) -> int:
     mode = "all" if args.all_extensions else "pruned"
     if args.order is not None and not args.all_extensions:
         raise CliUsage("--order only applies together with --all-extensions")
+    if args.order is not None and args.order < 0:
+        raise CliUsage(f"--order must be nonnegative, got {args.order}")
     report = derive(model, mode=mode, max_order=args.order)
     if args.verify:
         other = derive(model, mode="all" if mode == "pruned" else "pruned")
@@ -72,6 +75,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checker import check, check_json_dict, check_text
+
     if args.builtin:
         if args.model is not None or args.solution is not None:
             raise CliUsage("give either file paths or --builtin, not both")
@@ -94,6 +99,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fdb(args) -> int:
+    from . import fdb as fdbmod
+
     m, s = args.order, args.arity
     if m < 1 or s < 1:
         raise CliUsage("--m and --s must be positive")
@@ -214,6 +221,14 @@ def _check_threads_setting() -> None:
             raise CliUsage(f"LIU_THREADS must be an integer, got {raw!r}") from None
 
 
+def _validation_errors() -> tuple:
+    """The exceptions that exit 2.  A `CheckError` can only have been raised
+    once the checker is loaded, so the tuple is built when one is caught."""
+    errors = (CliUsage, ModelError, StateSpaceError, KeyError, ExprError)
+    checker = sys.modules.get(f"{__package__}.checker")
+    return errors + (checker.CheckError,) if checker else errors
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -223,7 +238,7 @@ def main(argv=None) -> int:
     except (FileFormatError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CliUsage, ModelError, StateSpaceError, CheckError, KeyError, ExprError) as exc:
+    except _validation_errors() as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -34,12 +34,11 @@ import functools
 import math
 import re
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .jet import ATOMS, JetVariable, intern_atom
+from .jet import ATOMS, Frozen, JetVariable, intern_atom
 
 __all__ = [
     "Atom", "BindingError", "CoefficientRangeError", "CollectError", "EvaluationError",
@@ -73,8 +72,7 @@ class BindingError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class FuncSym:
+class FuncSym(Frozen):
     """A constitutive function symbol with a fixed dependency list.
 
     `orders` counts partial derivatives with respect to each dependency, so
@@ -82,9 +80,7 @@ class FuncSym:
     kept sorted and duplicate-free.
     """
 
-    name: str
-    deps: tuple[JetVariable, ...]
-    orders: tuple[int, ...]
+    __slots__ = ("name", "deps", "orders", "atom_key", "id", "_hash", "_text")
 
     def __init__(self, name: str, deps: Iterable[JetVariable], orders: Iterable[int] | None = None):
         deps = tuple(deps)
@@ -97,20 +93,27 @@ class FuncSym:
         deps = tuple(p[0] for p in pairs)
         if len(set(deps)) != len(deps):
             raise ExprError(f"{name}: duplicate dependency")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "deps", deps)
-        object.__setattr__(self, "orders", tuple(p[1] for p in pairs))
+        orders = tuple(p[1] for p in pairs)
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "deps", deps)
+        put(self, "orders", orders)
         # Hashed, keyed, printed and interned once, as jets are.
-        object.__setattr__(self, "atom_key", (1, name, tuple(d.sort_key() for d in deps), self.orders))
-        object.__setattr__(self, "_hash", hash((name, deps, self.orders)))
-        if any(self.orders):
+        put(self, "atom_key", (1, name, tuple(d.sort_key() for d in deps), orders))
+        put(self, "_hash", hash((name, deps, orders)))
+        if any(orders):
             parts = [name]
-            for dep, o in zip(deps, self.orders):
+            for dep, o in zip(deps, orders):
                 parts.extend([dep.text()] * o)
-            object.__setattr__(self, "_text", "D(" + ", ".join(parts) + ")")
+            put(self, "_text", "D(" + ", ".join(parts) + ")")
         else:
-            object.__setattr__(self, "_text", name)
-        object.__setattr__(self, "id", intern_atom(self))
+            put(self, "_text", name)
+        put(self, "id", intern_atom(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not FuncSym:
+            return NotImplemented
+        return self is other or self.atom_key == other.atom_key
 
     def __hash__(self) -> int:
         return self._hash
@@ -185,12 +188,15 @@ def _mono_key(m: Mono) -> tuple:
     return (sum(m[1::2]), *chain.from_iterable(pairs))
 
 
-def _atoms_in_order(m: Mono) -> list[tuple[Atom, int]]:
-    """The (atom, exponent) pairs of a monomial in canonical atom order."""
+def _canonical_atoms(m: Mono, nrank: list[int]) -> Sequence[tuple[int, int, int]]:
+    """(sort key, id, exponent) per atom of a monomial, in canonical atom order.
+
+    One sort per monomial, on the negated ranks; `nrank` is the rank table,
+    which a printer fetches once per part.
+    """
     if len(m) == 2:
-        return [(ATOMS[m[0]], m[1])]
-    nrank = _ranks()
-    return [(ATOMS[i], e) for _, i, e in sorted(zip([-nrank[i] for i in m[::2]], m[::2], m[1::2]))]
+        return ((0, m[0], m[1]),)
+    return sorted(zip(map(nrank.__getitem__, m[::2]), m[::2], m[1::2]), reverse=True)
 
 
 # -- monomials and polynomials -------------------------------------------
@@ -682,11 +688,12 @@ class Expression:
             raise CollectError("duplicate collection variable")
         vset = {a.id: i for i, a in enumerate(variables)}
         for m, _ in self._den:
-            for a, _e in _atoms_in_order(m):
-                if a.id in vset:
-                    raise CollectError(
-                        f"denominator involves collection variable {atom_text(a)}"
-                    )
+            hit = [i for i in m[::2] if i in vset]
+            if hit:
+                first = max(hit, key=_ranks().__getitem__)  # first in canonical order
+                raise CollectError(
+                    f"denominator involves collection variable {atom_text(ATOMS[first])}"
+                )
         buckets: dict[tuple[int, ...], Poly] = {}
         for m, c in self._num:
             exps = [0] * len(variables)
@@ -1200,8 +1207,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     text: str
     line: int
@@ -1402,21 +1408,23 @@ def _frac_text(c: Number) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _mono_text(m: Mono, c: Number) -> str:
-    parts = []
+def _mono_text(m: Mono, c: Number, nrank: list[int]) -> str:
+    parts = [
+        ATOMS[i]._text if e == 1 else f"{ATOMS[i]._text}^{e}"
+        for _, i, e in _canonical_atoms(m, nrank)
+    ]
     a = abs(c)
     if a != 1 or not m:
-        parts.append(_frac_text(a))
-    for atom, e in _atoms_in_order(m):
-        parts.append(atom.text() if e == 1 else f"{atom.text()}^{e}")
+        parts.insert(0, _frac_text(a))
     return "*".join(parts)
 
 
 def _poly_text(part: tuple, mono=_mono_text) -> str:
     """A frozen part from its leading term down; `mono` prints one monomial."""
+    nrank = _ranks()
     out = []
     for i, (m, c) in enumerate(part[::-1]):
-        body = mono(m, c)
+        body = mono(m, c, nrank)
         if i == 0:
             out.append(("-" if c < 0 else "") + body)
         else:
@@ -1494,13 +1502,13 @@ def _atom_latex(a: Atom) -> str:
     return rf"\frac{{{top}{_name_latex(a.name)}}}{{{''.join(bottom)}}}"
 
 
-def _mono_latex(m: Mono, c: Number) -> str:
+def _mono_latex(m: Mono, c: Number, nrank: list[int]) -> str:
     parts = []
     a = abs(c)
     if a != 1 or not m:
         parts.append(_frac_text(a) if a.denominator == 1 else rf"\tfrac{{{a.numerator}}}{{{a.denominator}}}")
-    for atom, e in _atoms_in_order(m):
-        t = _atom_latex(atom)
+    for _, i, e in _canonical_atoms(m, nrank):
+        t = _atom_latex(ATOMS[i])
         parts.append(t + (f"^{{{e}}}" if e > 1 else ""))
     return r" \, ".join(parts)
 

@@ -11,16 +11,14 @@ operator of the expression kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .expr import ZERO, Expression, ExprError, FuncSym
 
 
-@dataclass(frozen=True)
-class ChainTerm:
+class ChainTerm(NamedTuple):
     """One term of the expanded m-th total derivative.
 
     `assignment[i - 1][j]` is the number of inner factors that are i-fold

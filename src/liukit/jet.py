@@ -7,7 +7,7 @@ t order, x order) triple, so rho_tx and rho_xt are the same object.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 
 class StateSpaceError(ValueError):
@@ -31,24 +31,42 @@ def intern_atom(a) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class JetVariable:
-    field: str
-    t_order: int = 0
-    x_order: int = 0
+class Frozen:
+    """Base of the hand-written immutable classes: attributes are set once, in `__init__`."""
 
-    def __post_init__(self) -> None:
-        if not self.field or not self.field[0].isalpha():
-            raise StateSpaceError(f"invalid field name {self.field!r}")
-        if self.t_order < 0 or self.x_order < 0:
-            raise StateSpaceError(f"negative derivative order on {self.field!r}")
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class JetVariable(Frozen):
+    __slots__ = ("field", "t_order", "x_order", "atom_key", "id", "_hash", "_text")
+
+    def __init__(self, field: str, t_order: int = 0, x_order: int = 0) -> None:
+        if not field or not field[0].isalpha():
+            raise StateSpaceError(f"invalid field name {field!r}")
+        if t_order < 0 or x_order < 0:
+            raise StateSpaceError(f"negative derivative order on {field!r}")
+        put = object.__setattr__
+        put(self, "field", field)
+        put(self, "t_order", t_order)
+        put(self, "x_order", x_order)
         # Jets are atoms of the expression kernel, so the hash, the canonical
         # atom ordering key, the text and the atom id are computed once, here.
-        object.__setattr__(self, "atom_key", (0, self.field, self.t_order, self.x_order))
-        object.__setattr__(self, "_hash", hash((self.field, self.t_order, self.x_order)))
-        suffix = "t" * self.t_order + "x" * self.x_order
-        object.__setattr__(self, "_text", self.field + "_" + suffix if suffix else self.field)
-        object.__setattr__(self, "id", intern_atom(self))
+        put(self, "atom_key", (0, field, t_order, x_order))
+        put(self, "_hash", hash((field, t_order, x_order)))
+        suffix = "t" * t_order + "x" * x_order
+        put(self, "_text", field + "_" + suffix if suffix else field)
+        put(self, "id", intern_atom(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not JetVariable:
+            return NotImplemented
+        return self is other or self.atom_key == other.atom_key
 
     def __hash__(self) -> int:
         return self._hash
@@ -81,21 +99,33 @@ def jet(field: str, t: int = 0, x: int = 0) -> JetVariable:
     return JetVariable(field, t, x)
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Frozen):
     """A gradient state space: spatial jets of the fields up to order `order`.
 
     `members` holds every state variable, including the order-zero ones.
     Time derivatives never belong to a state space.
     """
 
-    order: int
-    members: frozenset[JetVariable]
+    __slots__ = ("order", "members")
 
     def __init__(self, order: int, members) -> None:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "members", frozenset(members))
         self._validate()
+
+    def __eq__(self, other):
+        if other.__class__ is not StateSpace:
+            return NotImplemented
+        return (self.order, self.members) == (other.order, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.members))
+
+    def __repr__(self) -> str:
+        return f"StateSpace(order={self.order!r}, members={self.members!r})"
+
+    def __reduce__(self):
+        return (StateSpace, (self.order, self.members))
 
     def _validate(self) -> None:
         if self.order < 0:
@@ -144,8 +174,7 @@ def compute_hat(space: StateSpace) -> frozenset[JetVariable]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class DerivativeClassification:
+class DerivativeClassification(NamedTuple):
     """Partition of the derivatives occurring in a constrained entropy inequality.
 
     highest: derivatives that occur linearly and can be assigned arbitrary

@@ -26,8 +26,7 @@ The pipeline:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
 from .expr import Expression, FuncSym, ZERO, principal_minors, to_latex, to_text
@@ -38,8 +37,7 @@ class EngineError(RuntimeError):
     """An internal invariant of the derivation failed."""
 
 
-@dataclass(frozen=True)
-class DecoupledRow:
+class DecoupledRow(NamedTuple):
     index: int
     field: str
     law_name: str
@@ -47,8 +45,7 @@ class DecoupledRow:
     residual: Expression
 
 
-@dataclass(frozen=True)
-class DecoupledSystem:
+class DecoupledSystem(NamedTuple):
     rows: tuple[DecoupledRow, ...]
     nonzero: tuple[Expression, ...]
 
@@ -101,8 +98,7 @@ def _contains(items: list[Expression], e: Expression) -> bool:
     return any(x == e for x in items)
 
 
-@dataclass(frozen=True)
-class ConstraintSelection:
+class ConstraintSelection(NamedTuple):
     mode: str
     entries: tuple[tuple[int, int], ...]  # (row index, extension order)
 
@@ -162,8 +158,7 @@ def constrained_inequality(
     return p
 
 
-@dataclass(frozen=True)
-class MultiplierSolution:
+class MultiplierSolution(NamedTuple):
     values: tuple[tuple[int, int, Expression], ...]  # (i, k, value)
     reduced: Expression
     nonzero: tuple[Expression, ...]
@@ -293,14 +288,12 @@ def _linear_solve(
     return values, conds
 
 
-@dataclass(frozen=True)
-class Equality:
+class Equality(NamedTuple):
     label: str
     expr: Expression  # constrained to vanish
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple):
     variables: tuple[JetVariable, ...]
     entries: tuple[tuple[int, int, Expression], ...]  # i <= j, coefficient M_ij
     minors: tuple[tuple[tuple[int, ...], Expression], ...]  # index subset, determinant
@@ -314,15 +307,13 @@ class QuadraticForm:
         return m
 
 
-@dataclass(frozen=True)
-class EvenForm:
+class EvenForm(NamedTuple):
     degree: int
     variables: tuple[JetVariable, ...]
     entries: tuple[tuple[tuple[int, ...], Expression], ...]
 
 
-@dataclass(frozen=True)
-class Restrictions:
+class Restrictions(NamedTuple):
     equalities: tuple[Equality, ...]
     quadratic: QuadraticForm | None
     even_forms: tuple[EvenForm, ...]
@@ -429,8 +420,7 @@ def _principal_minors(
     return tuple(zip(subsets, principal_minors(mat, subsets)))
 
 
-@dataclass(frozen=True)
-class LiuReport:
+class LiuReport(NamedTuple):
     model: ModelSpec
     mode: str
     classification: DerivativeClassification

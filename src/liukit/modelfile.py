@@ -29,18 +29,14 @@ from __future__ import annotations
 
 import os
 import re
+from typing import TYPE_CHECKING
 
 from .jet import JetVariable, StateSpace
 from .expr import Expression, FuncSym, ParseContext, ParseError, ZERO, parse
 from .balance import BalanceLaw, EntropyDeclaration, ModelSpec
-from .checker import (
-    CandidateSolution,
-    Condition,
-    DEFAULT_SAMPLES,
-    DEFAULT_TOL,
-    NumericScenario,
-    sampling_error,
-)
+
+if TYPE_CHECKING:
+    from .checker import CandidateSolution, Condition, NumericScenario
 
 
 class FileFormatError(ValueError):
@@ -254,6 +250,10 @@ _LET_RE = re.compile(r"^let\s+(.+?)\s*=\s*(.+)$")
 
 
 def parse_solution(text: str, model: ModelSpec) -> CandidateSolution:
+    # The checker is loaded here, where a solution is parsed, so that a model
+    # alone (as `liukit derive` reads it) never loads it.
+    from .checker import CandidateSolution
+
     sections = _sections(text)
     ctx = ParseContext(fields=model.ctx.fields, syms=dict(model.ctx.syms))
     fieldset = set(model.fields)
@@ -312,6 +312,8 @@ def parse_solution(text: str, model: ModelSpec) -> CandidateSolution:
 
 
 def _parse_condition(name: str, stmt: str, ctx: ParseContext, lineno: int) -> Condition:
+    from .checker import Condition
+
     for op, kind in ((">=", "ge"), ("<=", "le")):
         if op in stmt:
             lhs_text, rhs_text = stmt.split(op, 1)
@@ -332,6 +334,8 @@ def _parse_condition(name: str, stmt: str, ctx: ParseContext, lineno: int) -> Co
 def _parse_scenario(
     name: str, lines: list[tuple[int, str]], ctx: ParseContext, fields: set[str]
 ) -> NumericScenario:
+    from .checker import DEFAULT_SAMPLES, DEFAULT_TOL, NumericScenario, sampling_error
+
     samples = DEFAULT_SAMPLES
     seed = 0
     tol = DEFAULT_TOL

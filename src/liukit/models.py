@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .balance import ModelSpec
-from .checker import CandidateSolution
 from .modelfile import parse_model, parse_solution
+
+if TYPE_CHECKING:
+    from .checker import CandidateSolution
 
 _BUILTIN = ("grade2", "korteweg")
 

@@ -13,8 +13,6 @@ import subprocess
 import sys
 import time
 
-import dataclasses
-
 from liukit.checker import Condition, check, max_entropy_at_equilibrium, run_scenario
 from liukit.cli import main
 from liukit.expr import Expression, FuncSym, parse
@@ -41,7 +39,7 @@ def _flip_to_nonnegative(solution, name: str):
         Condition(c.name, "ge", c.lhs, c.rhs) if c.name == name else c
         for c in solution.conditions
     )
-    return dataclasses.replace(solution, conditions=conditions)
+    return solution._replace(conditions=conditions)
 
 
 def test_criterion_1_derivative_expansion_oracle():

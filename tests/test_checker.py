@@ -1,8 +1,6 @@
 """Candidate verification: equalities, numeric scenarios, equilibrium concavity."""
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from liukit.balance import BalanceLaw, EntropyDeclaration, ModelSpec
@@ -31,7 +29,7 @@ def _replace_binding(solution: CandidateSolution, name: str, value) -> Candidate
     bindings = tuple(
         (sym, value if sym.name == name else expr) for sym, expr in solution.bindings
     )
-    return dataclasses.replace(solution, bindings=bindings)
+    return solution._replace(bindings=bindings)
 
 
 def _solution_ctx(model, solution) -> ParseContext:
@@ -78,8 +76,7 @@ class TestValidateSolution:
         validate_solution(grade2_model, grade2_solution)
 
     def test_unknown_binding_target(self, grade2_model, grade2_solution):
-        bad = dataclasses.replace(
-            grade2_solution,
+        bad = grade2_solution._replace(
             bindings=grade2_solution.bindings
             + ((grade2_model.ctx.declare_sym("extra", ()), ZERO),),
         )
@@ -88,14 +85,14 @@ class TestValidateSolution:
         assert "not a model unknown" in str(ei.value)
 
     def test_missing_binding(self, grade2_model, grade2_solution):
-        bad = dataclasses.replace(grade2_solution, bindings=grade2_solution.bindings[:-1])
+        bad = grade2_solution._replace(bindings=grade2_solution.bindings[:-1])
         with pytest.raises(CheckError) as ei:
             validate_solution(grade2_model, bad)
         assert "unbound" in str(ei.value)
 
     def test_double_binding(self, grade2_model, grade2_solution):
-        bad = dataclasses.replace(
-            grade2_solution, bindings=grade2_solution.bindings + grade2_solution.bindings[-1:]
+        bad = grade2_solution._replace(
+            bindings=grade2_solution.bindings + grade2_solution.bindings[-1:]
         )
         with pytest.raises(CheckError) as ei:
             validate_solution(grade2_model, bad)
@@ -104,8 +101,8 @@ class TestValidateSolution:
     def test_derivative_binding_rejected(self, grade2_model, grade2_solution):
         sym = grade2_model.unknown("s")
         deriv = sym.bump(sym.deps[0])
-        bad = dataclasses.replace(
-            grade2_solution, bindings=grade2_solution.bindings[:-1] + ((deriv, ZERO),)
+        bad = grade2_solution._replace(
+            bindings=grade2_solution.bindings[:-1] + ((deriv, ZERO),)
         )
         with pytest.raises(CheckError) as ei:
             validate_solution(grade2_model, bad)
@@ -117,7 +114,7 @@ class TestValidateSolution:
             (narrow, expr) if sym.name == "Js" else (sym, expr)
             for sym, expr in grade2_solution.bindings
         )
-        bad = dataclasses.replace(grade2_solution, bindings=bindings)
+        bad = grade2_solution._replace(bindings=bindings)
         with pytest.raises(CheckError) as ei:
             validate_solution(grade2_model, bad)
         assert "declared dependencies" in str(ei.value)
@@ -211,7 +208,7 @@ class TestRunScenario:
     def test_expected_violation_missing_is_a_failure(
         self, korteweg_model, korteweg_report, korteweg_solution
     ):
-        sc = dataclasses.replace(_scenario(korteweg_solution, "fourier"), expect="violate")
+        sc = _scenario(korteweg_solution, "fourier")._replace(expect="violate")
         res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, sc)
         assert not res.as_expected
         assert "expected a violation" in res.failure
@@ -224,7 +221,7 @@ class TestRunScenario:
         lets = tuple((a, v) for a, v in sc.lets if a != q2) + (
             (q2, Expression.number(-1)),
         )
-        bad = dataclasses.replace(sc, lets=lets)
+        bad = sc._replace(lets=lets)
         res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, bad)
         assert res.failure is not None and "fails at sample" in res.failure
         assert not res.as_expected
@@ -232,14 +229,13 @@ class TestRunScenario:
     def test_missing_let_is_reported(self, grade2_model, grade2_report, grade2_solution):
         sc = _scenario(grade2_solution, "fourier")
         q1 = _let_atom(sc, "q1")
-        pruned = dataclasses.replace(sc, lets=tuple((a, v) for a, v in sc.lets if a != q1))
+        pruned = sc._replace(lets=tuple((a, v) for a, v in sc.lets if a != q1))
         with pytest.raises(CheckError) as ei:
             run_scenario(grade2_model, grade2_report, grade2_solution, pruned)
         assert "q1" in str(ei.value) and "let" in str(ei.value)
 
     def test_unknown_range_variable_rejected(self, grade2_model, grade2_report, grade2_solution):
-        sc = dataclasses.replace(
-            _scenario(grade2_solution, "fourier"),
+        sc = _scenario(grade2_solution, "fourier")._replace(
             ranges=((JetVariable("w"), 0.0, 1.0),),
         )
         with pytest.raises(CheckError) as ei:
@@ -254,7 +250,7 @@ class TestRunScenario:
         lets = tuple((a, v) for a, v in sc.lets if a != q1) + (
             (q1, parse("1/(rho_x - 1)", grade2_model.ctx)),
         )
-        stuck = dataclasses.replace(sc, lets=lets, ranges=((RHO_X, 1.0, 1.0),))
+        stuck = sc._replace(lets=lets, ranges=((RHO_X, 1.0, 1.0),))
         res = run_scenario(grade2_model, grade2_report, grade2_solution, stuck)
         assert res.failure is not None and "singular" in res.failure
         assert res.points == 0
@@ -266,7 +262,7 @@ class TestRunScenario:
         def with_form(sign: int):
             form = EvenForm(4, (eps_xx,), (((4,), Expression.number(sign)),))
             restr = Restrictions((), None, (form,), ZERO)
-            return dataclasses.replace(grade2_report, restrictions=restr)
+            return grade2_report._replace(restrictions=restr)
 
         pos = run_scenario(
             grade2_model, with_form(1), empty,
@@ -292,7 +288,7 @@ class TestNonFiniteSamples:
         restr = Restrictions((), None, (), parse(residual, report.model.ctx))
         return run_scenario(
             report.model,
-            dataclasses.replace(report, restrictions=restr),
+            report._replace(restrictions=restr),
             CandidateSolution((), (), (), ()),
             NumericScenario("huge", 32, 11, 1e-9, "pass", tuple(ranges), ()),
         )
@@ -322,7 +318,7 @@ class TestNonFiniteSamples:
         lets = tuple((a, v) for a, v in sc.lets if a != s1) + (
             (s1, parse("rho^1000*eps^1000 - rho^1001*eps^1000", korteweg_model.ctx)),
         )
-        bad = dataclasses.replace(sc, lets=lets, ranges=((self.RHO, 1.9, 2.0), (self.EPS, 1.9, 2.0)))
+        bad = sc._replace(lets=lets, ranges=((self.RHO, 1.9, 2.0), (self.EPS, 1.9, 2.0)))
         res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, bad)
         assert not res.as_expected
         assert res.points == 0
@@ -332,7 +328,7 @@ class TestNonFiniteSamples:
         sc = _scenario(korteweg_solution, "fourier")
         tau1 = _let_atom(sc, "tau1")
         lets = tuple((a, Expression.number(10**400) if a == tau1 else v) for a, v in sc.lets)
-        bad = dataclasses.replace(sc, lets=lets)
+        bad = sc._replace(lets=lets)
         res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, bad)
         assert not res.as_expected
         assert (res.points, res.resamples) == (0, 0)
@@ -350,14 +346,14 @@ class TestMaxEntropyAtEquilibrium:
             Condition(c.name, "ge", c.lhs, c.rhs) if c.name == "maxent" else c
             for c in grade2_solution.conditions
         )
-        sol = dataclasses.replace(grade2_solution, conditions=flipped_conditions)
+        sol = grade2_solution._replace(conditions=flipped_conditions)
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res.outcome == "refuted"
         assert "wrong sign" in res.detail
 
     def test_missing_sign_condition_is_undetermined(self, grade2_model, grade2_solution):
         kept = tuple(c for c in grade2_solution.conditions if c.name != "maxent")
-        sol = dataclasses.replace(grade2_solution, conditions=kept)
+        sol = grade2_solution._replace(conditions=kept)
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res.outcome == "undetermined"
         assert "not decided" in res.detail

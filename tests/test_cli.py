@@ -129,6 +129,14 @@ class TestDerive:
         assert code == 2
         assert "--order only applies together with --all-extensions" in err
 
+    def test_negative_order_is_a_usage_error(self, capsys):
+        code, out, err = _run(
+            ["derive", "--builtin", "korteweg", "--all-extensions", "--order", "-1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "--order must be nonnegative, got -1" in err
+
     def test_builtin_and_path_conflict(self, tmp_path, capsys):
         path = tmp_path / "local.model"
         path.write_text(LOCAL_MODEL)

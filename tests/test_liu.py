@@ -120,6 +120,11 @@ class TestSelection:
         with pytest.raises(EngineError):
             select_constraints(korteweg_model, mode="pruned", max_order=1)
 
+    def test_negative_order_cap_rejected(self, korteweg_model):
+        # The CLI rejects it first (exit 2); library callers get the engine's check.
+        with pytest.raises(EngineError, match="nonnegative"):
+            select_constraints(korteweg_model, mode="all", max_order=-1)
+
     def test_unknown_mode_rejected(self, korteweg_model):
         with pytest.raises(EngineError):
             select_constraints(korteweg_model, mode="some")
