@@ -32,11 +32,13 @@ _EXPORTS = {
         "solve_multipliers",
     ),
     "checker": (
-        "CandidateSolution", "CheckError", "CheckResult", "ConcavityResult", "Condition",
-        "NumericScenario", "binding_singularities", "check", "check_json_dict",
+        "CheckResult", "ConcavityResult", "binding_singularities", "check", "check_json_dict",
         "check_text", "max_entropy_at_equilibrium", "run_scenario",
     ),
-    "modelfile": ("FileFormatError", "load_model", "load_solution", "parse_model", "parse_solution"),
+    "modelfile": (
+        "CandidateSolution", "CheckError", "Condition", "FileFormatError", "NumericScenario",
+        "load_model", "load_solution", "parse_model", "parse_solution",
+    ),
     "models": ("builtin_names", "load_builtin", "load_builtin_solution"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -17,104 +17,37 @@ three parts:
 """
 from __future__ import annotations
 
-import math
 import random
-from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .jet import Frozen, JetVariable
+from .jet import JetVariable
 from .expr import (
-    Atom,
     CoefficientRangeError,
     EvaluationError,
     Expression,
     ExprError,
-    FuncSym,
     Substitution,
     ZERO,
-    atom_text,
     principal_minors,
     to_text,
 )
 from .balance import ModelSpec
-from .liu import LiuReport
+from .liu import LiuReport, _mono_label, quadratic_form
 
-DEFAULT_SAMPLES = 64
-DEFAULT_TOL = 1e-9
+# The solution records are defined beside their parser and stay importable from here.
+from .modelfile import (  # noqa: F401
+    DEFAULT_SAMPLES,
+    DEFAULT_TOL,
+    CandidateSolution,
+    CheckError,
+    Condition,
+    NumericScenario,
+    sampling_error,
+)
+
 DEFAULT_FIELD_RANGE = (0.5, 2.0)
 DEFAULT_GRADIENT_RANGE = (-1.0, 1.0)
 _MAX_RESAMPLE_FACTOR = 50
-
-
-class CheckError(ValueError):
-    """The candidate file is malformed or incomplete for this model."""
-
-
-class Condition(NamedTuple):
-    name: str
-    kind: str  # "eq", "ge" (expr >= 0) or "le" (expr <= 0)
-    lhs: Expression
-    rhs: Expression
-
-    def as_zero(self) -> Expression:
-        """eq: lhs - rhs; ge/le: the signed expression itself."""
-        if self.kind == "eq":
-            return self.lhs - self.rhs
-        return self.lhs
-
-
-def sampling_error(samples: int | None, tol: float | None) -> str | None:
-    """Why a sample count or tolerance is unusable, or None.
-
-    Zero samples would pass any scenario, and a NaN tolerance makes every
-    violation test false.
-    """
-    if samples is not None and samples < 1:
-        return f"samples must be at least 1, got {samples}"
-    if tol is not None and not (math.isfinite(tol) and tol >= 0):
-        return f"tol must be finite and nonnegative, got {tol}"
-    return None
-
-
-class NumericScenario(NamedTuple):
-    name: str
-    samples: int
-    seed: int
-    tol: float
-    expect: str  # "pass" or "violate"
-    ranges: tuple[tuple[JetVariable, float, float], ...]
-    lets: tuple[tuple[Atom, Expression], ...]
-
-
-class _SolutionFields(NamedTuple):
-    ansatz: tuple[FuncSym, ...]
-    bindings: tuple[tuple[FuncSym, Expression], ...]
-    conditions: tuple[Condition, ...]
-    scenarios: tuple[NumericScenario, ...]
-
-
-class CandidateSolution(_SolutionFields, Frozen):
-    # Not slotted: the cached substitutions below live in the instance `__dict__`.
-
-    def binding_map(self) -> dict[FuncSym, Expression]:
-        return {k: v for k, v in self.bindings}
-
-    # Built once per candidate and shared by every part of a check, so each
-    # derivative atom of a bound symbol is derived once.
-    @cached_property
-    def binding_substitution(self) -> Substitution:
-        return Substitution(self.binding_map())
-
-    @cached_property
-    def condition_substitution(self) -> Substitution:
-        """Equality conditions whose left side is a single atom, as bindings."""
-        return Substitution(_condition_substitutions(self.conditions))
-
-    def condition(self, name: str) -> Condition:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 class EqualityStatus(NamedTuple):
@@ -170,36 +103,17 @@ def binding_singularities(solution: CandidateSolution) -> tuple[tuple[str, str],
     return tuple(out)
 
 
-def _condition_substitutions(conditions: Sequence[Condition]) -> dict[Atom, Expression]:
-    subs: dict[Atom, Expression] = {}
-    for c in conditions:
-        if c.kind != "eq":
-            continue
-        atoms = c.lhs.atoms()
-        if len(atoms) == 1 and c.lhs == Expression.atom(next(iter(atoms))):
-            subs[next(iter(atoms))] = c.rhs
-    return subs
-
-
-def _substitute(expr: Expression, *subs: Substitution) -> Expression:
-    """expr with each substitution applied in turn; empty ones are skipped."""
-    for sub in subs:
-        if sub.bind:
-            expr = expr.subs(sub)
-    return expr
-
-
 def check_equalities(
     report: LiuReport, solution: CandidateSolution
 ) -> tuple[list[EqualityStatus], list[str]]:
     statuses: list[EqualityStatus] = []
     failures: list[str] = []
     for eq in report.restrictions.equalities:
-        bound = _substitute(eq.expr, solution.binding_substitution)
+        bound = eq.expr.subs(solution.binding_substitution)
         if bound.is_zero:
             statuses.append(EqualityStatus(eq.label, "identical", (), ZERO))
             continue
-        after = _substitute(bound, solution.condition_substitution)
+        after = bound.subs(solution.condition_substitution)
         if after.is_zero:
             used = _conditions_touching(bound, solution.conditions)
             statuses.append(EqualityStatus(eq.label, "conditional", used, ZERO))
@@ -271,17 +185,15 @@ def run_scenario(
     tl = tol if tol is not None else scenario.tol
 
     def prepare(e: Expression) -> Expression:
-        return _substitute(e, bindings, cond_subs, lets)
+        return e.subs(bindings).subs(cond_subs).subs(lets)
 
     residual = prepare(report.restrictions.residual)
-    minors: list[tuple[str, Expression]] = []
+    minors: list[Expression] = []
     if report.restrictions.quadratic is not None:
-        q = report.restrictions.quadratic
-        for sub, det in q.minors:
+        for _, det in report.restrictions.quadratic.minors:
             d = prepare(det)
             if not d.is_zero:
-                label = ",".join(q.variables[i].text() for i in sub)
-                minors.append((label, d))
+                minors.append(d)
     for f in report.restrictions.even_forms:
         poly = ZERO
         for idx, coeff in f.entries:
@@ -291,12 +203,12 @@ def run_scenario(
                     term = term * Expression.jet(v) ** e
             poly = poly + term
         if not poly.is_zero:
-            minors.append((f"degree-{f.degree} form", poly))
+            minors.append(poly)
     conds: list[tuple[Condition, Expression]] = []
     for c in solution.conditions:
-        conds.append((c, _substitute(c.as_zero(), bindings, lets)))
+        conds.append((c, c.as_zero().subs(bindings).subs(lets)))
 
-    targets = [residual] + [d for _, d in minors] + [e for _, e in conds]
+    targets = [residual] + minors + [e for _, e in conds]
     free: set[JetVariable] = set()
     for t in targets:
         for a in t.atoms():
@@ -304,13 +216,13 @@ def run_scenario(
                 free.add(a)
             else:
                 raise CheckError(
-                    f"scenario {scenario.name!r} leaves {atom_text(a)} without a value; "
+                    f"scenario {scenario.name!r} leaves {a.text()} without a value; "
                     "bind it with a let line"
                 )
     atoms = sorted(free, key=JetVariable.sort_key)
     ranges = {j: (lo, hi) for j, lo, hi in scenario.ranges}
     for j in ranges:
-        if j not in free and not _is_known_jet(j, model):
+        if j not in free and j.field not in model.fields:
             raise CheckError(f"scenario {scenario.name!r} ranges unknown variable {j.text()}")
 
     rng = random.Random(sd)
@@ -331,7 +243,7 @@ def run_scenario(
         try:
             cvals = [(c, e.evaluate(env)) for c, e in conds]
             rv = residual.evaluate(env)
-            mvals = [(lbl, d.evaluate(env)) for lbl, d in minors]
+            mvals = [d.evaluate(env) for d in minors]
         except EvaluationError:
             resamples += 1
             continue
@@ -348,9 +260,8 @@ def run_scenario(
             break
         min_res = min(min_res, rv)
         if mvals:
-            wm = min(v for _, v in mvals)
-            worst_minor = wm if worst_minor is None else min(worst_minor, wm)
-        if rv < -tl or any(v < -tl for _, v in mvals):
+            worst_minor = min(worst_minor, *mvals)
+        if rv < -tl or any(v < -tl for v in mvals):
             violations += 1
     if failure is not None:
         return ScenarioResult(
@@ -375,10 +286,6 @@ def run_scenario(
         scenario.name, scenario.expect, produced, resamples,
         min_res, worst_minor, violations, as_expected, failure,
     )
-
-
-def _is_known_jet(j: JetVariable, model: ModelSpec) -> bool:
-    return j.field in model.fields
 
 
 def _condition_violation(cvals, tol: float) -> str | None:
@@ -431,8 +338,8 @@ def max_entropy_at_equilibrium(
     whose conditions fail to imply semidefiniteness is refuted: it admits
     parameter values for which uniform states are not entropy maxima.
     """
-    s_expr = _substitute(
-        model.entropy.density, solution.binding_substitution, solution.condition_substitution
+    s_expr = model.entropy.density.subs(solution.binding_substitution).subs(
+        solution.condition_substitution
     )
     grads = [w for w in model.space.sorted_members() if w.x_order >= 1]
     if not grads:
@@ -441,9 +348,7 @@ def max_entropy_at_equilibrium(
         buckets = s_expr.collect(grads)
     except ExprError as exc:
         return ConcavityResult("undetermined", f"entropy is not polynomial in the gradients: {exc}")
-    n = len(grads)
-    mat = [[ZERO] * n for _ in range(n)]
-    support: set[int] = set()
+    quadratic = []
     for idx, coeff in buckets.items():
         d = sum(idx)
         if d == 0 or coeff.is_zero:
@@ -451,31 +356,23 @@ def max_entropy_at_equilibrium(
         if d == 1:
             return ConcavityResult(
                 "refuted",
-                f"entropy has a gradient-linear term ({_idx_label(grads, idx)}): "
+                f"entropy has a gradient-linear term ({_mono_label(grads, idx)}): "
                 "uniform states are not stationary",
             )
-        if d == 2:
-            pos = [i for i, e in enumerate(idx) if e]
-            if len(pos) == 1:
-                mat[pos[0]][pos[0]] = coeff
-            else:
-                i, j = pos
-                mat[i][j] = coeff / 2
-                mat[j][i] = coeff / 2
-            support.update(pos)
-        else:
+        if d > 2:
             return ConcavityResult(
                 "undetermined",
                 f"entropy has a gradient term of degree {d}; only quadratic "
                 "corrections are decided",
             )
-    if not support:
+        quadratic.append((idx, coeff))
+    form, sup = quadratic_form(grads, quadratic)
+    if not sup:
         return ConcavityResult("confirmed", "entropy has no gradient dependence")
-    sup = sorted(support)
     subsets = [
         [sup[i] for i in range(len(sup)) if mask & (1 << i)] for mask in range(1, 1 << len(sup))
     ]
-    for sub, minor in zip(subsets, principal_minors(mat, subsets)):
+    for sub, minor in zip(subsets, principal_minors(form.matrix(), subsets)):
         required_sign = -1 if len(sub) % 2 else 1
         target = minor if required_sign > 0 else -minor
         verdict = _decide_sign(target, solution.conditions)
@@ -494,14 +391,6 @@ def max_entropy_at_equilibrium(
             "by the declared conditions",
         )
     return ConcavityResult("confirmed", "gradient quadratic form is negative semidefinite")
-
-
-def _idx_label(grads: Sequence[JetVariable], idx: tuple[int, ...]) -> str:
-    parts = []
-    for g, e in zip(grads, idx):
-        if e:
-            parts.append(g.text() if e == 1 else f"{g.text()}^{e}")
-    return "*".join(parts)
 
 
 # -- driver ------------------------------------------------------------------
@@ -598,28 +487,33 @@ def check_json_dict(result: CheckResult) -> dict:
 
 
 def check_text(result: CheckResult) -> str:
-    lines = [f"check of model {result.model_name}: {'ok' if result.ok else 'FAILED'}"]
+    return format_check(check_json_dict(result))
+
+
+def format_check(record: dict) -> str:
+    """The text report: the record of `check_json_dict`, printed."""
+    lines = [f"check of model {record['model']}: {'ok' if record['ok'] else 'FAILED'}"]
     lines.append("equalities:")
-    for e in result.equalities:
+    for e in record["equalities"]:
         extra = ""
-        if e.status == "conditional":
-            extra = " (using " + ", ".join(e.conditions_used) + ")"
-        elif e.status == "failed":
-            extra = f" (remainder {to_text(e.remainder)})"
-        lines.append(f"  [{e.label}] {e.status}{extra}")
-    for s in result.scenarios:
+        if e["status"] == "conditional":
+            extra = " (using " + ", ".join(e["conditions"]) + ")"
+        elif e["status"] == "failed":
+            extra = f" (remainder {e['remainder']})"
+        lines.append(f"  [{e['label']}] {e['status']}{extra}")
+    for s in record["scenarios"]:
         lines.append(
-            f"scenario {s.name}: expect={s.expect} points={s.points} "
-            f"resamples={s.resamples} violations={s.violations} "
-            f"minResidual={s.min_residual:.6g}"
-            + (f" worstMinor={s.worst_minor:.6g}" if s.worst_minor is not None else "")
-            + (" ok" if s.as_expected and s.failure is None else " FAILED")
+            f"scenario {s['name']}: expect={s['expect']} points={s['points']} "
+            f"resamples={s['resamples']} violations={s['violations']} "
+            f"minResidual={s['minResidual']:.6g}"
+            + (f" worstMinor={s['worstMinor']:.6g}" if s["worstMinor"] is not None else "")
+            + (" ok" if s["asExpected"] and s["failure"] is None else " FAILED")
         )
-    lines.append(f"equilibrium concavity: {result.concavity.outcome} ({result.concavity.detail})")
-    for name, jets in result.singularities:
-        lines.append(f"singular binding: {name} is undefined where {jets} vanishes")
-    if result.failures:
+    c = record["concavity"]
+    lines.append(f"equilibrium concavity: {c['outcome']} ({c['detail']})")
+    for s in record["singularities"]:
+        lines.append(f"singular binding: {s['unknown']} is undefined where {s['jets']} vanishes")
+    if record["failures"]:
         lines.append("failures:")
-        for f in result.failures:
-            lines.append(f"  - {f}")
+        lines += [f"  - {f}" for f in record["failures"]]
     return "\n".join(lines) + "\n"

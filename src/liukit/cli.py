@@ -9,16 +9,17 @@ import argparse
 import os
 import sys
 
-from .jet import JetVariable, StateSpaceError
-from .expr import Expression, ExprError, FuncSym, ParseError, to_text
+from .jet import StateSpaceError
+from .expr import ExprError, ParseError
 from .balance import ModelError, ModelSpec
-from .liu import EngineError, derive, report_json_dict, report_latex, report_text, same_restrictions
-from .modelfile import FileFormatError, load_model, load_solution
+from .liu import EngineError, derive, format_report, report_json_dict, report_latex, same_restrictions
+from .modelfile import CheckError, FileFormatError, load_model, load_solution
 from .models import builtin_names, load_builtin, load_builtin_solution
 from ._util import stable_json
 
 # The checker and the fdb expansion are imported by the subcommands that run
-# them, so `derive` loads neither.
+# them, so `derive` loads neither.  `CheckError` comes from `modelfile`, which
+# every subcommand that can raise it has loaded anyway.
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -29,11 +30,20 @@ EXIT_CHECK = 4
 FDB_MAX_ORDER = 8
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
+def _write(args, record, format_text, latex=None) -> None:
+    """Write a subcommand's output in its --format, to --out or stdout.  Text is
+    `format_text` of the JSON record `record()`, so the two formats say the same;
+    `latex()` is derive's LaTeX, the one format rendered from the report itself."""
+    if args.format == "latex":
+        text = latex()
+    elif args.format == "json":
+        text = stable_json(record())
+    else:
+        text = format_text(record())
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -65,17 +75,12 @@ def _cmd_derive(args) -> int:
             raise EngineError(
                 "pruned and full constraint sets emit different restrictions"
             )
-    if args.format == "json":
-        _write(stable_json(report_json_dict(report)), args.out)
-    elif args.format == "latex":
-        _write(report_latex(report), args.out)
-    else:
-        _write(report_text(report), args.out)
+    _write(args, lambda: report_json_dict(report), format_report, lambda: report_latex(report))
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    from .checker import check, check_json_dict, check_text
+    from .checker import check, check_json_dict, format_check
 
     if args.builtin:
         if args.model is not None or args.solution is not None:
@@ -91,15 +96,12 @@ def _cmd_check(args) -> int:
     result = check(
         model, report, solution, samples=args.samples, seed=args.seed, tol=args.tol
     )
-    if args.format == "json":
-        _write(stable_json(check_json_dict(result)), args.out)
-    else:
-        _write(check_text(result), args.out)
+    _write(args, lambda: check_json_dict(result), format_check)
     return EXIT_OK if result.ok else EXIT_CHECK
 
 
 def _cmd_fdb(args) -> int:
-    from . import fdb as fdbmod
+    from .fdb import expansion_json_dict, format_expansion
 
     m, s = args.order, args.arity
     if m < 1 or s < 1:
@@ -109,45 +111,9 @@ def _cmd_fdb(args) -> int:
             f"--m {m} exceeds the supported maximum {FDB_MAX_ORDER}; "
             "term counts grow too fast beyond it"
         )
-    names = ("w",) if s == 1 else tuple(f"w{j + 1}" for j in range(s))
-    sym = FuncSym("F", tuple(JetVariable(n) for n in names))
-    expansion = fdbmod.total_x_power(sym, m)
-    verdict = None
-    if args.verify:
-        iterated = Expression.sym(sym)
-        for _ in range(m):
-            iterated = iterated.total_x()
-        verdict = "MATCH" if (expansion - iterated).is_zero else "MISMATCH"
-    terms = fdbmod.chain_terms(m, s)
-    if args.format == "json":
-        payload = {
-            "m": m,
-            "s": s,
-            "count": len(terms),
-            "partitions": fdbmod.partition_count(m),
-            "expression": to_text(expansion),
-            "terms": [
-                {
-                    "weight": t.weight,
-                    "outerOrders": list(t.outer_orders),
-                    "innerFactors": [list(f) for f in t.inner_factors()],
-                }
-                for t in terms
-            ],
-        }
-        if verdict is not None:
-            payload["verify"] = verdict
-        _write(stable_json(payload), args.out)
-    else:
-        head = f"D^{m}[F({', '.join(names)})] = " if m > 1 else f"D[F({', '.join(names)})] = "
-        lines = [
-            f"terms: {len(terms)}    partitions of {m}: {fdbmod.partition_count(m)}",
-            head + to_text(expansion),
-        ]
-        if verdict is not None:
-            lines.append(verdict)
-        _write("\n".join(lines) + "\n", args.out)
-    if verdict == "MISMATCH":
+    record = expansion_json_dict(m, s, args.verify)
+    _write(args, lambda: record, format_expansion)
+    if record.get("verify") == "MISMATCH":
         print("error: expansion disagrees with the iterated total derivative", file=sys.stderr)
         return EXIT_ENGINE
     return EXIT_OK
@@ -221,14 +187,6 @@ def _check_threads_setting() -> None:
             raise CliUsage(f"LIU_THREADS must be an integer, got {raw!r}") from None
 
 
-def _validation_errors() -> tuple:
-    """The exceptions that exit 2.  A `CheckError` can only have been raised
-    once the checker is loaded, so the tuple is built when one is caught."""
-    errors = (CliUsage, ModelError, StateSpaceError, KeyError, ExprError)
-    checker = sys.modules.get(f"{__package__}.checker")
-    return errors + (checker.CheckError,) if checker else errors
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -238,7 +196,7 @@ def main(argv=None) -> int:
     except (FileFormatError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _validation_errors() as exc:
+    except (CliUsage, ModelError, StateSpaceError, KeyError, ExprError, CheckError) as exc:
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_VALIDATION

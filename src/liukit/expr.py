@@ -43,7 +43,7 @@ from .jet import ATOMS, Frozen, JetVariable, intern_atom
 __all__ = [
     "Atom", "BindingError", "CoefficientRangeError", "CollectError", "EvaluationError",
     "ExprError", "Expression", "FuncSym", "ONE", "ParseContext", "ParseError",
-    "Substitution", "ZERO", "as_expression", "atom_key", "atom_text", "parse",
+    "Substitution", "ZERO", "as_expression", "parse",
     "poly_gcd", "principal_minors", "to_latex", "to_text",
 ]
 
@@ -134,10 +134,6 @@ class FuncSym(Frozen):
     def total_order(self) -> int:
         return sum(self.orders)
 
-    @property
-    def base(self) -> "FuncSym":
-        return FuncSym(self.name, self.deps)
-
     def text(self) -> str:
         return self._text
 
@@ -147,15 +143,6 @@ class FuncSym(Frozen):
 
 Atom = Union[JetVariable, FuncSym]
 Number = Union[int, Fraction]
-
-
-def atom_key(a: Atom) -> tuple:
-    """Canonical atom order: jets first, then function symbols."""
-    return a.atom_key
-
-
-def atom_text(a: Atom) -> str:
-    return a.text()
 
 
 # -- canonical order ------------------------------------------------------
@@ -692,7 +679,7 @@ class Expression:
             if hit:
                 first = max(hit, key=_ranks().__getitem__)  # first in canonical order
                 raise CollectError(
-                    f"denominator involves collection variable {atom_text(ATOMS[first])}"
+                    f"denominator involves collection variable {ATOMS[first].text()}"
                 )
         buckets: dict[tuple[int, ...], Poly] = {}
         for m, c in self._num:
@@ -765,7 +752,7 @@ class Expression:
                 raise EvaluationError("denominator vanished at the sample point")
             out = _p_eval(num, vals) / dv
         except KeyError as exc:
-            raise EvaluationError(f"no value supplied for {atom_text(exc.args[0])}") from None
+            raise EvaluationError(f"no value supplied for {exc.args[0].text()}") from None
         except OverflowError as exc:
             raise EvaluationError(f"overflow at the sample point: {exc}") from None
         # Checked once per call, not per term: inf - inf is nan, and a finite
@@ -1455,13 +1442,7 @@ _GREEK = {
     "psi": r"\psi", "chi": r"\chi", "omega": r"\omega", "delta": r"\delta",
 }
 
-_MULT_RE = re.compile(r"^Lam(\d+)k(\d+)$")
-
-
 def _name_latex(name: str) -> str:
-    m = _MULT_RE.match(name)
-    if m:
-        return rf"\Lambda^{{({m.group(2)})}}_{{{m.group(1)}}}"
     base = name.rstrip("0123456789")
     digits = name[len(base):]
     body = _GREEK.get(base)

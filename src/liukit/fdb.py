@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .expr import ZERO, Expression, ExprError, FuncSym
+from .jet import JetVariable
+from .expr import ZERO, Expression, FuncSym, to_text
 
 
 class ChainTerm(NamedTuple):
@@ -152,3 +153,47 @@ def total_x_power(sym: FuncSym, m: int) -> Expression:
 def partition_count(m: int) -> int:
     """Number of integer partitions of m (the term count for one argument)."""
     return len(chain_terms(m, 1))
+
+
+def _arg_names(s: int) -> tuple[str, ...]:
+    return ("w",) if s == 1 else tuple(f"w{j + 1}" for j in range(s))
+
+
+def expansion_json_dict(m: int, s: int, verify: bool = False) -> dict:
+    """The record `liukit fdb` prints: the m-th total derivative of F(w1, ..., ws).
+    With `verify`, "verify" says whether iterating `total_x` m times gives the same."""
+    sym = FuncSym("F", tuple(JetVariable(n) for n in _arg_names(s)))
+    expansion = total_x_power(sym, m)
+    terms = chain_terms(m, s)
+    record = {
+        "m": m,
+        "s": s,
+        "count": len(terms),
+        "partitions": partition_count(m),
+        "expression": to_text(expansion),
+        "terms": [
+            {
+                "weight": t.weight,
+                "outerOrders": list(t.outer_orders),
+                "innerFactors": [list(f) for f in t.inner_factors()],
+            }
+            for t in terms
+        ],
+    }
+    if verify:
+        iterated = Expression.sym(sym)
+        for _ in range(m):
+            iterated = iterated.total_x()
+        record["verify"] = "MATCH" if (expansion - iterated).is_zero else "MISMATCH"
+    return record
+
+
+def format_expansion(record: dict) -> str:
+    """The text form of `expansion_json_dict`'s record."""
+    m = record["m"]
+    power = f"^{m}" if m > 1 else ""
+    lines = [
+        f"terms: {record['count']}    partitions of {m}: {record['partitions']}",
+        f"D{power}[F({', '.join(_arg_names(record['s']))})] = {record['expression']}",
+    ]
+    return "\n".join(lines + ([record["verify"]] if "verify" in record else [])) + "\n"

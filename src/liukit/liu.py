@@ -29,7 +29,7 @@ import hashlib
 from typing import Iterable, NamedTuple, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
-from .expr import Expression, FuncSym, ZERO, principal_minors, to_latex, to_text
+from .expr import Expression, FuncSym, ZERO, _jet_latex, principal_minors, to_latex, to_text
 from .balance import ModelSpec, entropy_production
 
 
@@ -85,17 +85,13 @@ def decouple(model: ModelSpec) -> DecoupledSystem:
             resid[i] = resid[i] - factor * resid[j]
             for jj in range(n):
                 a[i][jj] = a[i][jj] - factor * a[j][jj]
-        if pivot.as_fraction() is None and not _contains(nonzero, pivot):
+        if pivot.as_fraction() is None and pivot not in nonzero:
             nonzero.append(pivot)
     rows = tuple(
         DecoupledRow(i + 1, model.fields[i], names[i], a[i][i], resid[i])
         for i in range(n)
     )
     return DecoupledSystem(rows, tuple(nonzero))
-
-
-def _contains(items: list[Expression], e: Expression) -> bool:
-    return any(x == e for x in items)
 
 
 class ConstraintSelection(NamedTuple):
@@ -163,12 +159,6 @@ class MultiplierSolution(NamedTuple):
     reduced: Expression
     nonzero: tuple[Expression, ...]
 
-    def value(self, i: int, k: int) -> Expression:
-        for ii, kk, v in self.values:
-            if (ii, kk) == (i, k):
-                return v
-        raise KeyError((i, k))
-
 
 def solve_multipliers(
     model: ModelSpec,
@@ -208,7 +198,7 @@ def solve_multipliers(
         values, conds = _linear_solve(
             [c for _, c in eqs], unknowns, [eq_atoms[j].text() for j, _ in eqs]
         )
-        nonzero.extend(c for c in conds if not _contains(nonzero, c))
+        nonzero.extend(c for c in conds if c not in nonzero)
         if values:
             bind = dict(values.items())
             work = work.subs(bind)
@@ -216,9 +206,7 @@ def solve_multipliers(
                 if kk == k:
                     solved.append((i, kk, values[multiplier_symbol(i, kk)]))
     solved.sort(key=lambda t: (t[1], t[0]))
-    for c in dec.nonzero:
-        if not _contains(nonzero, c):
-            nonzero.append(c)
+    nonzero.extend(c for c in dec.nonzero if c not in nonzero)
     return MultiplierSolution(tuple(solved), work, tuple(nonzero))
 
 
@@ -255,7 +243,7 @@ def _linear_solve(
         pivot_of[col] = piv
         coeffs, const, label = rows[piv]
         pc = coeffs[col]
-        if pc.as_fraction() is None and not _contains(conds, pc):
+        if pc.as_fraction() is None and pc not in conds:
             conds.append(pc)
         coeffs = [e / pc for e in coeffs]
         const = const / pc
@@ -337,6 +325,28 @@ def _mono_label(variables: Sequence[JetVariable], idx: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def quadratic_form(
+    variables: Sequence[JetVariable],
+    items: Iterable[tuple[tuple[int, ...], Expression]],
+) -> tuple[QuadraticForm, list[int]]:
+    """The symmetric form (without minors) of degree-2 coefficients, and its support.
+
+    `items` pairs exponent vectors over `variables` with their coefficients;
+    a cross coefficient is split evenly between M_ij and M_ji.  The support
+    is the sorted indices of the variables the form involves.
+    """
+    entries: list[tuple[int, int, Expression]] = []
+    support: set[int] = set()
+    for idx, coeff in items:
+        pos = [i for i, e in enumerate(idx) if e]
+        support.update(pos)
+        if len(pos) == 1:
+            entries.append((pos[0], pos[0], coeff))
+        else:
+            entries.append((pos[0], pos[1], coeff / 2))
+    return QuadraticForm(tuple(variables), tuple(entries), ()), sorted(support)
+
+
 def emit_restrictions(
     model: ModelSpec, cls: DerivativeClassification, reduced: Expression
 ) -> Restrictions:
@@ -383,41 +393,22 @@ def emit_restrictions(
                     label = f"coefficient of {_mono_label(higher, idx)}"
                     equalities.append(Equality(label, _normalize_sign(coeff)))
             elif d == 2:
-                entries: list[tuple[int, int, Expression]] = []
-                support: set[int] = set()
-                for idx, coeff in items:
-                    pos = [i for i, e in enumerate(idx) if e]
-                    if len(pos) == 1:
-                        i = pos[0]
-                        entries.append((i, i, coeff))
-                        support.add(i)
-                    else:
-                        i, j = pos
-                        entries.append((i, j, coeff / 2))
-                        support.update((i, j))
-                minors = _principal_minors(higher, entries, sorted(support))
-                quadratic = QuadraticForm(tuple(higher), tuple(entries), minors)
+                form, support = quadratic_form(higher, items)
+                quadratic = form._replace(minors=_principal_minors(form, support))
             else:
                 even_forms.append(EvenForm(d, tuple(higher), tuple(items)))
     return Restrictions(tuple(equalities), quadratic, tuple(even_forms), residual)
 
 
 def _principal_minors(
-    variables: Sequence[JetVariable],
-    entries: Iterable[tuple[int, int, Expression]],
-    support: list[int],
+    form: QuadraticForm, support: list[int]
 ) -> tuple[tuple[tuple[int, ...], Expression], ...]:
-    n = len(variables)
-    mat = [[ZERO] * n for _ in range(n)]
-    for i, j, e in entries:
-        mat[i][j] = e
-        mat[j][i] = e
     subsets: list[tuple[int, ...]] = []
     m = len(support)
     for mask in range(1, 1 << m):
         subsets.append(tuple(support[i] for i in range(m) if mask & (1 << i)))
     subsets.sort(key=lambda s: (len(s), s))
-    return tuple(zip(subsets, principal_minors(mat, subsets)))
+    return tuple(zip(subsets, principal_minors(form.matrix(), subsets)))
 
 
 class LiuReport(NamedTuple):
@@ -584,55 +575,44 @@ def report_json_dict(report: LiuReport) -> dict:
 
 
 def report_text(report: LiuReport) -> str:
-    m = report.model
-    r = report.restrictions
-    lines: list[str] = []
-    lines.append(f"model {m.name}  (mode {report.mode})")
-    lines.append(f"hash {model_hash(m)}")
-    lines.append(f"fields: {', '.join(m.fields)}")
-    lines.append(
-        "state (order "
-        + str(m.space.order)
-        + "): "
-        + ", ".join(w.text() for w in m.space.sorted_members())
-    )
-    cls = report.classification
-    lines.append("highest jets: " + ", ".join(w.text() for w in cls.sorted_highest()))
-    lines.append("higher jets:  " + ", ".join(w.text() for w in cls.sorted_higher()))
-    lines.append("constraints:")
-    for i, k in report.selection.entries:
-        row = report.decoupled.rows[i - 1]
-        lines.append(f"  {row.law_name}: extension order {k}")
-    if report.diagnostics.get("classical"):
+    return format_report(report_json_dict(report))
+
+
+def format_report(record: dict) -> str:
+    """The text report: the record of `report_json_dict`, printed."""
+    r = record
+    cls = r["classification"]
+    lines = [
+        f"model {r['model']}  (mode {r['mode']})",
+        f"hash {r['hash']}",
+        f"fields: {', '.join(r['fields'])}",
+        f"state (order {r['state']['order']}): " + ", ".join(r["state"]["vars"]),
+        "highest jets: " + ", ".join(cls["highest"]),
+        "higher jets:  " + ", ".join(cls["higher"]),
+        "constraints:",
+    ]
+    lines += [f"  {c['law']}: extension order {c['order']}" for c in r["selection"]]
+    if r["diagnostics"].get("classical"):
         lines.append("note: purely local state space; no gradient extensions "
                      "(classical procedure)")
-    lines.append("nonvanishing: " + (", ".join(to_text(c) for c in report.nonzero) or "-"))
+    lines.append("nonvanishing: " + (", ".join(r["sideConditions"]) or "-"))
     lines.append("multipliers:")
-    for i, k, v in report.multipliers:
-        row = report.decoupled.rows[i - 1]
-        lines.append(f"  L[{row.law_name}, k={k}] = {to_text(v)}")
+    lines += [f"  L[{m['law']}, k={m['k']}] = {m['value']}" for m in r["multipliers"]]
     lines.append("equalities:")
-    if not r.equalities:
-        lines.append("  (none)")
-    for e in r.equalities:
-        lines.append(f"  [{e.label}]  {to_text(e.expr)} = 0")
-    if r.quadratic is not None:
-        q = r.quadratic
-        lines.append("quadratic form (must be positive semidefinite) in: "
-                     + ", ".join(v.text() for v in q.variables))
-        for i, j, e in q.entries:
-            lines.append(f"  M[{q.variables[i].text()}, {q.variables[j].text()}] = {to_text(e)}")
+    lines += [f"  [{e['label']}]  {e['expr']} = 0" for e in r["equalities"]] or ["  (none)"]
+    q = r["quadraticForm"]
+    if q is not None:
+        names = q["variables"]
+        lines.append("quadratic form (must be positive semidefinite) in: " + ", ".join(names))
+        lines += [f"  M[{names[e['i']]}, {names[e['j']]}] = {e['value']}" for e in q["entries"]]
         lines.append("  principal minors (each must be nonnegative):")
-        for sub, d in q.minors:
-            vars_ = ", ".join(q.variables[i].text() for i in sub)
-            lines.append(f"    det[{vars_}] = {to_text(d)}")
-    for f in r.even_forms:
-        lines.append(f"even form of degree {f.degree}:")
-        for idx, v in f.entries:
-            lines.append(f"  coeff[{_mono_label(f.variables, idx)}] = {to_text(v)}")
+        lines += [f"    det[{', '.join(m['vars'])}] = {m['det']}" for m in q["minors"]]
+    for f in r["evenForms"]:
+        lines.append(f"even form of degree {f['degree']}:")
+        lines += [f"  coeff[{e['monomial']}] = {e['value']}" for e in f["entries"]]
     lines.append("residual production (must be nonnegative):")
-    lines.append("  " + to_text(r.residual))
-    lines.append("diagnostics: " + ", ".join(f"{k}={v}" for k, v in sorted(report.diagnostics.items())))
+    lines.append("  " + r["residual"])
+    lines.append("diagnostics: " + ", ".join(f"{k}={v}" for k, v in sorted(r["diagnostics"].items())))
     return "\n".join(lines) + "\n"
 
 
@@ -656,8 +636,8 @@ def report_latex(report: LiuReport) -> str:
         lines.append(r"\subsection*{Quadratic form}")
         lines.append(r"\begin{align*}")
         for i, j, e in q.entries:
-            vi = _jet_latex_name(q.variables[i])
-            vj = _jet_latex_name(q.variables[j])
+            vi = _jet_latex(q.variables[i])
+            vj = _jet_latex(q.variables[j])
             lines.append(rf"M_{{{vi},\,{vj}}} &= {to_latex(e)} \\")
         lines.append(r"\end{align*}")
     lines.append(r"\subsection*{Residual production}")
@@ -665,12 +645,6 @@ def report_latex(report: LiuReport) -> str:
     lines.append(rf"{to_latex(r.residual)} &\ge 0")
     lines.append(r"\end{align*}")
     return "\n".join(lines) + "\n"
-
-
-def _jet_latex_name(j: JetVariable) -> str:
-    from .expr import _jet_latex
-
-    return _jet_latex(j)
 
 
 def same_restrictions(a: Restrictions, b: Restrictions) -> bool:

@@ -6,7 +6,9 @@ continue the previous entry, `#` starts a comment, blank lines separate
 nothing.  Model files declare the fields, the gradient state space, the
 balance laws, the entropy and the constitutive unknowns.  Solution files
 declare ansatz functions, bind every unknown, state named conditions and
-define numeric sampling scenarios.
+define numeric sampling scenarios; they parse into the `CandidateSolution`
+record defined here.  An entry or section that a format does not know is
+an error, not ignored.
 
 Model sections::
 
@@ -27,16 +29,15 @@ Solution sections::
 """
 from __future__ import annotations
 
+import math
 import os
 import re
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
-from .jet import JetVariable, StateSpace
-from .expr import Expression, FuncSym, ParseContext, ParseError, ZERO, parse
+from .jet import Frozen, JetVariable, StateSpace
+from .expr import Atom, Expression, FuncSym, ONE, ParseContext, ParseError, Substitution, ZERO, parse
 from .balance import BalanceLaw, EntropyDeclaration, ModelSpec
-
-if TYPE_CHECKING:
-    from .checker import CandidateSolution, Condition, NumericScenario
 
 
 class FileFormatError(ValueError):
@@ -81,13 +82,17 @@ def _sections(text: str) -> list[tuple[str, str | None, int, list[tuple[int, str
     return sections
 
 
-def _key_values(lines: list[tuple[int, str]], where: str) -> dict[str, tuple[int, str]]:
+def _key_values(
+    lines: list[tuple[int, str]], where: str, known: tuple[str, ...] | None = None
+) -> dict[str, tuple[int, str]]:
     out: dict[str, tuple[int, str]] = {}
     for lineno, line in lines:
         if "=" not in line:
             raise FileFormatError(f"line {lineno}: expected 'key = value' in [{where}]")
         key, value = line.split("=", 1)
         key = key.strip()
+        if known is not None and key not in known:
+            raise FileFormatError(f"line {lineno}: unknown entry {key!r} in [{where}]")
         if key in out:
             raise FileFormatError(f"line {lineno}: duplicate key {key!r} in [{where}]")
         out[key] = (lineno, value.strip())
@@ -112,6 +117,11 @@ def _parse_expr(text: str, ctx: ParseContext, lineno: int) -> Expression:
         raise FileFormatError(f"line {lineno}: {exc}") from exc
 
 
+def _entry_expr(kv: dict, key: str, ctx: ParseContext, default: Expression = ZERO) -> Expression:
+    """The expression of entry `key`, or `default` when the section omits it."""
+    return _parse_expr(kv[key][1], ctx, kv[key][0]) if key in kv else default
+
+
 def _split_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
@@ -133,6 +143,8 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
     sections = _sections(text)
     by_kind: dict[str, list] = {}
     for kind, label, lineno, lines in sections:
+        if kind not in ("fields", "state", "unknowns", "balance", "entropy"):
+            raise FileFormatError(f"line {lineno}: unknown section [{kind}] in a model file")
         by_kind.setdefault(kind, []).append((label, lineno, lines))
 
     def sole(kind: str) -> tuple[str | None, int, list[tuple[int, str]]]:
@@ -142,7 +154,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         return entries[0]
 
     _, f_line, f_lines = sole("fields")
-    fkv = _key_values(f_lines, "fields")
+    fkv = _key_values(f_lines, "fields", ("fields", "velocity"))
     if "fields" not in fkv:
         raise FileFormatError(f"line {f_line}: [fields] needs a 'fields' entry")
     field_names = _split_list(fkv["fields"][1])
@@ -164,7 +176,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
     fieldset = set(field_names)
 
     _, s_line, s_lines = sole("state")
-    skv = _key_values(s_lines, "state")
+    skv = _key_values(s_lines, "state", ("order", "vars"))
     if "order" not in skv or "vars" not in skv:
         raise FileFormatError(f"line {s_line}: [state] needs 'order' and 'vars'")
     try:
@@ -193,13 +205,9 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         kv = _key_values(lines, f"balance {label}")
         if "density" not in kv:
             raise FileFormatError(f"line {lineno}: [balance {label}] needs a density")
-        density = _parse_expr(kv["density"][1], ctx, kv["density"][0])
-        flux = _parse_expr(kv["flux"][1], ctx, kv["flux"][0]) if "flux" in kv else ZERO
-        production = (
-            _parse_expr(kv["production"][1], ctx, kv["production"][0])
-            if "production" in kv
-            else ZERO
-        )
+        density = _entry_expr(kv, "density", ctx)
+        flux = _entry_expr(kv, "flux", ctx)
+        production = _entry_expr(kv, "production", ctx)
         known = {"density", "flux", "production"}
         for key, (kl, _v) in kv.items():
             if key not in known:
@@ -207,17 +215,13 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         laws.append(BalanceLaw(label, density, flux, production))
 
     _, e_line, e_lines = sole("entropy")
-    ekv = _key_values(e_lines, "entropy")
+    ekv = _key_values(e_lines, "entropy", ("form", "weight", "density", "flux"))
     form = ekv.get("form", (e_line, "divergence"))[1]
     if "density" not in ekv:
         raise FileFormatError(f"line {e_line}: [entropy] needs a density")
-    density = _parse_expr(ekv["density"][1], ctx, ekv["density"][0])
-    eflux = _parse_expr(ekv["flux"][1], ctx, ekv["flux"][0]) if "flux" in ekv else ZERO
-    weight = (
-        _parse_expr(ekv["weight"][1], ctx, ekv["weight"][0])
-        if "weight" in ekv
-        else Expression.number(1)
-    )
+    density = _entry_expr(ekv, "density", ctx)
+    eflux = _entry_expr(ekv, "flux", ctx)
+    weight = _entry_expr(ekv, "weight", ctx, ONE)
     entropy = EntropyDeclaration(form=form, density=density, flux=eflux, weight=weight)
 
     return ModelSpec(
@@ -236,6 +240,92 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
 # -- solutions ---------------------------------------------------------------
 
 
+DEFAULT_SAMPLES = 64
+DEFAULT_TOL = 1e-9
+
+
+class CheckError(ValueError):
+    """The candidate file is malformed or incomplete for this model."""
+
+
+class Condition(NamedTuple):
+    name: str
+    kind: str  # "eq", "ge" (expr >= 0) or "le" (expr <= 0)
+    lhs: Expression
+    rhs: Expression
+
+    def as_zero(self) -> Expression:
+        """eq: lhs - rhs; ge/le: the signed expression itself."""
+        if self.kind == "eq":
+            return self.lhs - self.rhs
+        return self.lhs
+
+
+def sampling_error(samples: int | None, tol: float | None) -> str | None:
+    """Why a sample count or tolerance is unusable, or None.
+
+    Zero samples would pass any scenario, and a NaN tolerance makes every
+    violation test false.
+    """
+    if samples is not None and samples < 1:
+        return f"samples must be at least 1, got {samples}"
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        return f"tol must be finite and nonnegative, got {tol}"
+    return None
+
+
+class NumericScenario(NamedTuple):
+    name: str
+    samples: int
+    seed: int
+    tol: float
+    expect: str  # "pass" or "violate"
+    ranges: tuple[tuple[JetVariable, float, float], ...]
+    lets: tuple[tuple[Atom, Expression], ...]
+
+
+class _SolutionFields(NamedTuple):
+    ansatz: tuple[FuncSym, ...]
+    bindings: tuple[tuple[FuncSym, Expression], ...]
+    conditions: tuple[Condition, ...]
+    scenarios: tuple[NumericScenario, ...]
+
+
+class CandidateSolution(_SolutionFields, Frozen):
+    # Not slotted: the cached substitutions below live in the instance `__dict__`.
+
+    def binding_map(self) -> dict[FuncSym, Expression]:
+        return {k: v for k, v in self.bindings}
+
+    # Built once per candidate and shared by every part of a check, so each
+    # derivative atom of a bound symbol is derived once.
+    @cached_property
+    def binding_substitution(self) -> Substitution:
+        return Substitution(self.binding_map())
+
+    @cached_property
+    def condition_substitution(self) -> Substitution:
+        """Equality conditions whose left side is a single atom, as bindings."""
+        return Substitution(_condition_substitutions(self.conditions))
+
+    def condition(self, name: str) -> Condition:
+        for c in self.conditions:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+
+def _condition_substitutions(conditions: Sequence[Condition]) -> dict[Atom, Expression]:
+    subs: dict[Atom, Expression] = {}
+    for c in conditions:
+        if c.kind != "eq":
+            continue
+        atoms = c.lhs.atoms()
+        if len(atoms) == 1 and c.lhs == Expression.atom(next(iter(atoms))):
+            subs[next(iter(atoms))] = c.rhs
+    return subs
+
+
 def _atom_of(expr: Expression, lineno: int):
     atoms = expr.atoms()
     if len(atoms) == 1:
@@ -250,10 +340,6 @@ _LET_RE = re.compile(r"^let\s+(.+?)\s*=\s*(.+)$")
 
 
 def parse_solution(text: str, model: ModelSpec) -> CandidateSolution:
-    # The checker is loaded here, where a solution is parsed, so that a model
-    # alone (as `liukit derive` reads it) never loads it.
-    from .checker import CandidateSolution
-
     sections = _sections(text)
     ctx = ParseContext(fields=model.ctx.fields, syms=dict(model.ctx.syms))
     fieldset = set(model.fields)
@@ -312,8 +398,6 @@ def parse_solution(text: str, model: ModelSpec) -> CandidateSolution:
 
 
 def _parse_condition(name: str, stmt: str, ctx: ParseContext, lineno: int) -> Condition:
-    from .checker import Condition
-
     for op, kind in ((">=", "ge"), ("<=", "le")):
         if op in stmt:
             lhs_text, rhs_text = stmt.split(op, 1)
@@ -334,8 +418,6 @@ def _parse_condition(name: str, stmt: str, ctx: ParseContext, lineno: int) -> Co
 def _parse_scenario(
     name: str, lines: list[tuple[int, str]], ctx: ParseContext, fields: set[str]
 ) -> NumericScenario:
-    from .checker import DEFAULT_SAMPLES, DEFAULT_TOL, NumericScenario, sampling_error
-
     samples = DEFAULT_SAMPLES
     seed = 0
     tol = DEFAULT_TOL

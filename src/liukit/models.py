@@ -1,14 +1,10 @@
 """Built-in example models and candidate solutions shipped with the package."""
 from __future__ import annotations
 
-from importlib import resources
-from typing import TYPE_CHECKING
+import os
 
 from .balance import ModelSpec
-from .modelfile import parse_model, parse_solution
-
-if TYPE_CHECKING:
-    from .checker import CandidateSolution
+from .modelfile import CandidateSolution, _read_text, parse_model, parse_solution
 
 _BUILTIN = ("grade2", "korteweg")
 
@@ -18,7 +14,7 @@ def builtin_names() -> tuple[str, ...]:
 
 
 def _read(filename: str) -> str:
-    return resources.files("liukit").joinpath("models", filename).read_text(encoding="utf-8")
+    return _read_text(os.path.join(os.path.dirname(__file__), "models", filename))
 
 
 def load_builtin(name: str) -> ModelSpec:

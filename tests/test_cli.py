@@ -7,6 +7,7 @@ import pytest
 
 from liukit.cli import main
 from liukit.fdb import chain_terms
+from liukit.models import load_builtin
 
 LOCAL_MODEL = """\
 [fields]
@@ -182,6 +183,23 @@ class TestDerive:
         code, _, err = _run(["derive", str(path)], capsys)
         assert code == 2
         assert "square" in err
+
+    def test_unknown_model_entry_is_an_input_error(self, tmp_path, capsys):
+        text = load_builtin("korteweg").source_text
+        lineno = text.splitlines().index("weight = rho") + 1
+        path = tmp_path / "typo.model"
+        path.write_text(text.replace("weight = rho", "wieght = rho"))
+        code, out, err = _run(["derive", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: line {lineno}: unknown entry 'wieght' in [entropy]\n"
+
+    def test_unknown_model_section_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "extra.model"
+        path.write_text(LOCAL_MODEL + "\n[scenario x]\nseed = 1\n")
+        lineno = LOCAL_MODEL.count("\n") + 2
+        code, out, err = _run(["derive", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: line {lineno}: unknown section [scenario] in a model file\n"
 
     def test_singular_jacobian(self, tmp_path, capsys):
         path = tmp_path / "singular.model"

@@ -1,6 +1,7 @@
 """Sectioned text formats for models and candidate solutions."""
 from __future__ import annotations
 
+import os
 import re
 
 import pytest
@@ -10,12 +11,14 @@ from liukit.expr import ZERO, parse
 from liukit.jet import JetVariable
 from liukit.modelfile import (
     FileFormatError,
+    load_model,
     parse_jet_name,
     parse_model,
     parse_solution,
 )
 
 U = JetVariable("u")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MODEL_TEXT = """\
 # one conservation law on a gradient-free state space
@@ -196,6 +199,37 @@ class TestModelErrors:
 
     def test_malformed_declaration(self):
         _raises(MODEL_TEXT.replace("s(u)", "s(u"), "malformed declaration")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("fields = u", "fields = u\nfeilds = u", "line 4: unknown entry 'feilds' in [fields]"),
+            ("order = 0", "order = 0\nvar = u", "line 7: unknown entry 'var' in [state]"),
+            ("density = s", "density = s\nwieght = u", "line 21: unknown entry 'wieght' in [entropy]"),
+        ],
+    )
+    def test_unknown_entry(self, old, new, message):
+        _raises(MODEL_TEXT.replace(old, new), message)
+
+    def test_unknown_section(self):
+        _raises(
+            MODEL_TEXT.replace("[entropy]", "[entropi]"),
+            "line 18: unknown section [entropi] in a model file",
+        )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        os.path.join(ROOT, "src", "liukit", "models", "grade2.model"),
+        os.path.join(ROOT, "src", "liukit", "models", "korteweg.model"),
+        os.path.join(ROOT, "bench", "fixtures", "korteweg-eps2.model"),
+        os.path.join(ROOT, "bench", "fixtures", "korteweg-o3.model"),
+    ],
+    ids=os.path.basename,
+)
+def test_shipped_models_use_only_known_entries(path):
+    assert load_model(path).laws
 
 
 class TestSolutionParsing:

@@ -7,7 +7,13 @@ the density/energy block of that form into a perfect square.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import liukit
 
 from liukit.jet import JetVariable
 from liukit.liu import model_hash
@@ -177,3 +183,22 @@ class TestKortewegResidualIdentity:
         ctx = _solution_ctx(korteweg_model, korteweg_solution)
         shear = bound.coefficient((RHO_X, EPS_X, V_X), (0, 0, 2))
         assert (shear - parse("tau1*D(s0, eps)", ctx)).is_zero
+
+
+_DERIVE_BUILTIN = """
+import contextlib, io, sys
+from liukit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["derive", "--builtin", "korteweg"])
+print(code, "importlib.resources" in sys.modules)
+"""
+
+
+def test_builtins_are_read_without_importlib_resources():
+    # -S keeps `site` and its .pth hooks from importing the package first.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liukit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _DERIVE_BUILTIN], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["0", "False"]
