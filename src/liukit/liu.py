@@ -5,23 +5,26 @@ The pipeline:
 1. decouple     - recombine the balance laws so the time Jacobian becomes
                   diagonal; only then does each law carry the time derivative
                   of a single field, which makes the multiplier system
-                  triangular.  Row combinations are unit (no row is rescaled),
-                  so the resulting multipliers stay in the customary form.
+                  diagonal at each extension order.  Row combinations are unit
+                  (no row is rescaled), so the resulting multipliers stay in
+                  the customary form.
 2. select       - choose which gradient extensions of which law join the
                   constraint set.  The default keeps the k-th extension of a
                   law exactly when the state space contains a k-th order
                   gradient of the field that law evolves; "all" keeps every
                   extension up to the state-space order.
 3. assemble     - entropy production minus multiplier-weighted constraints.
-4. solve        - the coefficient of every mixed time jet must vanish; these
-                  equations are affine in the multipliers and are solved level
-                  by level from the top order down.
+4. solve        - the coefficient of every mixed time jet must vanish.  From
+                  the top order down, the coefficient of u_{i,t x^k} is
+                  c + a*L[i,k] with one unknown, L[i,k], whose factor a is
+                  minus the pivot of law i; so L[i,k] = -c/a, and a field
+                  with no order-k multiplier needs a vanishing coefficient.
 5. emit         - the surviving inequality must hold for arbitrary values of
-                  the remaining underived jets: coefficients of the highest
-                  spatial jets vanish, odd-degree coefficients in the higher
-                  jets vanish, the quadratic part must be positive
-                  semidefinite, and the jet-free remainder is the residual
-                  production, constrained to be nonnegative.
+                  the remaining underived jets: it is affine in the highest
+                  spatial jets, whose coefficients vanish; odd-degree
+                  coefficients in the higher jets vanish, the quadratic part
+                  must be positive semidefinite, and the jet-free remainder
+                  is the residual production, constrained to be nonnegative.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import hashlib
 from typing import Iterable, NamedTuple, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
-from .expr import Expression, FuncSym, ZERO, _jet_latex, principal_minors, to_latex, to_text
+from .expr import Atom, Expression, FuncSym, ZERO, _jet_latex, principal_minors, to_latex, to_text
 from .balance import ModelSpec, entropy_production
 
 
@@ -169,111 +172,64 @@ def solve_multipliers(
     """Annihilate every mixed time-jet coefficient, top extension order first.
 
     At each order k the equations are the coefficients of u_{t,x^k} for every
-    field u; they are affine in the order-k multipliers because higher orders
-    have already been substituted.  Side conditions collect the nonconstant
-    pivots of the elimination.
+    field u.  Higher orders have already been substituted, and decoupling
+    leaves the order-k multiplier of law i alone in the equation of field i,
+    so each equation c + a*L[i,k] = 0 gives L[i,k] = -c/a.  A field with no
+    order-k multiplier must have a vanishing coefficient.  Side conditions
+    collect the nonconstant factors a.
     """
-    levels = sorted({k for _, k in selection.entries}, reverse=True)
-    top = levels[0] if levels else -1
+    top = max((k for _, k in selection.entries), default=-1)
     work = inequality
     solved: list[tuple[int, int, Expression]] = []
     nonzero: list[Expression] = []
     for k in range(top, -1, -1):
-        eq_atoms = [JetVariable(f, 1, k) for f in model.fields]
-        unknowns = [
-            multiplier_symbol(i, kk) for i, kk in selection.entries if kk == k
-        ]
-        buckets = work._collect(tuple(eq_atoms))
-        eqs = []
-        for idx, coeff in buckets.items():
-            d = sum(idx)
-            if d == 0:
+        jets = [JetVariable(f, 1, k) for f in model.fields]
+        _, eqs = _affine(work, jets, "constrained inequality is not linear in a mixed time jet")
+        level = {i: multiplier_symbol(i, k) for i, kk in selection.entries if kk == k}
+        unknowns = list(level.values())
+        bind: dict[FuncSym, Expression] = {}
+        for i, (jet, eq) in enumerate(zip(jets, eqs), start=1):
+            const, coeffs = _affine(eq, unknowns, "coefficient equation is not affine in the multipliers")
+            own = unknowns.index(level[i]) if i in level else -1
+            if any(not c.is_zero for j, c in enumerate(coeffs) if j != own):
+                raise EngineError("elimination left a coupled equation behind")
+            if own < 0:
+                if not const.is_zero:
+                    raise EngineError(
+                        f"coefficient of {jet.text()} cannot be annihilated by the multipliers"
+                    )
                 continue
-            if d > 1:
-                raise EngineError(
-                    "constrained inequality is not linear in a mixed time jet"
-                )
-            eqs.append((idx.index(1), coeff))
-        eqs.sort(key=lambda t: t[0])
-        values, conds = _linear_solve(
-            [c for _, c in eqs], unknowns, [eq_atoms[j].text() for j, _ in eqs]
-        )
-        nonzero.extend(c for c in conds if c not in nonzero)
-        if values:
-            bind = dict(values.items())
-            work = work.subs(bind)
-            for i, kk in selection.entries:
-                if kk == k:
-                    solved.append((i, kk, values[multiplier_symbol(i, kk)]))
+            a = coeffs[own]
+            if a.is_zero:
+                raise EngineError(f"no equation determines {level[i].name}")
+            if a.as_fraction() is None and a not in nonzero:
+                nonzero.append(a)
+            bind[level[i]] = -const / a
+            solved.append((i, k, bind[level[i]]))
+        work = work.subs(bind)
     solved.sort(key=lambda t: (t[1], t[0]))
     nonzero.extend(c for c in dec.nonzero if c not in nonzero)
     return MultiplierSolution(tuple(solved), work, tuple(nonzero))
 
 
-def _linear_solve(
-    eqs: list[Expression], unknowns: list[FuncSym], labels: list[str]
-) -> tuple[dict[FuncSym, Expression], list[Expression]]:
-    m = len(unknowns)
-    rows = []
-    for eq, label in zip(eqs, labels):
-        buckets = eq._collect(tuple(unknowns))
-        const = ZERO
-        coeffs = [ZERO] * m
-        for idx, c in buckets.items():
-            d = sum(idx)
-            if d == 0:
-                const = c
-            elif d == 1:
-                coeffs[idx.index(1)] = c
-            else:
-                raise EngineError("coefficient equation is not affine in the multipliers")
-        rows.append((coeffs, const, label))
-    conds: list[Expression] = []
-    pivot_of: dict[int, int] = {}
-    used = set()
-    for col in range(m):
-        piv = None
-        for ri, (coeffs, _c, _l) in enumerate(rows):
-            if ri not in used and not coeffs[col].is_zero:
-                piv = ri
-                break
-        if piv is None:
-            raise EngineError(f"no equation determines {unknowns[col].name}")
-        used.add(piv)
-        pivot_of[col] = piv
-        coeffs, const, label = rows[piv]
-        pc = coeffs[col]
-        if pc.as_fraction() is None and pc not in conds:
-            conds.append(pc)
-        coeffs = [e / pc for e in coeffs]
-        const = const / pc
-        rows[piv] = (coeffs, const, label)
-        for ri in range(len(rows)):
-            if ri == piv:
-                continue
-            rcoeffs, rconst, rlabel = rows[ri]
-            c = rcoeffs[col]
-            if c.is_zero:
-                continue
-            rows[ri] = (
-                [rcoeffs[t] - c * coeffs[t] for t in range(m)],
-                rconst - c * const,
-                rlabel,
-            )
-    values: dict[FuncSym, Expression] = {}
-    for col in range(m):
-        coeffs, const, _label = rows[pivot_of[col]]
-        values[unknowns[col]] = -const
-    for ri, (coeffs, const, label) in enumerate(rows):
-        if ri in used:
-            continue
-        if any(not c.is_zero for c in coeffs):
-            raise EngineError("elimination left a coupled equation behind")
-        if not const.is_zero:
-            raise EngineError(
-                f"coefficient of {label} cannot be annihilated by the multipliers"
-            )
-    return values, conds
+def _affine(
+    expr: Expression, atoms: Sequence[Atom], error: str
+) -> tuple[Expression, list[Expression]]:
+    """Split `expr` into its part free of `atoms` and its coefficient of each atom.
+
+    Raises EngineError(error) when `expr` has a term of degree 2 or more in `atoms`.
+    """
+    const = ZERO
+    coeffs = [ZERO] * len(atoms)
+    for idx, c in expr._collect(tuple(atoms)).items():
+        d = sum(idx)
+        if d == 0:
+            const = c
+        elif d == 1:
+            coeffs[idx.index(1)] = c
+        else:
+            raise EngineError(error)
+    return const, coeffs
 
 
 class Equality(NamedTuple):
@@ -353,23 +309,13 @@ def emit_restrictions(
     """Split the multiplier-free inequality into its thermodynamic content."""
     zeta_spatial = [z for z in cls.sorted_highest() if z.t_order == 0]
     equalities: list[Equality] = []
-    base = reduced
-    if zeta_spatial:
-        buckets = reduced._collect(tuple(zeta_spatial))
-        base = buckets.get((0,) * len(zeta_spatial), ZERO)
-        for idx in sorted(buckets):
-            d = sum(idx)
-            if d == 0:
-                continue
-            if d > 1:
-                raise EngineError(
-                    "inequality is not linear in the highest spatial jets"
-                )
-            coeff = buckets[idx]
-            if coeff.is_zero:
-                continue
-            label = f"coefficient of {zeta_spatial[idx.index(1)].text()}"
-            equalities.append(Equality(label, _normalize_sign(coeff)))
+    base, coeffs = _affine(
+        reduced, zeta_spatial, "inequality is not linear in the highest spatial jets"
+    )
+    # Reverse variable order: the sort order of the one-hot exponent vectors.
+    for z, coeff in reversed(list(zip(zeta_spatial, coeffs))):
+        if not coeff.is_zero:
+            equalities.append(Equality(f"coefficient of {z.text()}", _normalize_sign(coeff)))
     higher = cls.sorted_higher()
     quadratic: QuadraticForm | None = None
     even_forms: list[EvenForm] = []

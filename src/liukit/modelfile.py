@@ -202,16 +202,12 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
     for label, lineno, lines in by_kind.get("balance", []):
         if label is None:
             raise FileFormatError(f"line {lineno}: balance sections need a name")
-        kv = _key_values(lines, f"balance {label}")
+        kv = _key_values(lines, f"balance {label}", ("density", "flux", "production"))
         if "density" not in kv:
             raise FileFormatError(f"line {lineno}: [balance {label}] needs a density")
         density = _entry_expr(kv, "density", ctx)
         flux = _entry_expr(kv, "flux", ctx)
         production = _entry_expr(kv, "production", ctx)
-        known = {"density", "flux", "production"}
-        for key, (kl, _v) in kv.items():
-            if key not in known:
-                raise FileFormatError(f"line {kl}: unknown balance entry {key!r}")
         laws.append(BalanceLaw(label, density, flux, production))
 
     _, e_line, e_lines = sole("entropy")
@@ -424,10 +420,19 @@ def _parse_scenario(
     expect = "pass"
     ranges: list[tuple[JetVariable, float, float]] = []
     lets: list[tuple[object, Expression]] = []
+    seen: set[str] = set()
+
+    def once(what: str, lineno: int) -> None:
+        # A repeated entry would silently override the first one.
+        if what in seen:
+            raise FileFormatError(f"line {lineno}: duplicate {what} in [scenario {name}]")
+        seen.add(what)
+
     for lineno, line in lines:
         rm = _RANGE_RE.match(line)
         if rm:
             j = parse_jet_name(rm.group(1), fields, lineno)
+            once(f"range for {j.text()}", lineno)
             try:
                 lo, hi = float(rm.group(2)), float(rm.group(3))
             except ValueError:
@@ -438,13 +443,15 @@ def _parse_scenario(
             continue
         lm = _LET_RE.match(line)
         if lm:
-            lhs = _parse_expr(lm.group(1), ctx, lineno)
-            lets.append((_atom_of(lhs, lineno), _parse_expr(lm.group(2), ctx, lineno)))
+            atom = _atom_of(_parse_expr(lm.group(1), ctx, lineno), lineno)
+            once(f"let for {atom.text()}", lineno)
+            lets.append((atom, _parse_expr(lm.group(2), ctx, lineno)))
             continue
         if "=" not in line:
             raise FileFormatError(f"line {lineno}: malformed scenario line {line!r}")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
+        once(f"key {key!r}", lineno)
         try:
             if key == "samples":
                 samples = int(value)

@@ -292,6 +292,18 @@ class TestCheck:
         code, _, _ = _run(["check", "--builtin", "korteweg", "--samples", "4", "--tol", "0"], capsys)
         assert code == 0
 
+    def test_repeated_scenario_entry_is_an_input_error(self, tmp_path, capsys):
+        from liukit.models import _read
+
+        text = _read("korteweg.solution")
+        lineno = text.splitlines().index("[scenario fourier]") + 3
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text.replace("[scenario fourier]", "[scenario fourier]\nsamples = 3\nsamples = 5"))
+        code, out, err = _run(["check", str(mp), str(sp)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: line {lineno}: duplicate key 'samples' in [scenario fourier]\n"
+
     def test_unbound_unknown_is_a_validation_error(self, tmp_path, capsys):
         mp, sp = tmp_path / "local.model", tmp_path / "short.solution"
         mp.write_text(LOCAL_MODEL)

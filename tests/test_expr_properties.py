@@ -54,6 +54,8 @@ from liukit.expr import (
     to_text,
 )
 from liukit.jet import ATOMS, JetVariable
+from liukit.liu import constrained_inequality, decouple, derive, multiplier_symbol, select_constraints
+from liukit.models import load_builtin
 
 RHO = JetVariable("rho")
 EPS = JetVariable("eps")
@@ -632,6 +634,28 @@ def test_principal_minors_match_sympy(rows):
     for sub, minor in zip(subsets, principal_minors(mat, subsets)):
         want = sympy.Matrix([[_to_sympy(sympy, mat[i][j]) for j in sub] for i in sub]).det()
         assert sympy.cancel(_to_sympy(sympy, minor) - want) == 0
+
+
+@pytest.mark.parametrize("mode", ["pruned", "all"])
+@pytest.mark.parametrize("name", ["grade2", "korteweg"])
+def test_multiplier_solve_matches_sympy(name, mode):
+    """All mixed time-jet coefficients, solved at once by sympy for every multiplier."""
+    sympy = pytest.importorskip("sympy")
+    model = load_builtin(name)
+    dec = decouple(model)
+    selection = select_constraints(model, mode)
+    ineq = constrained_inequality(model, dec, selection)
+    jets = sorted((a for a in ineq.jets() if a.t_order), key=JetVariable.sort_key)
+    buckets = ineq._collect(jets)
+    assert all(sum(idx) <= 1 for idx in buckets)
+    eqs = [_to_sympy(sympy, c) for idx, c in buckets.items() if sum(idx) == 1]
+    lams = [_to_sympy(sympy, Expression.sym(multiplier_symbol(i, k))) for i, k in selection.entries]
+    (oracle,) = sympy.solve(eqs, lams, dict=True)
+    report = derive(model, mode)
+    assert len(report.multipliers) == len(lams)
+    for i, k, value in report.multipliers:
+        lam = _to_sympy(sympy, Expression.sym(multiplier_symbol(i, k)))
+        assert sympy.cancel(oracle[lam] - _to_sympy(sympy, value)) == 0
 
 
 def test_principal_minors_normalize_once_per_minor(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,8 @@ from liukit.liu import (
     solve_multipliers,
 )
 from liukit._util import stable_json
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _local_model() -> ModelSpec:
@@ -281,6 +284,55 @@ class TestKortewegDerivation:
         assert same_restrictions(
             korteweg_report.restrictions, korteweg_report_all.restrictions
         )
+
+
+def _model_named(name: str) -> ModelSpec:
+    if name in liukit.builtin_names():
+        return liukit.load_builtin(name)
+    return liukit.load_model(os.path.join(ROOT, "bench", "fixtures", name + ".model"))
+
+
+class TestMultiplierSolve:
+    """Decoupling leaves one order-k multiplier in each mixed time-jet coefficient."""
+
+    @pytest.mark.parametrize("mode", ["pruned", "all"])
+    @pytest.mark.parametrize("name", ["grade2", "korteweg", "korteweg-eps2", "korteweg-o3"])
+    def test_each_coefficient_holds_its_own_multiplier_times_minus_the_pivot(self, name, mode):
+        model = _model_named(name)
+        dec = decouple(model)
+        sel = select_constraints(model, mode)
+        ineq = constrained_inequality(model, dec, sel)
+        for i, k in sel.entries:
+            level = [multiplier_symbol(ii, kk) for ii, kk in sel.entries if kk == k]
+            own = tuple(int(lam == multiplier_symbol(i, k)) for lam in level)
+            eq = ineq.coefficient([JetVariable(model.fields[i - 1], 1, k)], (1,))
+            buckets = eq._collect(level)
+            assert buckets[own] == -dec.rows[i - 1].pivot
+            assert all(sum(idx) == 0 or idx == own for idx in buckets)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("rho_t^2", "constrained inequality is not linear in a mixed time jet"),
+            ("Lam1k0^2*rho_t", "coefficient equation is not affine in the multipliers"),
+            ("Lam2k0*rho_t", "elimination left a coupled equation behind"),
+            ("eps_txx", "coefficient of eps_txx cannot be annihilated by the multipliers"),
+        ],
+        ids=["nonlinear-jet", "nonaffine", "coupled", "unannihilated"],
+    )
+    def test_invariant_failures(self, korteweg_model, extra, message):
+        dec = decouple(korteweg_model)
+        sel = select_constraints(korteweg_model)
+        ineq = constrained_inequality(korteweg_model, dec, sel)
+        ctx = ParseContext(korteweg_model.fields, {f"Lam{i}k{k}": () for i, k in sel.entries})
+        with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+            solve_multipliers(korteweg_model, dec, sel, ineq + parse(extra, ctx))
+
+    def test_missing_multiplier(self, korteweg_model):
+        dec = decouple(korteweg_model)
+        sel = select_constraints(korteweg_model)
+        with pytest.raises(EngineError, match="^no equation determines Lam1k2$"):
+            solve_multipliers(korteweg_model, dec, sel, Expression.jet(JetVariable("rho", 1, 2)))
 
 
 class TestDiagnostics:

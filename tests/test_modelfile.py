@@ -178,7 +178,7 @@ class TestModelErrors:
     def test_unknown_balance_entry(self):
         _raises(
             MODEL_TEXT.replace("density = u", "density = u\nspeed = 3"),
-            "unknown balance entry 'speed'",
+            "line 15: unknown entry 'speed' in [balance mass]",
         )
 
     def test_key_value_shape(self):
@@ -357,6 +357,25 @@ class TestSolutionErrors:
 
     def test_unknown_scenario_entry(self):
         self._raises(lambda t: t.replace("seed = 9", "sneed = 9"), "unknown scenario entry 'sneed'")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("samples = 12", "samples = 12\nsamples = 3", "line 16: duplicate key 'samples' in [scenario basic]"),
+            ("seed = 9", "seed = 9\nseed = 9", "line 17: duplicate key 'seed' in [scenario basic]"),
+            ("tol = 1e-8", "tol = 1e-8\ntol = 1e-6", "line 18: duplicate key 'tol' in [scenario basic]"),
+            ("expect = violate", "expect = violate\nexpect = pass", "line 19: duplicate key 'expect' in [scenario basic]"),
+            ("range u = 0.5 .. 2", "range u = 0.5 .. 2\nrange u = 1 .. 3", "line 20: duplicate range for u in [scenario basic]"),
+            ("let D(a, u) = 1/u", "let D(a, u) = 1/u\nlet D(a, u) = 2", "line 21: duplicate let for D(a, u) in [scenario basic]"),
+        ],
+        ids=["samples", "seed", "tol", "expect", "range", "let"],
+    )
+    def test_repeated_scenario_entry(self, old, new, message):
+        self._raises(lambda t: t.replace(old, new), message)
+
+    def test_same_entry_in_two_scenarios_is_not_a_repeat(self):
+        sol = parse_solution(SOLUTION_TEXT.replace("[scenario defaults]", "[scenario defaults]\nseed = 9"), _model())
+        assert [s.seed for s in sol.scenarios] == [9, 9]
 
     def test_duplicate_bindings_section(self):
         self._raises(
