@@ -10,7 +10,11 @@ three parts:
   zero.
 * numeric scenarios: seeded sampling of the residual production and the
   semidefiniteness minors over declared or default ranges, after scenario
-  "let" bindings give values to the remaining free functions.
+  "let" bindings give values to the remaining free functions.  The minors
+  are built from the prepared entries of the quadratic form, not prepared
+  one by one.  Each scenario compiles its targets once into one float
+  function over the sampled jets (`expr.compile_floats`); every value
+  rounds as the term-by-term sum over the printed normal form does.
 * equilibrium concavity: the bound entropy, as a quadratic form in the
   gradient state variables, must be negative semidefinite so that uniform
   states maximize it; the decision uses the declared sign conditions.
@@ -18,7 +22,7 @@ three parts:
 from __future__ import annotations
 
 import random
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .jet import JetVariable
 from .expr import (
@@ -28,11 +32,12 @@ from .expr import (
     ExprError,
     Substitution,
     ZERO,
+    compile_floats,
     principal_minors,
     to_text,
 )
 from .balance import ModelSpec
-from .liu import LiuReport, _mono_label, quadratic_form
+from .liu import LiuReport, QuadraticForm, _mono_label, quadratic_form
 
 # The solution records are defined beside their parser and stay importable from here.
 from .modelfile import (  # noqa: F401
@@ -148,16 +153,20 @@ def _default_range(j: JetVariable) -> tuple[float, float]:
     return DEFAULT_GRADIENT_RANGE
 
 
-def _sample_env(
-    atoms: Sequence[JetVariable],
-    ranges: Mapping[JetVariable, tuple[float, float]],
-    rng: random.Random,
-) -> dict:
-    env = {}
-    for a in atoms:
-        lo, hi = ranges.get(a, _default_range(a))
-        env[a] = rng.uniform(lo, hi)
-    return env
+def prepared_minors(
+    quadratic: QuadraticForm, prepare: Callable[[Expression], Expression]
+) -> list[Expression]:
+    """The form's principal minors, in report order, built from its prepared entries.
+
+    Only the n(n+1)/2 entries go through `prepare`, not the 2^n - 1 expanded
+    minors.  A determinant commutes with substitution and the normal form is
+    canonical, so each result is structurally equal to prepare(det).
+    """
+    size = len(quadratic.variables)
+    entries = [[ZERO] * size for _ in range(size)]
+    for i, j, e in quadratic.entries:
+        entries[i][j] = entries[j][i] = prepare(e)
+    return principal_minors(entries, [sub for sub, _ in quadratic.minors])
 
 
 def run_scenario(
@@ -189,11 +198,9 @@ def run_scenario(
 
     residual = prepare(report.restrictions.residual)
     minors: list[Expression] = []
-    if report.restrictions.quadratic is not None:
-        for _, det in report.restrictions.quadratic.minors:
-            d = prepare(det)
-            if not d.is_zero:
-                minors.append(d)
+    quadratic = report.restrictions.quadratic
+    if quadratic is not None:
+        minors = [d for d in prepared_minors(quadratic, prepare) if not d.is_zero]
     for f in report.restrictions.even_forms:
         poly = ZERO
         for idx, coeff in f.entries:
@@ -204,11 +211,9 @@ def run_scenario(
             poly = poly + term
         if not poly.is_zero:
             minors.append(poly)
-    conds: list[tuple[Condition, Expression]] = []
-    for c in solution.conditions:
-        conds.append((c, c.as_zero().subs(bindings).subs(lets)))
+    conds = [c.as_zero().subs(bindings).subs(lets) for c in solution.conditions]
 
-    targets = [residual] + minors + [e for _, e in conds]
+    targets = [residual] + minors + conds
     free: set[JetVariable] = set()
     for t in targets:
         for a in t.atoms():
@@ -224,6 +229,15 @@ def run_scenario(
     for j in ranges:
         if j not in free and j.field not in model.fields:
             raise CheckError(f"scenario {scenario.name!r} ranges unknown variable {j.text()}")
+    bounds = [ranges.get(a, _default_range(a)) for a in atoms]
+    # Conditions first, then the residual, then the minors: a point fails on
+    # the first target that cannot be evaluated there.
+    values = compile_floats(conds + [residual] + minors, atoms)
+    nc = len(conds)
+    # (name, kind, allowed deviation) per condition: the tolerance, floored.
+    limits = [
+        (c.name, c.kind, max(tl, 1e-9 if c.kind == "eq" else 1e-12)) for c in solution.conditions
+    ]
 
     rng = random.Random(sd)
     resamples = 0
@@ -239,11 +253,8 @@ def run_scenario(
         if attempts > budget:
             failure = f"scenario {scenario.name!r}: too many singular sample points"
             break
-        env = _sample_env(atoms, ranges, rng)
         try:
-            cvals = [(c, e.evaluate(env)) for c, e in conds]
-            rv = residual.evaluate(env)
-            mvals = [d.evaluate(env) for d in minors]
+            out = values([rng.uniform(lo, hi) for lo, hi in bounds])
         except EvaluationError:
             resamples += 1
             continue
@@ -252,12 +263,14 @@ def run_scenario(
             failure = f"scenario {scenario.name!r}: {exc}"
             break
         produced += 1
-        bad = _condition_violation(cvals, tl)
+        bad = _condition_violation(limits, out)
         if bad is not None:
             failure = (
                 f"scenario {scenario.name!r}: condition {bad!r} fails at sample {produced}"
             )
             break
+        rv = out[nc]
+        mvals = out[nc + 1:]
         min_res = min(min_res, rv)
         if mvals:
             worst_minor = min(worst_minor, *mvals)
@@ -288,17 +301,17 @@ def run_scenario(
     )
 
 
-def _condition_violation(cvals, tol: float) -> str | None:
-    for c, v in cvals:
-        if c.kind == "eq":
-            if abs(v) > max(tol, 1e-9):
-                return c.name
-        elif c.kind == "ge":
-            if v < -max(tol, 1e-12):
-                return c.name
-        elif c.kind == "le":
-            if v > max(tol, 1e-12):
-                return c.name
+def _condition_violation(limits: list[tuple[str, str, float]], values) -> str | None:
+    for (name, kind, lim), v in zip(limits, values):
+        if kind == "eq":
+            if abs(v) > lim:
+                return name
+        elif kind == "ge":
+            if v < -lim:
+                return name
+        elif kind == "le":
+            if v > lim:
+                return name
     return None
 
 

@@ -43,7 +43,7 @@ from .jet import ATOMS, Frozen, JetVariable, intern_atom
 __all__ = [
     "Atom", "BindingError", "CoefficientRangeError", "CollectError", "EvaluationError",
     "ExprError", "Expression", "FuncSym", "ONE", "ParseContext", "ParseError",
-    "Substitution", "ZERO", "as_expression", "parse",
+    "Substitution", "ZERO", "as_expression", "compile_floats", "parse",
     "poly_gcd", "principal_minors", "to_latex", "to_text",
 ]
 
@@ -735,31 +735,23 @@ class Expression:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, env: Mapping) -> float:
-        """Float value at a point; a vanishing denominator, an overflow or a
-        non-finite value raises EvaluationError, so samplers can skip the point.
-        A coefficient outside the float range raises CoefficientRangeError,
-        since no point can help it."""
+        """Float value at a point, through the same compiled float function
+        (`compile_floats`) that scenario sampling runs; a vanishing
+        denominator, an overflow or a non-finite value raises EvaluationError,
+        so samplers can skip the point.  A coefficient outside the float range
+        raises CoefficientRangeError, since no point can help it."""
         floats = self._floats
         if floats is None:
-            # Converted once per expression; samplers evaluate it at many points.
-            floats = _float_form(self)
+            # Compiled once per expression; samplers evaluate it at many points.
+            atoms = _atoms_met(self)
+            floats = (atoms, compile_floats([self], atoms))
             object.__setattr__(self, "_floats", floats)
-        atoms, num, den = floats
+        atoms, fn = floats
         try:
             vals = [float(env[a]) for a in atoms]
-            dv = _p_eval(den, vals)
-            if dv == 0.0:
-                raise EvaluationError("denominator vanished at the sample point")
-            out = _p_eval(num, vals) / dv
         except KeyError as exc:
             raise EvaluationError(f"no value supplied for {exc.args[0].text()}") from None
-        except OverflowError as exc:
-            raise EvaluationError(f"overflow at the sample point: {exc}") from None
-        # Checked once per call, not per term: inf - inf is nan, and a finite
-        # numerator over an infinite denominator is an underflowed guess.
-        if not (math.isfinite(out) and math.isfinite(dv)):
-            raise EvaluationError("non-finite value at the sample point")
-        return out
+        return fn(vals)[0]
 
 
 def _wrap(num_t: tuple, den_t: tuple) -> Expression:
@@ -948,39 +940,80 @@ def _atom_total(time: bool, i: int) -> Poly:
     return out
 
 
-def _float_form(e: Expression) -> tuple:
-    """(atoms, num, den) for evaluate.
+# -- float evaluation ---------------------------------------------------
+#
+# Targets compile to the source of one Python function that runs the float
+# arithmetic term by term, one statement per term, so a target of any size
+# compiles without deep recursion.  The source holds only float literals
+# (repr of each coefficient), atom positions and fixed local names.
 
-    `atoms` lists the atoms in the order evaluation first meets them, the
-    denominator first.  Each part is a tuple of (float coefficient, pairs)
-    terms, the pairs (position in `atoms`, exponent) in canonical atom order,
-    so each product rounds as a product over the printed monomial does.
+_FLOAT_NAMES = {
+    "_E": EvaluationError,
+    "_R": CoefficientRangeError,
+    "_fin": math.isfinite,
+    "_VANISHED": "denominator vanished at the sample point",
+    "_NONFINITE": "non-finite value at the sample point",
+    "_OVERFLOW": "overflow at the sample point: %s",
+    "_RANGE": "a coefficient is outside the float range",
+}
+
+
+def compile_floats(targets: Sequence[Expression], atoms: Sequence[Atom]):
+    """One float function for `targets`: f(values) -> [value of each target].
+
+    `values` holds one float per atom of `atoms`, which must cover every atom
+    of the targets.  Each target sums its denominator, then its numerator,
+    term by term: the coefficient times each atom power in canonical atom
+    order, `c*x3**2*x0**1`, so every float rounds as a product over the
+    printed monomial does.  A vanishing denominator, an overflow or a
+    non-finite value raises EvaluationError; the first target whose
+    coefficients have no float value raises CoefficientRangeError when the
+    targets before it have been evaluated.
     """
+    pos = {a.id: k for k, a in enumerate(atoms)}
     nrank = _ranks()
-    pos: dict = {}
-    parts = []
-    for part in (e._den, e._num):
-        terms = []
+
+    def terms(acc: str, part: tuple) -> list[str]:
+        out = [f"{acc} = 0.0"]
         for m, c in part:
-            try:
-                fc = float(c)
-            except OverflowError:
-                raise CoefficientRangeError("a coefficient is outside the float range") from None
             pairs = sorted(zip(m[::2], m[1::2]), key=lambda p: -nrank[p[0]])
-            terms.append((fc, tuple((pos.setdefault(i, len(pos)), k) for i, k in pairs)))
-        parts.append(tuple(terms))
-    den, num = parts
-    return tuple(ATOMS[i] for i in pos), num, den
+            out.append(f"{acc} += {float(c)!r}" + "".join(f"*x{pos[i]}**{e}" for i, e in pairs))
+        return out
+
+    body = [", ".join(f"x{k}" for k in range(len(atoms))) + ", = v"] if atoms else []
+    for k, e in enumerate(targets):
+        try:
+            den = [] if e._den == _ONE_T else terms("d", e._den)
+            num = terms("t", e._num)
+        except OverflowError:
+            body.append("raise _R(_RANGE)")
+            break
+        if not den:
+            # num / 1.0 is num, bit for bit.
+            body += num + ["if not _fin(t): raise _E(_NONFINITE)", f"r{k} = t"]
+        else:
+            body += den + ["if d == 0.0: raise _E(_VANISHED)"] + num
+            # inf - inf is nan, and a finite numerator over an infinite
+            # denominator is an underflowed guess.
+            body += [f"r{k} = t / d", f"if not (_fin(r{k}) and _fin(d)): raise _E(_NONFINITE)"]
+    else:
+        body.append("return [" + ", ".join(f"r{k}" for k in range(len(targets))) + "]")
+    src = "def f(v):\n    try:\n" + "".join(f"        {line}\n" for line in body)
+    src += "    except OverflowError as exc:\n        raise _E(_OVERFLOW % exc) from None\n"
+    names = dict(_FLOAT_NAMES)
+    exec(compile(src, "<liukit floats>", "exec"), names)
+    return names["f"]
 
 
-def _p_eval(part: tuple, vals: list) -> float:
-    """Value of a part of a float form at the given atom values."""
-    total = 0.0
-    for v, pairs in part:
-        for i, e in pairs:
-            v *= vals[i] ** e
-        total += v
-    return total
+def _atoms_met(e: Expression) -> tuple:
+    """The atoms of e in the order evaluation meets them, denominator first."""
+    nrank = _ranks()
+    seen: dict = {}
+    for part in (e._den, e._num):
+        for m, _ in part:
+            for i in sorted(m[::2], key=nrank.__getitem__, reverse=True):
+                seen.setdefault(i, None)
+    return tuple(ATOMS[i] for i in seen)
 
 
 # -- substitution machinery ----------------------------------------------

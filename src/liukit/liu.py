@@ -28,7 +28,6 @@ The pipeline:
 """
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable, NamedTuple, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
@@ -379,6 +378,9 @@ class LiuReport(NamedTuple):
 
 
 def model_hash(model: ModelSpec) -> str:
+    # Imported here: hashlib loads OpenSSL, and only derive reports hash a model.
+    import hashlib
+
     parts = [
         "fields:" + ",".join(model.fields),
         "velocity:" + (model.velocity or "-"),

@@ -437,6 +437,9 @@ def _parse_scenario(
                 lo, hi = float(rm.group(2)), float(rm.group(3))
             except ValueError:
                 raise FileFormatError(f"line {lineno}: malformed range bounds")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                # Every point of such a range samples to NaN or inf.
+                raise FileFormatError(f"line {lineno}: range bounds for {j.text()} must be finite")
             if hi < lo:
                 raise FileFormatError(f"line {lineno}: empty range for {j.text()}")
             ranges.append((j, lo, hi))

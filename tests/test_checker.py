@@ -1,6 +1,10 @@
 """Candidate verification: equalities, numeric scenarios, equilibrium concavity."""
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+
 import pytest
 
 from liukit.balance import BalanceLaw, EntropyDeclaration, ModelSpec
@@ -15,10 +19,12 @@ from liukit.checker import (
     check_json_dict,
     check_text,
     max_entropy_at_equilibrium,
+    prepared_minors,
     run_scenario,
     validate_solution,
 )
-from liukit.expr import Expression, FuncSym, ParseContext, ZERO, parse
+from liukit.cli import main
+from liukit.expr import Expression, FuncSym, ParseContext, Substitution, ZERO, parse
 from liukit.jet import JetVariable, StateSpace
 from liukit.liu import EvenForm, Restrictions, derive
 
@@ -472,3 +478,52 @@ class TestCheckSerialization:
         txt = check_text(res)
         assert "FAILED" in txt
         assert "failures:" in txt
+
+
+# -- golden check output and the minors of prepared entries -----------------
+
+# SHA-256 of the CLI's stdout for the built-in checks.  They pin the rounding
+# of every sampled value, so a change to point evaluation must keep them.
+with open(os.path.join(os.path.dirname(__file__), "check_golden.json"), encoding="utf-8") as _fh:
+    CHECK_GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_GOLDEN))
+def test_check_output_bytes_are_pinned(command, capsys):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_GOLDEN[command]
+
+
+def _prepare(solution: CandidateSolution, scenario: NumericScenario):
+    lets = Substitution(dict(scenario.lets))
+    return lambda e: e.subs(solution.binding_substitution).subs(solution.condition_substitution).subs(lets)
+
+
+@pytest.mark.parametrize("name", ["grade2", "korteweg"])
+def test_prepared_minors_equal_prepared_dets(name, request):
+    report = request.getfixturevalue(f"{name}_report")
+    solution = request.getfixturevalue(f"{name}_solution")
+    quadratic = report.restrictions.quadratic
+    for sc in solution.scenarios:
+        prepare = _prepare(solution, sc)
+        assert prepared_minors(quadratic, prepare) == [prepare(d) for _, d in quadratic.minors]
+
+
+# Values for the function atoms of a form's entries, so its minors stay nonzero
+# (the shipped closures make every entry vanish).  Denominators are monomials:
+# sums in two atoms make the kernel's gcd take seconds.
+_ENTRY_VALUES = ("rho", "eps_x^2 - rho", "rho*eps + 2", "2*eps - 1", "rho_x*eps", "3", "1/rho", "eps/2")
+
+
+@pytest.mark.parametrize("name", ["grade2", "korteweg"])
+def test_prepared_minors_equal_prepared_dets_when_nonzero(name, request):
+    model = request.getfixturevalue(f"{name}_model")
+    quadratic = request.getfixturevalue(f"{name}_report").restrictions.quadratic
+    atoms = sorted({a for _, _, e in quadratic.entries for a in e.syms()}, key=lambda a: a.text())
+    values = [parse(_ENTRY_VALUES[k % len(_ENTRY_VALUES)], model.ctx) for k in range(len(atoms))]
+    sub = Substitution(dict(zip(atoms, values)))
+    got = prepared_minors(quadratic, lambda e: e.subs(sub))
+    assert got == [d.subs(sub) for _, d in quadratic.minors]
+    assert not any(d.is_zero for d in got)

@@ -304,6 +304,18 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == f"error: line {lineno}: duplicate key 'samples' in [scenario fourier]\n"
 
+    def test_non_finite_range_bound_is_an_input_error(self, tmp_path, capsys):
+        from liukit.models import _read
+
+        text = _read("grade2.solution")
+        lineno = text.splitlines().index("range rho_x = 0.25 .. 1.5") + 2
+        mp, sp = tmp_path / "g.model", tmp_path / "g.solution"
+        mp.write_text(_read("grade2.model"))
+        sp.write_text(text.replace("range rho_x = 0.25 .. 1.5", "range rho_x = 0.25 .. 1.5\nrange eps_x = nan .. 1.5", 1))
+        code, out, err = _run(["check", str(mp), str(sp)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: line {lineno}: range bounds for eps_x must be finite\n"
+
     def test_unbound_unknown_is_a_validation_error(self, tmp_path, capsys):
         mp, sp = tmp_path / "local.model", tmp_path / "short.solution"
         mp.write_text(LOCAL_MODEL)

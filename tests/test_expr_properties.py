@@ -17,6 +17,9 @@ cases also go through sympy when it is installed.  A deterministic guard
 keeps the number of normalizations per substitution independent of the
 expression size.
 
+A float suite checks `compile_floats` and `Expression.evaluate` bit for bit
+against a term-by-term reference interpreter, errors included.
+
 Further suites, also outside that set, check `principal_minors` against a
 cofactor expansion over expressions (and sympy), the canonical monomial
 order against a reference comparator, and the printers against a reference
@@ -41,6 +44,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liukit import expr as expr_mod
 from liukit.expr import (
+    CoefficientRangeError,
     EvaluationError,
     ExprError,
     Expression,
@@ -48,6 +52,7 @@ from liukit.expr import (
     ParseContext,
     Substitution,
     ZERO,
+    compile_floats,
     parse,
     principal_minors,
     to_latex,
@@ -533,6 +538,128 @@ def test_subs_normalizations_do_not_grow_with_size(monkeypatch):
     small = _normalizations_in_subs(10, monkeypatch)
     assert small == _normalizations_in_subs(200, monkeypatch)
     assert small <= 2
+
+
+# -- float evaluation ------------------------------------------------------------
+
+
+def _reference_floats(e: Expression, env) -> float:
+    """e at a point, interpreted term by term.
+
+    A part sums its terms in stored order, starting from 0.0; a term is its
+    float coefficient multiplied by each atom power in canonical atom order.
+    The denominator is summed first and must not vanish.
+    """
+    def terms(part) -> list:
+        out = []
+        for m, c in part:
+            try:
+                out.append((float(c), _pairs(m)))
+            except OverflowError:
+                raise CoefficientRangeError("coefficient") from None
+        return out
+
+    def value(part) -> float:
+        total = 0.0
+        for v, pairs in part:
+            for a, k in pairs:
+                v *= env[a] ** k
+            total += v
+        return total
+
+    den, num = terms(e._den), terms(e._num)
+    try:
+        dv = value(den)
+        if dv == 0.0:
+            raise EvaluationError("vanished")
+        out = value(num) / dv
+    except OverflowError:
+        raise EvaluationError("overflow") from None
+    if not (math.isfinite(out) and math.isfinite(dv)):
+        raise EvaluationError("non-finite")
+    return out
+
+
+def _same_floats(targets, env, atoms=None):
+    """compile_floats and evaluate against the reference: equal bits or the same error."""
+    atoms = list(env) if atoms is None else atoms
+    want, error = [], None
+    for t in targets:
+        try:
+            want.append(_reference_floats(t, env))
+        except (EvaluationError, CoefficientRangeError) as exc:
+            error = type(exc)
+            break
+    fn = compile_floats(targets, atoms)
+    if error is None:
+        assert [v.hex() for v in fn([env[a] for a in atoms])] == [v.hex() for v in want]
+    else:
+        with pytest.raises(error):
+            fn([env[a] for a in atoms])
+        with pytest.raises(error):
+            targets[len(want)].evaluate(env)
+    for t, w in zip(targets, want):
+        assert t.evaluate(env).hex() == w.hex()
+    return error
+
+
+_ATOM_OF = [next(iter(a.atoms())) for a in _ATOMS]
+# Exponents from 3 up, on top of the products and squares of `exprs`, and
+# terms whose float product depends on the order of three factors or more.
+_powers = st.tuples(st.sampled_from(_ATOMS), st.integers(3, 7)).map(lambda t: t[0] ** t[1])
+_terms = st.tuples(_numbers, st.sampled_from(_ATOMS), st.sampled_from(_ATOMS), st.integers(1, 4)).map(
+    lambda t: t[0] * t[1] * t[2] ** t[3]
+)
+_float_exprs = st.recursive(_leaf | _powers | _terms, _extend, max_leaves=8)
+# 0 makes denominators vanish; 1e150 overflows from the third power on.  The
+# other values are not dyadic, so products round differently in another order.
+_point_values = st.sampled_from([0.0, 1.0, -2.0, 1e150]) | st.integers(-4000, 4000).map(lambda k: k / 999.7)
+
+
+@_suite
+@given(
+    targets=st.lists(_float_exprs, min_size=1, max_size=3),
+    values=st.lists(_point_values, min_size=len(_ATOMS), max_size=len(_ATOMS)),
+    order=st.permutations(range(len(_ATOMS))),
+)
+def check_compiled_floats(targets, values, order):
+    CASES["floats"] += 1
+    env = dict(zip(_ATOM_OF, values))
+    if _same_floats(targets, env, [_ATOM_OF[k] for k in order]) is not None:
+        CASES["floats_error"] += 1
+
+
+def test_compiled_float_suite():
+    CASES["floats"] = CASES["floats_error"] = 0
+    check_compiled_floats()
+    assert CASES["floats"] >= 1000
+    assert CASES["floats_error"] >= 30, CASES["floats_error"]
+
+
+@pytest.mark.parametrize("texts, point, error", [
+    (["rho^2000"], {RHO: 1.5}, EvaluationError),  # overflow
+    (["rho^1000*eps^1000 - rho^1001*eps^1000"], {RHO: 1.95, EPS: 1.95}, EvaluationError),  # inf - inf
+    (["rho/(eps_x - 1)"], {RHO: 1.0, EPS_X: 1.0}, EvaluationError),  # vanishing denominator
+    (["1/rho^200"], {RHO: 1e-2}, EvaluationError),  # infinite denominator
+    (["10^400*rho + 1"], {RHO: 1.0}, CoefficientRangeError),
+    (["rho + 1/3", "10^400*rho + 1"], {RHO: 1.0}, CoefficientRangeError),
+    (["1/(rho - 1)", "10^400*rho + 1"], {RHO: 1.0}, EvaluationError),  # the first failure wins
+    (["-5/4*rho^3*eps_x + 1/3", "(rho - 2/7*eps_x^4)/(3*eps_x^3 + rho)"], {RHO: 0.3, EPS_X: -1.7}, None),
+])
+def test_compiled_floats_fixed_cases(texts, point, error):
+    assert _same_floats([parse(t, CTX) for t in texts], point) is error
+
+
+def test_compiled_floats_large_target():
+    # One statement per term: a single 5000-term expression overflows the
+    # compiler's recursion limit on some Python versions.
+    rho, eps, rho_x = (Expression.jet(a) for a in (RHO, EPS, RHO_X))
+    target = Expression.number(Fraction(1, 3))
+    for atom in (rho, eps, rho_x):
+        target = target * sum((Expression.number(Fraction(2 * k - 9, k + 2)) * atom ** k for k in range(18)), ZERO)
+    target = target / (7 * rho_x ** 2)
+    assert len(target.num_poly()) >= 5000
+    assert _same_floats([target, -target], {RHO: 0.9, EPS: -1.1, RHO_X: 0.7}) is None
 
 
 # -- principal minors ------------------------------------------------------------

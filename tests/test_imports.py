@@ -48,6 +48,13 @@ def test_check_does_not_load_fdb():
     assert not loaded & {"liukit.fdb", "dataclasses"}
 
 
+def test_check_does_not_load_hashlib():
+    # Only derive reports hash a model; hashlib would load OpenSSL for nothing.
+    loaded = _cli_modules(["check", "--builtin", "grade2", "--samples", "8"])
+    assert "liukit.liu" in loaded
+    assert not loaded & {"hashlib", "_hashlib"}
+
+
 def test_fdb_does_not_load_checker():
     loaded = _cli_modules(["fdb", "--m", "2", "--verify"])
     assert "liukit.fdb" in loaded

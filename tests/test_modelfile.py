@@ -317,6 +317,14 @@ class TestSolutionErrors:
             "malformed range bounds",
         )
 
+    @pytest.mark.parametrize("bounds", ["nan .. 2", "0.5 .. nan", "-inf .. inf", "0.5 .. inf", "inf .. inf"])
+    def test_range_bounds_must_be_finite(self, bounds):
+        # A NaN or infinite bound makes every sampled point NaN or inf.
+        self._raises(
+            lambda t: t.replace("range u = 0.5 .. 2", f"range u = {bounds}"),
+            "range bounds for u must be finite",
+        )
+
     def test_range_must_be_nonempty(self):
         self._raises(
             lambda t: t.replace("range u = 0.5 .. 2", "range u = 2 .. 0.5"),
