@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 from .jet import JetVariable
 from .expr import (
     CoefficientRangeError,
+    CollectError,
     EvaluationError,
     Expression,
     ExprError,
@@ -37,7 +38,7 @@ from .expr import (
     to_text,
 )
 from .balance import ModelSpec
-from .liu import LiuReport, QuadraticForm, _mono_label, quadratic_form
+from .liu import LiuReport, QuadraticForm, _by_degree, _mono_label, quadratic_form
 
 # The solution records are defined beside their parser and stay importable from here.
 from .modelfile import (  # noqa: F401
@@ -162,11 +163,7 @@ def prepared_minors(
     minors.  A determinant commutes with substitution and the normal form is
     canonical, so each result is structurally equal to prepare(det).
     """
-    size = len(quadratic.variables)
-    entries = [[ZERO] * size for _ in range(size)]
-    for i, j, e in quadratic.entries:
-        entries[i][j] = entries[j][i] = prepare(e)
-    return principal_minors(entries, [sub for sub, _ in quadratic.minors])
+    return principal_minors(quadratic.matrix(prepare), [sub for sub, _ in quadratic.minors])
 
 
 def run_scenario(
@@ -345,11 +342,14 @@ def max_entropy_at_equilibrium(
 ) -> ConcavityResult:
     """Uniform states must maximize the bound entropy over the gradients.
 
-    The entropy is expanded in the gradient state variables; the linear part
-    must vanish (stationarity) and the quadratic form must be negative
-    semidefinite, decided through the declared sign conditions.  A candidate
-    whose conditions fail to imply semidefiniteness is refuted: it admits
-    parameter values for which uniform states are not entropy maxima.
+    The entropy is split by degree in the gradient state variables, as
+    `derive` splits its restrictions.  A linear part refutes (no
+    stationarity) whatever else is present; a term of degree 3 or more leaves
+    the test undetermined.  The quadratic form must be negative semidefinite:
+    its minors are decided in report order through the declared sign
+    conditions.  A candidate whose conditions fail to imply semidefiniteness
+    is refuted: it admits parameter values for which uniform states are not
+    entropy maxima.
     """
     s_expr = model.entropy.density.subs(solution.binding_substitution).subs(
         solution.condition_substitution
@@ -358,34 +358,25 @@ def max_entropy_at_equilibrium(
     if not grads:
         return ConcavityResult("confirmed", "state space has no gradient variables")
     try:
-        buckets = s_expr.collect(grads)
-    except ExprError as exc:
+        parts = _by_degree(s_expr, grads)
+    except CollectError as exc:
         return ConcavityResult("undetermined", f"entropy is not polynomial in the gradients: {exc}")
-    quadratic = []
-    for idx, coeff in buckets.items():
-        d = sum(idx)
-        if d == 0 or coeff.is_zero:
-            continue
-        if d == 1:
-            return ConcavityResult(
-                "refuted",
-                f"entropy has a gradient-linear term ({_mono_label(grads, idx)}): "
-                "uniform states are not stationary",
-            )
-        if d > 2:
-            return ConcavityResult(
-                "undetermined",
-                f"entropy has a gradient term of degree {d}; only quadratic "
-                "corrections are decided",
-            )
-        quadratic.append((idx, coeff))
-    form, sup = quadratic_form(grads, quadratic)
-    if not sup:
+    if 1 in parts:
+        return ConcavityResult(
+            "refuted",
+            f"entropy has a gradient-linear term ({_mono_label(grads, parts[1][0][0])}): "
+            "uniform states are not stationary",
+        )
+    degree = min((d for d in parts if d > 2), default=None)
+    if degree is not None:
+        return ConcavityResult(
+            "undetermined",
+            f"entropy has a gradient term of degree {degree}; only quadratic "
+            "corrections are decided",
+        )
+    if 2 not in parts:
         return ConcavityResult("confirmed", "entropy has no gradient dependence")
-    subsets = [
-        [sup[i] for i in range(len(sup)) if mask & (1 << i)] for mask in range(1, 1 << len(sup))
-    ]
-    for sub, minor in zip(subsets, principal_minors(form.matrix(), subsets)):
+    for sub, minor in quadratic_form(grads, parts[2]).minors:
         required_sign = -1 if len(sub) % 2 else 1
         target = minor if required_sign > 0 else -minor
         verdict = _decide_sign(target, solution.conditions)

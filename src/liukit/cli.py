@@ -177,21 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_threads_setting() -> None:
-    """LIU_THREADS is accepted for compatibility; the engine is single-threaded."""
-    raw = os.environ.get("LIU_THREADS", "").strip()
-    if raw:
-        try:
-            int(raw)
-        except ValueError:
-            raise CliUsage(f"LIU_THREADS must be an integer, got {raw!r}") from None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_threads_setting()
         return args.func(args)
     except (FileFormatError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1312,7 +1312,10 @@ class _Parser:
         while self.peek().text in ("*", "/"):
             op = self.take().text
             rhs = self.unary()
-            e = e * rhs if op == "*" else e / rhs
+            try:
+                e = e * rhs if op == "*" else e / rhs
+            except ExprError as exc:
+                raise ParseError(str(exc)) from exc
         return e
 
     def unary(self) -> Expression:
@@ -1471,7 +1474,7 @@ _GREEK = {
     "rho": r"\rho", "eps": r"\varepsilon", "epsilon": r"\varepsilon",
     "gamma": r"\gamma", "tau": r"\tau", "theta": r"\theta", "phi": r"\varphi",
     "kappa": r"\kappa", "mu": r"\mu", "sigma": r"\sigma", "alpha": r"\alpha",
-    "beta": r"\beta", "lambda": r"\Lambda", "nu": r"\nu", "xi": r"\xi",
+    "beta": r"\beta", "lambda": r"\lambda", "nu": r"\nu", "xi": r"\xi",
     "psi": r"\psi", "chi": r"\chi", "omega": r"\omega", "delta": r"\delta",
 }
 

@@ -11,8 +11,8 @@ operator of the expression kernel.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
 from .jet import JetVariable
@@ -56,15 +56,17 @@ class ChainTerm(NamedTuple):
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`, ascending."""
+    """All tuples of `parts` nonnegative integers summing to `total`, ascending.
+
+    Stars and bars: the parts are the gaps between parts - 1 bars placed among
+    total + parts - 1 slots, and the bar positions come in ascending order.
+    """
     if parts <= 0:
         raise ValueError("need at least one part")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def block_count_vectors(m: int) -> Iterator[tuple[int, ...]]:
@@ -102,32 +104,14 @@ def chain_terms(m: int, s: int) -> tuple[ChainTerm, ...]:
     out = []
     fact_m = math.factorial(m)
     for k in block_count_vectors(m):
-        base = Fraction(fact_m)
-        for i, ki in enumerate(k, start=1):
-            base /= Fraction(math.factorial(i)) ** ki
-        rows = []
-        for ki in k:
-            rows.append(list(weak_compositions(ki, s)))
-        # cartesian product in row-major order
-        idx = [0] * len(rows)
-        while True:
-            assignment = tuple(tuple(rows[i][idx[i]]) for i in range(len(rows)))
-            w = base
-            for row in assignment:
-                for q in row:
-                    w /= math.factorial(q)
-            if w.denominator != 1:
+        blocks = math.prod(math.factorial(i) ** ki for i, ki in enumerate(k, start=1))
+        # Assignments in row-major order: one weak composition per block size.
+        for assignment in product(*(weak_compositions(ki, s) for ki in k)):
+            groups = math.prod(math.factorial(q) for row in assignment for q in row)
+            w, rest = divmod(fact_m, blocks * groups)
+            if rest:
                 raise AssertionError("chain-rule weight is not an integer")
-            out.append(ChainTerm(int(w), assignment))
-            pos = len(rows) - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < len(rows[pos]):
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
+            out.append(ChainTerm(w, assignment))
     return tuple(out)
 
 

@@ -25,10 +25,14 @@ The pipeline:
                   coefficients in the higher jets vanish, the quadratic part
                   must be positive semidefinite, and the jet-free remainder
                   is the residual production, constrained to be nonnegative.
+                  One degree split (`_by_degree`) serves both bands, and
+                  `quadratic_form` builds the form with its minors; the
+                  checker's concavity test uses the same two.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
 from .expr import Atom, Expression, FuncSym, ZERO, _jet_latex, principal_minors, to_latex, to_text
@@ -211,6 +215,21 @@ def solve_multipliers(
     return MultiplierSolution(tuple(solved), work, tuple(nonzero))
 
 
+def _by_degree(
+    expr: Expression, atoms: Sequence[Atom]
+) -> dict[int, list[tuple[tuple[int, ...], Expression]]]:
+    """The terms of `expr` as a polynomial in `atoms`, grouped by total degree.
+
+    Each degree maps to its (exponent vector, coefficient) pairs in exponent
+    order; the coefficients are free of `atoms`.  Raises CollectError when the
+    denominator involves `atoms`.
+    """
+    parts: dict[int, list[tuple[tuple[int, ...], Expression]]] = {}
+    for idx, coeff in expr._collect(tuple(atoms)).items():
+        parts.setdefault(sum(idx), []).append((idx, coeff))
+    return parts
+
+
 def _affine(
     expr: Expression, atoms: Sequence[Atom], error: str
 ) -> tuple[Expression, list[Expression]]:
@@ -218,17 +237,18 @@ def _affine(
 
     Raises EngineError(error) when `expr` has a term of degree 2 or more in `atoms`.
     """
-    const = ZERO
+    parts = _by_degree(expr, atoms)
+    if max(parts, default=0) > 1:
+        raise EngineError(error)
     coeffs = [ZERO] * len(atoms)
-    for idx, c in expr._collect(tuple(atoms)).items():
-        d = sum(idx)
-        if d == 0:
-            const = c
-        elif d == 1:
-            coeffs[idx.index(1)] = c
-        else:
-            raise EngineError(error)
-    return const, coeffs
+    for idx, coeff in parts.get(1, ()):
+        coeffs[idx.index(1)] = coeff
+    return _constant(parts), coeffs
+
+
+def _constant(parts: dict[int, list[tuple[tuple[int, ...], Expression]]]) -> Expression:
+    """The degree-0 coefficient of a `_by_degree` split."""
+    return parts[0][0][1] if 0 in parts else ZERO
 
 
 class Equality(NamedTuple):
@@ -241,12 +261,14 @@ class QuadraticForm(NamedTuple):
     entries: tuple[tuple[int, int, Expression], ...]  # i <= j, coefficient M_ij
     minors: tuple[tuple[tuple[int, ...], Expression], ...]  # index subset, determinant
 
-    def matrix(self) -> list[list[Expression]]:
+    def matrix(
+        self, prepare: Callable[[Expression], Expression] = lambda e: e
+    ) -> list[list[Expression]]:
+        """The symmetric matrix, each entry passed once through `prepare`."""
         n = len(self.variables)
         m = [[ZERO] * n for _ in range(n)]
         for i, j, e in self.entries:
-            m[i][j] = e
-            m[j][i] = e
+            m[i][j] = m[j][i] = prepare(e)
         return m
 
 
@@ -283,23 +305,23 @@ def _mono_label(variables: Sequence[JetVariable], idx: tuple[int, ...]) -> str:
 def quadratic_form(
     variables: Sequence[JetVariable],
     items: Iterable[tuple[tuple[int, ...], Expression]],
-) -> tuple[QuadraticForm, list[int]]:
-    """The symmetric form (without minors) of degree-2 coefficients, and its support.
+) -> QuadraticForm:
+    """The symmetric form of degree-2 coefficients, with its principal minors.
 
     `items` pairs exponent vectors over `variables` with their coefficients;
-    a cross coefficient is split evenly between M_ij and M_ji.  The support
-    is the sorted indices of the variables the form involves.
+    a cross coefficient is split evenly between M_ij and M_ji.  The minors
+    run over the nonempty subsets of the variables the form involves, in
+    report order: smaller subsets first, then lexicographically.
     """
     entries: list[tuple[int, int, Expression]] = []
     support: set[int] = set()
     for idx, coeff in items:
         pos = [i for i, e in enumerate(idx) if e]
         support.update(pos)
-        if len(pos) == 1:
-            entries.append((pos[0], pos[0], coeff))
-        else:
-            entries.append((pos[0], pos[1], coeff / 2))
-    return QuadraticForm(tuple(variables), tuple(entries), ()), sorted(support)
+        entries.append((pos[0], pos[-1], coeff if len(pos) == 1 else coeff / 2))
+    form = QuadraticForm(tuple(variables), tuple(entries), ())
+    subsets = [s for k in range(1, len(support) + 1) for s in combinations(sorted(support), k)]
+    return form._replace(minors=tuple(zip(subsets, principal_minors(form.matrix(), subsets))))
 
 
 def emit_restrictions(
@@ -316,44 +338,19 @@ def emit_restrictions(
         if not coeff.is_zero:
             equalities.append(Equality(f"coefficient of {z.text()}", _normalize_sign(coeff)))
     higher = cls.sorted_higher()
+    parts = _by_degree(base, higher)
     quadratic: QuadraticForm | None = None
     even_forms: list[EvenForm] = []
-    residual = base
-    if higher:
-        ebuckets = base._collect(tuple(higher))
-        residual = ebuckets.get((0,) * len(higher), ZERO)
-        by_degree: dict[int, list[tuple[tuple[int, ...], Expression]]] = {}
-        for idx in sorted(ebuckets):
-            d = sum(idx)
-            if d == 0:
-                continue
-            coeff = ebuckets[idx]
-            if coeff.is_zero:
-                continue
-            by_degree.setdefault(d, []).append((idx, coeff))
-        for d in sorted(by_degree):
-            items = by_degree[d]
-            if d % 2 == 1:
-                for idx, coeff in items:
-                    label = f"coefficient of {_mono_label(higher, idx)}"
-                    equalities.append(Equality(label, _normalize_sign(coeff)))
-            elif d == 2:
-                form, support = quadratic_form(higher, items)
-                quadratic = form._replace(minors=_principal_minors(form, support))
-            else:
-                even_forms.append(EvenForm(d, tuple(higher), tuple(items)))
-    return Restrictions(tuple(equalities), quadratic, tuple(even_forms), residual)
-
-
-def _principal_minors(
-    form: QuadraticForm, support: list[int]
-) -> tuple[tuple[tuple[int, ...], Expression], ...]:
-    subsets: list[tuple[int, ...]] = []
-    m = len(support)
-    for mask in range(1, 1 << m):
-        subsets.append(tuple(support[i] for i in range(m) if mask & (1 << i)))
-    subsets.sort(key=lambda s: (len(s), s))
-    return tuple(zip(subsets, principal_minors(form.matrix(), subsets)))
+    for d, items in sorted(parts.items()):
+        if d % 2 == 1:
+            for idx, coeff in items:
+                label = f"coefficient of {_mono_label(higher, idx)}"
+                equalities.append(Equality(label, _normalize_sign(coeff)))
+        elif d == 2:
+            quadratic = quadratic_form(higher, items)
+        elif d > 2:
+            even_forms.append(EvenForm(d, tuple(higher), tuple(items)))
+    return Restrictions(tuple(equalities), quadratic, tuple(even_forms), _constant(parts))
 
 
 class LiuReport(NamedTuple):

@@ -26,7 +26,7 @@ from liukit.checker import (
 from liukit.cli import main
 from liukit.expr import Expression, FuncSym, ParseContext, Substitution, ZERO, parse
 from liukit.jet import JetVariable, StateSpace
-from liukit.liu import EvenForm, Restrictions, derive
+from liukit.liu import EvenForm, Restrictions, derive, quadratic_form
 
 RHO_X = JetVariable("rho", 0, 1)
 
@@ -283,6 +283,36 @@ class TestRunScenario:
         assert neg.as_expected and neg.violations > 0
         assert neg.worst_minor < 0.0
 
+    def test_quadratic_form_minors_are_sampled(self, grade2_model, grade2_report):
+        # The shipped closures make every entry of the form vanish, so only
+        # this case samples a nonzero minor through a whole scenario.
+        jets = (JetVariable("rho", 0, 2), JetVariable("eps", 0, 2))
+        empty = CandidateSolution((), (), (), ())
+        e = lambda t: parse(t, grade2_model.ctx)
+
+        def with_form(m11: str, m12: str, m22: str):
+            # The cross coefficient is 2*M12: quadratic_form halves it.
+            items = [((2, 0), e(m11)), ((1, 1), e(f"2*({m12})")), ((0, 2), e(m22))]
+            restr = Restrictions((), quadratic_form(jets, items), (), ZERO)
+            return grade2_report._replace(restrictions=restr)
+
+        # Minors 1 + rho_x^2, 1 and 1: positive definite everywhere.
+        psd = run_scenario(
+            grade2_model, with_form("1 + rho_x^2", "rho_x", "1"), empty,
+            NumericScenario("psd", 32, 11, 1e-9, "pass", (), ()),
+        )
+        assert psd.as_expected and psd.failure is None
+        assert psd.points == 32 and psd.violations == 0
+        assert psd.worst_minor is not None and psd.worst_minor >= 0.0
+        # The determinant rho^2 - 4 is negative on the default range of rho.
+        indefinite = run_scenario(
+            grade2_model, with_form("rho", "2", "rho"), empty,
+            NumericScenario("indefinite", 32, 11, 1e-9, "violate", (), ()),
+        )
+        assert indefinite.as_expected and indefinite.failure is None
+        assert indefinite.violations > 0
+        assert indefinite.worst_minor < 0.0
+
 
 class TestNonFiniteSamples:
     """Overflowing or NaN values are singular points, never silent passes."""
@@ -377,6 +407,48 @@ class TestMaxEntropyAtEquilibrium:
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res.outcome == "undetermined"
         assert "degree 3" in res.detail
+
+    @pytest.mark.parametrize(
+        "entropy, jet",
+        [
+            ("s0 + s1*rho_x^3 + eps_x", "eps_x"),
+            ("s0 + s1*eps_x^3 + rho_x", "rho_x"),
+            ("s0 + s1*rho_x^4 + eps_x", "eps_x"),
+            ("s0 + s1*eps_x^4 + rho_x", "rho_x"),
+        ],
+    )
+    def test_gradient_linear_term_refutes_whatever_else_is_present(
+        self, grade2_model, grade2_solution, entropy, jet
+    ):
+        # The verdict does not depend on which gradient name sorts first.
+        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        sol = _replace_binding(grade2_solution, "s", e(entropy))
+        res = max_entropy_at_equilibrium(grade2_model, sol)
+        assert res == (
+            "refuted",
+            f"entropy has a gradient-linear term ({jet}): uniform states are not stationary",
+        )
+
+    def test_lowest_degree_above_two_is_named(self, grade2_model, grade2_solution):
+        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        sol = _replace_binding(grade2_solution, "s", e("s0 + s1*rho_x^4 + s1*eps_x^3"))
+        res = max_entropy_at_equilibrium(grade2_model, sol)
+        assert res == (
+            "undetermined",
+            "entropy has a gradient term of degree 3; only quadratic corrections are decided",
+        )
+
+    def test_minors_are_decided_smallest_first(self, grade2_model, grade2_solution):
+        # The 2x2 minor over (eps_x, gamma_x) is undecided, but the 1x1 minor
+        # over rho_x has the wrong sign and comes first in report order.
+        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        entropy = e("s0 + s1*eps_x^2 + s1*gamma_x^2 + k*eps_x*gamma_x - s1*rho_x^2")
+        sol = _replace_binding(grade2_solution, "s", entropy)
+        res = max_entropy_at_equilibrium(grade2_model, sol)
+        assert res == (
+            "refuted",
+            "minor over (rho_x) has the wrong sign: -s1 with the declared conditions",
+        )
 
     def test_gradient_free_entropy_confirmed(self, grade2_model, grade2_solution):
         e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))

@@ -316,6 +316,15 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == f"error: line {lineno}: range bounds for eps_x must be finite\n"
 
+    @pytest.mark.parametrize("flux", ["u^2/0", "u^2/(u - u)"])
+    def test_zero_divisor_is_a_parse_error(self, tmp_path, capsys, flux):
+        mp, sp = tmp_path / "local.model", tmp_path / "good.solution"
+        mp.write_text(LOCAL_MODEL.replace("flux = u^2/2", f"flux = {flux}"))
+        sp.write_text(GOOD_SOLUTION)
+        code, out, err = _run(["check", str(mp), str(sp)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: line 14: division by a zero expression\n"
+
     def test_unbound_unknown_is_a_validation_error(self, tmp_path, capsys):
         mp, sp = tmp_path / "local.model", tmp_path / "short.solution"
         mp.write_text(LOCAL_MODEL)
@@ -351,26 +360,18 @@ class TestCheck:
         assert "  - scenario 'fourier': a coefficient is outside the float range\n" in out
 
 
-class TestThreadsSetting:
-    def test_non_integer_is_a_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("LIU_THREADS", "abc")
-        code, out, err = _run(["derive", "--builtin", "korteweg"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: LIU_THREADS must be an integer, got 'abc'\n"
-
-    def test_integer_is_accepted(self, monkeypatch, capsys):
-        monkeypatch.setenv("LIU_THREADS", "3")
-        code, _, _ = _run(["derive", "--builtin", "korteweg"], capsys)
-        assert code == 0
-
-
 class TestFdb:
     def test_first_order_text(self, capsys):
         code, out, _ = _run(["fdb", "--m", "1"], capsys)
         assert code == 0
         assert "terms: 1    partitions of 1: 1" in out
         assert "D[F(w)] = w_x*D(F, w)" in out
+
+    def test_many_arguments(self, capsys):
+        # The compositions of one block over 1100 arguments: no recursion per part.
+        code, out, err = _run(["fdb", "--m", "1", "--s", "1100"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("terms: 1100    partitions of 1: 1\n")
 
     def test_second_order_text(self, capsys):
         code, out, _ = _run(["fdb", "--m", "2"], capsys)

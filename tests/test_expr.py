@@ -436,3 +436,8 @@ class TestPrinting:
         fx = to_latex(e("D(s0, rho)", ctx))
         assert r"\partial" in fx
         assert to_latex(e("rho_tx", ctx)) == r"\rho_{,tx}"
+
+    def test_lambda_is_not_the_multiplier_symbol(self):
+        # Reports typeset the multipliers as \Lambda; a field named lambda must differ.
+        ctx = ParseContext(fields=("lambda",))
+        assert to_latex(parse("lambda", ctx)) == r"\lambda"

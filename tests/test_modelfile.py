@@ -197,6 +197,17 @@ class TestModelErrors:
         with pytest.raises(FileFormatError, match=r"line 14:"):
             parse_model(MODEL_TEXT.replace("density = u", "density = u +"), "bad")
 
+    @pytest.mark.parametrize(
+        "flux, message",
+        [
+            ("u^2/0", "line 15: division by a zero expression"),
+            ("u^2/(u - u)", "line 15: division by a zero expression"),
+            ("0^-1", "line 15: zero raised to a negative power"),
+        ],
+    )
+    def test_zero_divisor_is_a_line_error(self, flux, message):
+        _raises(MODEL_TEXT.replace("flux = u^2/2", f"flux = {flux}"), message)
+
     def test_malformed_declaration(self):
         _raises(MODEL_TEXT.replace("s(u)", "s(u"), "malformed declaration")
 
@@ -286,6 +297,9 @@ class TestSolutionErrors:
             lambda t: t.replace("s = a", "w = a"),
             "'w' is not a constitutive unknown",
         )
+
+    def test_zero_divisor_is_a_line_error(self):
+        self._raises(lambda t: t.replace("s = a", "s = a/0"), "line 6: division by a zero expression")
 
     def test_condition_needs_colon(self):
         self._raises(lambda t: t.replace("drift: k = 0", "drift k = 0"), "expected 'name: statement'")
