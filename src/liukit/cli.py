@@ -28,6 +28,7 @@ EXIT_ENGINE = 3
 EXIT_CHECK = 4
 
 FDB_MAX_ORDER = 8
+FDB_MAX_TERMS = 3000
 
 
 def _write(args, record, format_text, latex=None) -> None:
@@ -101,7 +102,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fdb(args) -> int:
-    from .fdb import expansion_json_dict, format_expansion
+    from .fdb import expansion_json_dict, format_expansion, term_count
 
     m, s = args.order, args.arity
     if m < 1 or s < 1:
@@ -110,6 +111,11 @@ def _cmd_fdb(args) -> int:
         raise CliUsage(
             f"--m {m} exceeds the supported maximum {FDB_MAX_ORDER}; "
             "term counts grow too fast beyond it"
+        )
+    count = term_count(m, s)
+    if count > FDB_MAX_TERMS:
+        raise CliUsage(
+            f"--m {m} --s {s} expands to {count} terms, more than the supported maximum {FDB_MAX_TERMS}"
         )
     record = expansion_json_dict(m, s, args.verify)
     _write(args, lambda: record, format_expansion)

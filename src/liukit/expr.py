@@ -27,6 +27,16 @@ tuple (degree, -rank_a, e_a, -rank_b, e_b, ...) over its atoms in ascending
 rank.  Each part of a normal form is stored in ascending key order, so
 printing, serialization and leading-term lookups are deterministic and do
 not depend on the ids.
+
+Packed monomials.  `principal_minors` expands its determinants over
+monomials packed into one int: the degree on top, then one field per atom,
+the first canonical atom most significant, each field as wide as the
+largest exponent any minor can reach.  Of two monomials of equal degree,
+`_mono_key` puts last the one with the larger exponent at the first atom,
+in canonical order, where their exponents differ: the key order is the
+lexicographic order of (degree, exponent vector in canonical atom order).
+Packed ints that never carry compare the same way, so a product is one int
+addition and sorting the ints sorts the terms canonically.
 """
 from __future__ import annotations
 
@@ -35,10 +45,10 @@ import math
 import re
 from bisect import bisect
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .jet import ATOMS, Frozen, JetVariable, intern_atom
+from .jet import _ATOM_IDS, ATOMS, Frozen, JetVariable, intern_atom
 
 __all__ = [
     "Atom", "BindingError", "CoefficientRangeError", "CollectError", "EvaluationError",
@@ -94,21 +104,26 @@ class FuncSym(Frozen):
         if len(set(deps)) != len(deps):
             raise ExprError(f"{name}: duplicate dependency")
         orders = tuple(p[1] for p in pairs)
+        self._fill(name, deps, orders, tuple(d.sort_key() for d in deps))
+        self._intern()
+
+    def _fill(self, name: str, deps: tuple, orders: tuple, dep_keys: tuple) -> None:
+        """Set the fields that equality and hashing read, from checked parts."""
         put = object.__setattr__
         put(self, "name", name)
         put(self, "deps", deps)
         put(self, "orders", orders)
-        # Hashed, keyed, printed and interned once, as jets are.
-        put(self, "atom_key", (1, name, tuple(d.sort_key() for d in deps), orders))
-        put(self, "_hash", hash((name, deps, orders)))
-        if any(orders):
-            parts = [name]
-            for dep, o in zip(deps, orders):
-                parts.extend([dep.text()] * o)
-            put(self, "_text", "D(" + ", ".join(parts) + ")")
-        else:
-            put(self, "_text", name)
-        put(self, "id", intern_atom(self))
+        # Hashed, keyed, printed and interned once, as jets are.  A jet hashes
+        # as its sort key, so this is hash((name, deps, orders)).
+        put(self, "atom_key", (1, name, dep_keys, orders))
+        put(self, "_hash", hash((name, dep_keys, orders)))
+
+    def _intern(self) -> "FuncSym":
+        """Set the text and the id, registering the atom if it is new."""
+        text = [dep.text() for dep, o in zip(self.deps, self.orders) if o for _ in range(o)]
+        object.__setattr__(self, "_text", "D(" + ", ".join([self.name, *text]) + ")" if text else self.name)
+        object.__setattr__(self, "id", intern_atom(self))
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not FuncSym:
@@ -122,13 +137,20 @@ class FuncSym(Frozen):
         return (FuncSym, (self.name, self.deps, self.orders))
 
     def bump(self, dep: JetVariable) -> "FuncSym":
-        """Increment the derivative order with respect to `dep`."""
-        if dep not in self.deps:
-            raise ExprError(f"{self.name} does not depend on {dep.text()}")
-        i = self.deps.index(dep)
-        orders = list(self.orders)
-        orders[i] += 1
-        return FuncSym(self.name, self.deps, tuple(orders))
+        """Increment the derivative order with respect to `dep`.
+
+        The dependencies are already sorted and checked, so they and their
+        sort keys are reused; an atom that exists already is returned as is.
+        """
+        try:
+            i = self.deps.index(dep)
+        except ValueError:
+            raise ExprError(f"{self.name} does not depend on {dep.text()}") from None
+        orders = self.orders[:i] + (self.orders[i] + 1,) + self.orders[i + 1:]
+        out = FuncSym.__new__(FuncSym)
+        out._fill(self.name, self.deps, orders, self.atom_key[2])
+        i = _ATOM_IDS.get(out)
+        return out._intern() if i is None else ATOMS[i]
 
     @property
     def total_order(self) -> int:
@@ -851,6 +873,15 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
     expansion along the first row; each minor is normalized once, and the
     canonical normal form makes the result that of a cofactor expansion over
     expressions.
+
+    The expansion runs on packed monomials (see the module docstring).  The
+    field of atom a is sum_i max_j exp_a(N_ij) wide, the most any minor can
+    reach, so a product is an int addition and int order is `_mono_key`
+    order.  A minor whose denominator is one term (powers of the density in
+    every shipped model) is finished here as `_normalize` would finish it:
+    its monomial content, capped by the denominator, comes off the packed
+    ints, then the constant is scaled out, then the ints are sorted once.
+    Any other denominator goes through `Expression`.
     """
     subsets = [tuple(s) for s in subsets]
     rows = sorted({i for s in subsets for i in s})
@@ -870,18 +901,55 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
                 nij = _p_div_exact(p_mul(p_mul(e.num_poly(), r[i]), r[j]), e.den_poly())
                 n[i, j] = {m: c.numerator for m, c in nij.items()}  # integral: plain ints
 
-    def det(sub: tuple, cols: tuple) -> Poly:
+    bound: dict[int, int] = {}  # atom id -> largest exponent in any minor
+    for i in rows:
+        most: dict[int, int] = {}
+        for m in chain.from_iterable(n.get((i, j), ()) for j in rows):
+            for a, e in zip(m[::2], m[1::2]):
+                most[a] = max(most.get(a, 0), e)
+        for a, e in most.items():
+            bound[a] = bound.get(a, 0) + e
+    nrank = _ranks()
+    order = sorted(bound, key=nrank.__getitem__)  # the last canonical atom lowest
+    widths = [bound[a].bit_length() for a in order]
+    starts = list(accumulate(widths, initial=0))
+    top = starts.pop()
+    unit = {a: 1 << s | 1 << top for a, s in zip(order, starts)}  # one exponent, one degree
+
+    def pack(pairs: Iterable[tuple[int, int]]) -> int:
+        return sum(e * unit[a] for a, e in pairs)
+
+    packed = {ij: {pack(zip(m[::2], m[1::2])): c for m, c in p.items()} for ij, p in n.items()}
+    field = {a: k for k, a in enumerate(order)}
+    at = [k for k, w in enumerate(widths) for _ in range(w)]  # bit -> field
+    below = [(1 << s) - 1 for s in starts]
+
+    def unpack(key: int) -> Mono:
+        """The id-ordered monomial of a packed key, one step per atom present."""
+        key &= (1 << top) - 1
+        out = []
+        while key:
+            k = at[key.bit_length() - 1]
+            out.append((order[k], key >> starts[k]))
+            key &= below[k]
+        out.sort()
+        return tuple(chain.from_iterable(out))
+
+    def det(sub: tuple, cols: tuple) -> dict:
         if len(sub) == 1:
-            return n.get((sub[0], cols[0]), P_ZERO)
-        out: Poly = {}
+            return packed.get((sub[0], cols[0]), P_ZERO)
+        out: dict = {}
         for k, j in enumerate(cols):
-            a = n.get((sub[0], j))
-            if a is None:
+            a = packed.get((sub[0], j))
+            rest = det(sub[1:], cols[:k] + cols[k + 1:]) if a else None
+            if not rest:
                 continue
-            rest = det(sub[1:], cols[:k] + cols[k + 1:])
-            if rest:
-                p_add_into(out, p_mul(a, rest), -1 if k % 2 else 1)
-        return out
+            for ma, ca in a.items():
+                ca = -ca if k % 2 else ca
+                for mb, cb in rest.items():
+                    m = ma + mb
+                    out[m] = out.get(m, 0) + ca * cb
+        return {m: c for m, c in out.items() if c}
 
     squares = {i: p_mul(ri, ri) for i, ri in r.items()}
     minors = []
@@ -889,7 +957,31 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
         den = _p_one()
         for i in sub:
             den = p_mul(den, squares[i])
-        minors.append(Expression(det(sub, sub), den))
+        num = det(sub, sub)
+        if len(den) > 1:
+            minors.append(Expression({unpack(m): c for m, c in num.items()}, den))
+            continue
+        ((dm, c),) = den.items()
+        den_t = _ONE_T
+        if num and dm:  # divide out the monomial content, capped by dm
+            cut = []
+            for a, e in zip(dm[::2], dm[1::2]):
+                k = field.get(a)
+                e = 0 if k is None else min(e, min(m >> starts[k] & (1 << widths[k]) - 1 for m in num))
+                if e:
+                    cut.append((a, e))
+            if cut:
+                low = pack(cut)
+                num = {m - low: v for m, v in num.items()}
+                dm = mono_div(dm, tuple(chain.from_iterable(cut)))
+        if num and dm:
+            k, g = _int_scale(chain(num.values(), (c,)), c)
+            if k != g:
+                num, c = _rescale(num, k, g), c * k // g
+            den_t = ((dm, c),)
+        elif c != 1:
+            num = {m: _quo(v, c) for m, v in num.items()}
+        minors.append(_wrap(tuple((unpack(m), num[m]) for m in sorted(num)), den_t))
     return minors
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from typing import Iterator, NamedTuple
 
 from .jet import JetVariable
-from .expr import ZERO, Expression, FuncSym, to_text
+from .expr import ZERO, Expression, FuncSym, mono_from_pairs, to_text
 
 
 class ChainTerm(NamedTuple):
@@ -41,18 +41,12 @@ class ChainTerm(NamedTuple):
 
     @property
     def outer_orders(self) -> tuple[int, ...]:
-        if not self.assignment:
-            return ()
-        return tuple(sum(col) for col in zip(*self.assignment))
+        return tuple(map(sum, zip(*self.assignment)))
 
     def inner_factors(self) -> tuple[tuple[int, int, int], ...]:
         """Sorted (derivative order, argument index, multiplicity) triples."""
-        out = []
-        for i, row in enumerate(self.assignment, start=1):
-            for j, q in enumerate(row):
-                if q:
-                    out.append((i, j, q))
-        return tuple(out)
+        rows = enumerate(self.assignment, start=1)
+        return tuple((i, j, q) for i, row in rows for j, q in enumerate(row) if q)
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -115,23 +109,27 @@ def chain_terms(m: int, s: int) -> tuple[ChainTerm, ...]:
     return tuple(out)
 
 
+def term_count(m: int, s: int) -> int:
+    """len(chain_terms(m, s)) without enumerating: each block count vector k
+    contributes prod_i C(k_i + s - 1, s - 1) assignments."""
+    return sum(math.prod(math.comb(ki + s - 1, s - 1) for ki in k) for k in block_count_vectors(m))
+
+
 def total_x_power(sym: FuncSym, m: int) -> Expression:
     """m-th total space derivative of a function symbol via the chain expansion."""
     if m == 0:
         return Expression.sym(sym)
     if not sym.deps:
         return ZERO
-    total = ZERO
+    total: dict = {}  # one polynomial, normalized once
     for term in chain_terms(m, len(sym.deps)):
         outer = sym
         for j, p in enumerate(term.outer_orders):
             for _ in range(p):
                 outer = outer.bump(sym.deps[j])
-        e = Expression.number(term.weight) * Expression.sym(outer)
-        for i, j, q in term.inner_factors():
-            e = e * Expression.jet(sym.deps[j].dx(i)) ** q
-        total = total + e
-    return total
+        mono = mono_from_pairs([(outer, 1)] + [(sym.deps[j].dx(i), q) for i, j, q in term.inner_factors()])
+        total[mono] = total.get(mono, 0) + term.weight
+    return Expression(total, {(): 1})
 
 
 def partition_count(m: int) -> int:

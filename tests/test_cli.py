@@ -1,7 +1,9 @@
 """Command line driver: exit codes, formats, and output destinations."""
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -417,6 +419,23 @@ class TestFdb:
         assert code == 2
         assert "exceeds the supported maximum 8" in err
 
+    def test_term_cap_is_checked_before_enumerating(self, capsys):
+        # About 5.7e19 terms: only a count taken before enumeration returns.
+        code, out, err = _run(["fdb", "--m", "8", "--s", "1100"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --m 8 --s 1100 expands to 57328070841580710875 terms, "
+            "more than the supported maximum 3000\n"
+        )
+
+    def test_term_cap_lies_between_m8_s4_and_m8_s5(self, capsys):
+        code, _, err = _run(["fdb", "--m", "8", "--s", "5"], capsys)
+        assert code == 2
+        assert err == "error: --m 8 --s 5 expands to 6765 terms, more than the supported maximum 3000\n"
+        code, out, err = _run(["fdb", "--m", "8", "--s", "4"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("terms: 2580    partitions of 8: 22\n")
+
 
 class TestParserShape:
     def test_missing_command_is_a_usage_error(self, capsys):
@@ -443,3 +462,21 @@ class TestParserShape:
         proc.wait(timeout=60)
         assert proc.returncode == 0
         assert b"Traceback" not in proc.stderr.read()
+
+
+# SHA-256 of the CLI's stdout for derive in every format: both built-ins and
+# both benchmark fixtures, pruned and with all extensions, and the order-3
+# cap.  Recorded before the packed principal minors, so every emitted minor
+# is pinned byte for byte, not only those the benchmark gate reads.
+_TESTS = os.path.dirname(os.path.abspath(__file__))
+with open(os.path.join(_TESTS, "derive_golden.json"), encoding="utf-8") as _fh:
+    DERIVE_GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("command", sorted(DERIVE_GOLDEN))
+def test_derive_output_bytes_are_pinned(command, capsys, monkeypatch):
+    monkeypatch.chdir(os.path.dirname(_TESTS))  # fixture paths are relative to the repository root
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_GOLDEN[command]

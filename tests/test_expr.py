@@ -134,6 +134,30 @@ class TestCalculus:
         # mixed partials commute by construction
         assert expr.diff(EPS).diff(RHO) == e("D(s0, rho, eps)", ctx)
 
+    @pytest.mark.parametrize("bump_first", [True, False])
+    def test_bump_equals_the_symbol_built_directly(self, bump_first):
+        # A name of its own, so that one order creates each atom by bumping
+        # and the other finds it interned.
+        name = f"psi_bump_{bump_first}"
+        base = FuncSym(name, (RHO_X, RHO, EPS))
+        if bump_first:
+            bumped = base.bump(EPS).bump(RHO_X).bump(EPS)
+        direct = FuncSym(name, (RHO, RHO_X, EPS), (0, 1, 2))
+        if not bump_first:
+            bumped = base.bump(EPS).bump(RHO_X).bump(EPS)
+            assert bumped is direct
+        assert bumped == direct
+        assert bumped.atom_key == direct.atom_key
+        assert hash(bumped) == hash(direct) == hash((name, direct.deps, direct.orders))
+        assert bumped.text() == direct.text() == f"D({name}, eps, eps, rho_x)"
+        assert bumped.id == direct.id
+        assert bumped.deps == direct.deps and bumped.orders == direct.orders == (2, 0, 1)
+        assert base.bump(EPS).bump(EPS).bump(RHO_X) is bumped
+        back = pickle.loads(pickle.dumps(bumped))
+        assert back == bumped and back.id == bumped.id and back.text() == bumped.text()
+        with pytest.raises(ExprError, match=f"^{name} does not depend on v_x$"):
+            base.bump(V_X)
+
     def test_quotient_rule(self, ctx):
         expr = e("rho/eps", ctx)
         assert expr.diff(EPS) == e("-rho/eps^2", ctx)

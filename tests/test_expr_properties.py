@@ -25,7 +25,9 @@ cofactor expansion over expressions (and sympy), the canonical monomial
 order against a reference comparator, and the printers against a reference
 that sorts the terms with that comparator before printing.  Fixed cases
 compare `total_x`, `poly_gcd` and the normal form with sympy when it is
-installed.
+installed.  A packed-minor suite uses monomial denominators only, so every
+minor is finished without `_normalize`, and requires the same parts as the
+cofactor expansion and as normalizing the minor's own parts again.
 
 The references read monomials as (atom, exponent) pairs and order atoms by
 `atom_key`, so they share nothing with the kernel's ids and rank table.
@@ -798,6 +800,88 @@ def test_principal_minors_normalize_once_per_minor(monkeypatch):
     monkeypatch.setattr(expr_mod, "_normalize", counting)
     minors = principal_minors(mat, subsets)
     assert calls["n"] == len(subsets) == len(minors)
+
+
+# Packed minors: every denominator a monomial, so each minor is finished in
+# place.  Exponents up to 12 push fields to their width bound; each example
+# creates two atoms whose ids run against the canonical order, and whose
+# names sort between eps and rho, so the rank table shifts between calls.
+_MONO_DENS = [parse(t, CTX) for t in ("1", "rho", "2*eps^3", "rho*eps^2", "3")]
+_packed_term = st.tuples(
+    st.integers(-4, 4).filter(bool) | st.sampled_from([Fraction(1, 2), Fraction(-5, 3)]),
+    st.lists(st.just(0) | st.integers(1, 12), min_size=4, max_size=4),
+)
+_packed_entry = st.none() | st.tuples(
+    st.lists(_packed_term, min_size=1, max_size=2), st.sampled_from(_MONO_DENS)
+)
+
+
+@st.composite
+def packed_matrices(draw):
+    n = draw(st.integers(1, 5))
+    spec = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            spec[i][j] = spec[j][i] = draw(_packed_entry)
+    return spec
+
+
+def _packed_entry_value(entry, atoms) -> Expression:
+    if entry is None:
+        return ZERO
+    terms, den = entry
+    num = ZERO
+    for c, exps in terms:
+        term = Expression.number(c)
+        for a, k in zip(atoms, exps):
+            term = term * Expression.atom(a) ** k
+        num = num + term
+    return num / den
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(spec=packed_matrices())
+def check_packed_minors(spec):
+    CASES["packed"] += 1
+    tag = CASES["packed"]
+    atoms = [RHO, EPS, JetVariable(f"m{tag}z"), JetVariable(f"m{tag}a")]
+    assert atoms[2].id < atoms[3].id and atoms[2].atom_key > atoms[3].atom_key
+    mat = [[_packed_entry_value(e, atoms) for e in row] for row in spec]
+    subsets = _all_subsets(len(mat))
+    for sub, minor in zip(subsets, principal_minors(mat, subsets)):
+        want = _cofactor_det([[mat[i][j] for j in sub] for i in sub])
+        again = Expression(minor.num_poly(), minor.den_poly())
+        assert (minor._num, minor._den) == (want._num, want._den) == (again._num, again._den)
+        if any(e in (7, 15, 31) for m, _ in minor._num for e in m[1::2]):
+            CASES["packed_full_field"] += 1
+
+
+def test_packed_minor_suite():
+    CASES["packed"] = CASES["packed_full_field"] = 0
+    check_packed_minors()
+    assert CASES["packed"] >= 120
+    # Exponents of the form 2^w - 1 fill a field of width w when they are its bound.
+    assert CASES["packed_full_field"] >= 20, CASES["packed_full_field"]
+
+
+@pytest.mark.parametrize("rows", [
+    [["rho^7"]],  # the minor fills its 3-bit field
+    [["rho^3", "eps"], ["eps", "rho^4/(2*eps^3)"]],
+    [["rho/(rho*eps^2)", "1/3", "eps^12"], ["1/3", "eps/rho", "rho"], ["eps^12", "rho", "3/rho"]],
+])
+def test_monomial_denominator_minors_skip_normalize(rows, monkeypatch):
+    mat = _fixed_matrix(rows)
+    subsets = _all_subsets(len(mat))
+    want = [_cofactor_det([[mat[i][j] for j in sub] for i in sub]) for sub in subsets]
+
+    def refuse(num, den):
+        raise AssertionError("a monomial-denominator minor went through _normalize")
+
+    monkeypatch.setattr(expr_mod, "_normalize", refuse)
+    got = principal_minors(mat, subsets)
+    monkeypatch.undo()
+    assert [(m._num, m._den) for m in got] == [(w._num, w._den) for w in want]
 
 
 # -- canonical order ------------------------------------------------------------

@@ -10,6 +10,7 @@ from liukit.fdb import (
     block_count_vectors,
     chain_terms,
     partition_count,
+    term_count,
     total_x_power,
     weak_compositions,
 )
@@ -54,6 +55,10 @@ class TestBlockCountVectors:
 
 
 class TestChainTerms:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_term_count_matches_enumeration(self, m):
+        assert [term_count(m, s) for s in range(1, 5)] == [len(chain_terms(m, s)) for s in range(1, 5)]
+
     @pytest.mark.parametrize(
         "m,count", [(1, 1), (2, 2), (3, 3), (4, 5), (5, 7), (6, 11), (7, 15), (8, 22)]
     )
