@@ -8,13 +8,16 @@ three parts:
   when it does not, declared equality conditions are substituted (closing
   over derivatives) and the equality passes conditionally if the result is
   zero.
-* numeric scenarios: seeded sampling of the residual production and the
-  semidefiniteness minors over declared or default ranges, after scenario
-  "let" bindings give values to the remaining free functions.  The minors
-  are built from the prepared entries of the quadratic form, not prepared
-  one by one.  Each scenario compiles its targets once into one float
-  function over the sampled jets (`expr.compile_floats`); every value
-  rounds as the term-by-term sum over the printed normal form does.
+* numeric scenarios: seeded sampling of the residual production, the
+  semidefiniteness minors and the even forms over declared or default
+  ranges, after scenario "let" bindings give values to the remaining free
+  functions.  `run_scenario` is one straight path: prepare the targets (the
+  minors built from the prepared entries of the quadratic form), check that
+  only jets are left, compile them once into one float function over the
+  sampled jets (`expr.compile_floats`), sample, and judge.  Every value
+  rounds as the term-by-term sum over the printed normal form does, and
+  each declared condition must lie in a closed interval around zero.  A
+  minimum that is not finite is written as null in the JSON record.
 * equilibrium concavity: the bound entropy, as a quadratic form in the
   gradient state variables, must be negative semidefinite so that uniform
   states maximize it; the decision uses the declared sign conditions.
@@ -22,7 +25,8 @@ three parts:
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple, Sequence
+from math import inf, isfinite, nan, prod
+from typing import NamedTuple, Sequence
 
 from .jet import JetVariable
 from .expr import (
@@ -38,7 +42,7 @@ from .expr import (
     to_text,
 )
 from .balance import ModelSpec
-from .liu import LiuReport, QuadraticForm, _by_degree, _mono_label, quadratic_form
+from .liu import LiuReport, _by_degree, _mono_label, quadratic_form
 
 # The solution records are defined beside their parser and stay importable from here.
 from .modelfile import (  # noqa: F401
@@ -154,18 +158,6 @@ def _default_range(j: JetVariable) -> tuple[float, float]:
     return DEFAULT_GRADIENT_RANGE
 
 
-def prepared_minors(
-    quadratic: QuadraticForm, prepare: Callable[[Expression], Expression]
-) -> list[Expression]:
-    """The form's principal minors, in report order, built from its prepared entries.
-
-    Only the n(n+1)/2 entries go through `prepare`, not the 2^n - 1 expanded
-    minors.  A determinant commutes with substitution and the normal form is
-    canonical, so each result is structurally equal to prepare(det).
-    """
-    return principal_minors(quadratic.matrix(prepare), [sub for sub, _ in quadratic.minors])
-
-
 def run_scenario(
     model: ModelSpec,
     report: LiuReport,
@@ -193,61 +185,54 @@ def run_scenario(
     def prepare(e: Expression) -> Expression:
         return e.subs(bindings).subs(cond_subs).subs(lets)
 
-    residual = prepare(report.restrictions.residual)
-    minors: list[Expression] = []
-    quadratic = report.restrictions.quadratic
-    if quadratic is not None:
-        minors = [d for d in prepared_minors(quadratic, prepare) if not d.is_zero]
-    for f in report.restrictions.even_forms:
-        poly = ZERO
-        for idx, coeff in f.entries:
-            term = prepare(coeff)
-            for v, e in zip(f.variables, idx):
-                if e:
-                    term = term * Expression.jet(v) ** e
-            poly = poly + term
-        if not poly.is_zero:
-            minors.append(poly)
+    # The sampled forms.  The minors are built from the n(n+1)/2 prepared
+    # entries, not the 2^n - 1 expanded minors: a determinant commutes with
+    # substitution and the normal form is canonical, so each equals
+    # prepare(det).
+    restr = report.restrictions
+    forms: list[Expression] = []
+    if restr.quadratic is not None:
+        q = restr.quadratic
+        forms += principal_minors(q.matrix(prepare), [sub for sub, _ in q.minors])
+    for f in restr.even_forms:
+        forms.append(sum(
+            (prepare(c) * prod(Expression.jet(v) ** e for v, e in zip(f.variables, idx))
+             for idx, c in f.entries),
+            ZERO,
+        ))
+    forms = [d for d in forms if not d.is_zero]
+    residual = prepare(restr.residual)
     conds = [c.as_zero().subs(bindings).subs(lets) for c in solution.conditions]
+    # Conditions first, then the residual, then the forms: a point fails on
+    # the first target that cannot be evaluated there.
+    targets = conds + [residual] + forms
 
-    targets = [residual] + minors + conds
-    free: set[JetVariable] = set()
-    for t in targets:
-        for a in t.atoms():
-            if isinstance(a, JetVariable):
-                free.add(a)
-            else:
-                raise CheckError(
-                    f"scenario {scenario.name!r} leaves {a.text()} without a value; "
-                    "bind it with a let line"
-                )
-    atoms = sorted(free, key=JetVariable.sort_key)
+    atoms = sorted({a for t in targets for a in t.atoms()}, key=lambda a: a.atom_key)
+    unbound = [a.text() for a in atoms if not isinstance(a, JetVariable)]
+    if unbound:
+        them = "it with a let line" if len(unbound) == 1 else "them with let lines"
+        raise CheckError(
+            f"scenario {scenario.name!r} leaves {', '.join(unbound)} without a value; bind {them}"
+        )
     ranges = {j: (lo, hi) for j, lo, hi in scenario.ranges}
     for j in ranges:
-        if j not in free and j.field not in model.fields:
+        if j not in atoms and j.field not in model.fields:
             raise CheckError(f"scenario {scenario.name!r} ranges unknown variable {j.text()}")
     bounds = [ranges.get(a, _default_range(a)) for a in atoms]
-    # Conditions first, then the residual, then the minors: a point fails on
-    # the first target that cannot be evaluated there.
-    values = compile_floats(conds + [residual] + minors, atoms)
-    nc = len(conds)
-    # (name, kind, allowed deviation) per condition: the tolerance, floored.
-    limits = [
-        (c.name, c.kind, max(tl, 1e-9 if c.kind == "eq" else 1e-12)) for c in solution.conditions
-    ]
+    values = compile_floats(targets, atoms)
+    # The closed interval each condition's value must lie in: the tolerance, floored.
+    intervals = []
+    for c in solution.conditions:
+        lim = max(tl, 1e-9 if c.kind == "eq" else 1e-12)
+        intervals.append((c.name, -inf if c.kind == "le" else -lim, inf if c.kind == "ge" else lim))
 
     rng = random.Random(sd)
-    resamples = 0
-    min_res = float("inf")
-    worst_minor = None if not minors else float("inf")
-    violations = 0
+    produced = resamples = violations = 0
+    min_res = inf
+    worst_minor = None if not forms else inf
     failure = None
-    produced = 0
-    budget = n * _MAX_RESAMPLE_FACTOR
-    attempts = 0
     while produced < n:
-        attempts += 1
-        if attempts > budget:
+        if produced + resamples >= n * _MAX_RESAMPLE_FACTOR:
             failure = f"scenario {scenario.name!r}: too many singular sample points"
             break
         try:
@@ -260,56 +245,32 @@ def run_scenario(
             failure = f"scenario {scenario.name!r}: {exc}"
             break
         produced += 1
-        bad = _condition_violation(limits, out)
+        bad = next((name for (name, lo, hi), v in zip(intervals, out) if not lo <= v <= hi), None)
         if bad is not None:
-            failure = (
-                f"scenario {scenario.name!r}: condition {bad!r} fails at sample {produced}"
-            )
+            failure = f"scenario {scenario.name!r}: condition {bad!r} fails at sample {produced}"
             break
-        rv = out[nc]
-        mvals = out[nc + 1:]
+        rv, fvals = out[len(conds)], out[len(conds) + 1:]
         min_res = min(min_res, rv)
-        if mvals:
-            worst_minor = min(worst_minor, *mvals)
-        if rv < -tl or any(v < -tl for v in mvals):
+        if fvals:
+            worst_minor = min(worst_minor, *fvals)
+        if rv < -tl or any(v < -tl for v in fvals):
             violations += 1
-    if failure is not None:
-        return ScenarioResult(
-            scenario.name, scenario.expect, produced, resamples,
-            min_res if produced else float("nan"), worst_minor, violations, False, failure,
-        )
-    if scenario.expect == "violate":
-        as_expected = violations > 0
-        if not as_expected:
+    as_expected = failure is None and (violations > 0) == (scenario.expect == "violate")
+    if failure is None and not as_expected:
+        if scenario.expect == "violate":
             failure = (
                 f"scenario {scenario.name!r}: expected a violation but all "
                 f"{produced} samples satisfy the restrictions"
             )
-    else:
-        as_expected = violations == 0
-        if not as_expected:
+        else:
             failure = (
                 f"scenario {scenario.name!r}: residual production or a minor is "
                 f"negative at {violations} of {produced} samples (min residual {min_res:.6g})"
             )
     return ScenarioResult(
         scenario.name, scenario.expect, produced, resamples,
-        min_res, worst_minor, violations, as_expected, failure,
+        min_res if produced else nan, worst_minor, violations, as_expected, failure,
     )
-
-
-def _condition_violation(limits: list[tuple[str, str, float]], values) -> str | None:
-    for (name, kind, lim), v in zip(limits, values):
-        if kind == "eq":
-            if abs(v) > lim:
-                return name
-        elif kind == "ge":
-            if v < -lim:
-                return name
-        elif kind == "le":
-            if v > lim:
-                return name
-    return None
 
 
 # -- equilibrium concavity --------------------------------------------------
@@ -471,8 +432,8 @@ def check_json_dict(result: CheckResult) -> dict:
                 "expect": s.expect,
                 "points": s.points,
                 "resamples": s.resamples,
-                "minResidual": s.min_residual,
-                "worstMinor": s.worst_minor,
+                "minResidual": _json_float(s.min_residual),
+                "worstMinor": _json_float(s.worst_minor),
                 "violations": s.violations,
                 "asExpected": s.as_expected,
                 "failure": s.failure,
@@ -488,6 +449,11 @@ def check_json_dict(result: CheckResult) -> dict:
         ],
         "failures": list(result.failures),
     }
+
+
+def _json_float(x: float | None) -> float | None:
+    """JSON has no NaN or infinity (RFC 8259): a non-finite value is written as null."""
+    return x if x is not None and isfinite(x) else None
 
 
 def check_text(result: CheckResult) -> str:
@@ -508,8 +474,8 @@ def format_check(record: dict) -> str:
     for s in record["scenarios"]:
         lines.append(
             f"scenario {s['name']}: expect={s['expect']} points={s['points']} "
-            f"resamples={s['resamples']} violations={s['violations']} "
-            f"minResidual={s['minResidual']:.6g}"
+            f"resamples={s['resamples']} violations={s['violations']}"
+            + (f" minResidual={s['minResidual']:.6g}" if s["minResidual"] is not None else "")
             + (f" worstMinor={s['worstMinor']:.6g}" if s["worstMinor"] is not None else "")
             + (" ok" if s["asExpected"] and s["failure"] is None else " FAILED")
         )

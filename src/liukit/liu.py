@@ -585,6 +585,16 @@ def report_latex(report: LiuReport) -> str:
             vj = _jet_latex(q.variables[j])
             lines.append(rf"M_{{{vi},\,{vj}}} &= {to_latex(e)} \\")
         lines.append(r"\end{align*}")
+    if r.even_forms:
+        lines.append(r"\subsection*{Even forms}")
+        lines.append(r"\begin{align*}")
+        for f in r.even_forms:
+            for idx, v in f.entries:
+                mono = r"\,".join(
+                    _jet_latex(x) + (f"^{{{e}}}" if e > 1 else "") for x, e in zip(f.variables, idx) if e
+                )
+                lines.append(rf"c^{{({f.degree})}}_{{{mono}}} &= {to_latex(v)} \\")
+        lines.append(r"\end{align*}")
     lines.append(r"\subsection*{Residual production}")
     lines.append(r"\begin{align*}")
     lines.append(rf"{to_latex(r.residual)} &\ge 0")

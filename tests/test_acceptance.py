@@ -2,8 +2,8 @@
 
 Eight end-to-end criteria covering the derivative-expansion oracle, the two
 golden derivations, candidate checking, the reduced-production identity with
-its numeric samplers, the equilibrium concavity gate, cross-thread
-determinism, and the randomized expression-kernel suites.  Each test emits
+its numeric samplers, the equilibrium concavity gate, byte-identical output
+from two separate processes, and the randomized expression-kernel suites.  Each test emits
 one ``criterion N PASS/FAIL`` line through the reporter hook in conftest.
 """
 from __future__ import annotations

@@ -19,12 +19,11 @@ from liukit.checker import (
     check_json_dict,
     check_text,
     max_entropy_at_equilibrium,
-    prepared_minors,
     run_scenario,
     validate_solution,
 )
 from liukit.cli import main
-from liukit.expr import Expression, FuncSym, ParseContext, Substitution, ZERO, parse
+from liukit.expr import Expression, FuncSym, ParseContext, Substitution, ZERO, parse, principal_minors
 from liukit.jet import JetVariable, StateSpace
 from liukit.liu import EvenForm, Restrictions, derive, quadratic_form
 
@@ -238,7 +237,7 @@ class TestRunScenario:
         pruned = sc._replace(lets=tuple((a, v) for a, v in sc.lets if a != q1))
         with pytest.raises(CheckError) as ei:
             run_scenario(grade2_model, grade2_report, grade2_solution, pruned)
-        assert "q1" in str(ei.value) and "let" in str(ei.value)
+        assert str(ei.value) == "scenario 'fourier' leaves q1 without a value; bind it with a let line"
 
     def test_unknown_range_variable_rejected(self, grade2_model, grade2_report, grade2_solution):
         sc = _scenario(grade2_solution, "fourier")._replace(
@@ -450,6 +449,34 @@ class TestMaxEntropyAtEquilibrium:
             "minor over (rho_x) has the wrong sign: -s1 with the declared conditions",
         )
 
+    def test_constant_minor_of_the_wrong_sign_refutes(self, grade2_model, grade2_solution):
+        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        sol = _replace_binding(grade2_solution, "s", e("s0 + rho_x^2"))
+        res = max_entropy_at_equilibrium(grade2_model, sol)
+        assert res == (
+            "refuted",
+            "minor over (rho_x) has the wrong sign: 1 with the declared conditions",
+        )
+
+    def test_identically_zero_minor_is_decided(self, grade2_model, grade2_solution):
+        # The 1x1 minors are -1; the 2x2 minor over (eps_x, rho_x) is 1 - 1 = 0.
+        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        sol = _replace_binding(grade2_solution, "s", e("s0 - (rho_x + eps_x)^2"))
+        res = max_entropy_at_equilibrium(grade2_model, sol)
+        assert res == ("confirmed", "gradient quadratic form is negative semidefinite")
+
+    def test_sign_condition_with_a_nonconstant_ratio_is_skipped(self, grade2_model, grade2_solution):
+        # k/s1 is not constant, so maxent cannot decide the minor k; the
+        # second condition does.
+        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        sol = _replace_binding(grade2_solution, "s", e("s0 + k*rho_x^2"))
+        maxent = Condition("maxent", "le", e("s1"), ZERO)
+        kneg = Condition("kneg", "le", e("k"), ZERO)
+        res = max_entropy_at_equilibrium(grade2_model, sol._replace(conditions=(maxent, kneg)))
+        assert res == ("confirmed", "gradient quadratic form is negative semidefinite")
+        res = max_entropy_at_equilibrium(grade2_model, sol._replace(conditions=(maxent,)))
+        assert res.outcome == "undetermined"
+
     def test_gradient_free_entropy_confirmed(self, grade2_model, grade2_solution):
         e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
         sol = _replace_binding(grade2_solution, "s", e("s0"))
@@ -568,6 +595,11 @@ def test_check_output_bytes_are_pinned(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CHECK_GOLDEN[command]
 
 
+def _entry_minors(quadratic, prepare):
+    """The minors as `run_scenario` builds them: from the prepared entries."""
+    return principal_minors(quadratic.matrix(prepare), [sub for sub, _ in quadratic.minors])
+
+
 def _prepare(solution: CandidateSolution, scenario: NumericScenario):
     lets = Substitution(dict(scenario.lets))
     return lambda e: e.subs(solution.binding_substitution).subs(solution.condition_substitution).subs(lets)
@@ -580,7 +612,7 @@ def test_prepared_minors_equal_prepared_dets(name, request):
     quadratic = report.restrictions.quadratic
     for sc in solution.scenarios:
         prepare = _prepare(solution, sc)
-        assert prepared_minors(quadratic, prepare) == [prepare(d) for _, d in quadratic.minors]
+        assert _entry_minors(quadratic, prepare) == [prepare(d) for _, d in quadratic.minors]
 
 
 # Values for the function atoms of a form's entries, so its minors stay nonzero
@@ -596,6 +628,6 @@ def test_prepared_minors_equal_prepared_dets_when_nonzero(name, request):
     atoms = sorted({a for _, _, e in quadratic.entries for a in e.syms()}, key=lambda a: a.text())
     values = [parse(_ENTRY_VALUES[k % len(_ENTRY_VALUES)], model.ctx) for k in range(len(atoms))]
     sub = Substitution(dict(zip(atoms, values)))
-    got = prepared_minors(quadratic, lambda e: e.subs(sub))
+    got = _entry_minors(quadratic, lambda e: e.subs(sub))
     assert got == [d.subs(sub) for _, d in quadratic.minors]
     assert not any(d.is_zero for d in got)

@@ -4,6 +4,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -360,6 +362,51 @@ class TestCheck:
         assert code == 4
         assert err == ""
         assert "  - scenario 'fourier': a coefficient is outside the float range\n" in out
+
+
+    def test_missing_lets_are_named_in_canonical_order(self, tmp_path):
+        from liukit.models import _read
+
+        # Set iteration order follows the hash seed; the message must not.
+        text = _read("korteweg.solution").replace("let q1 = -eps^2\n", "").replace("let q3 = 0\n", "")
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text)
+
+        def run(hash_seed: str) -> subprocess.CompletedProcess:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            return subprocess.run(
+                [sys.executable, "-m", "liukit.cli", "check", str(mp), str(sp)],
+                capture_output=True, text=True, env=env,
+            )
+
+        first, second = run("0"), run("5")
+        assert (first.returncode, first.stdout) == (2, "")
+        assert first.stderr == (
+            "error: scenario 'fourier' leaves q1, q3 without a value; bind them with let lines\n"
+        )
+        assert (second.returncode, second.stdout, second.stderr) == (2, "", first.stderr)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("let tau1 = 1\n", "let tau1 = 10^400\n"),  # no sample point: NaN minimum
+            ("let q2 = 0\n", "let q2 = -1\n"),  # condition broken at once: infinite minimum
+        ],
+    )
+    def test_failed_check_json_is_strict(self, tmp_path, capsys, old, new):
+        from liukit.models import _read
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(_read("korteweg.solution").replace(old, new, 1))
+        code, out, _ = _run(["check", str(mp), str(sp), "--samples", "8", "--format", "json"], capsys)
+        assert code == 4
+        record = json.loads(out, parse_constant=reject)
+        assert record["scenarios"][0]["minResidual"] is None
 
 
 class TestFdb:

@@ -16,9 +16,11 @@ from liukit.expr import Expression, ParseContext, ZERO, parse, to_text
 from liukit.jet import JetVariable, StateSpace
 from liukit.liu import (
     EngineError,
+    EvenForm,
     constrained_inequality,
     decouple,
     derive,
+    format_report,
     model_hash,
     multiplier_symbol,
     report_json_dict,
@@ -444,6 +446,40 @@ class TestSerialization:
         lat = report_latex(grade2_report)
         assert r"\Lambda" in lat
         assert r"\rho" in lat
+
+    def test_even_forms_in_every_format(self, korteweg_report):
+        # No built-in derivation has an even form of degree 4 or more.
+        ctx = korteweg_report.model.ctx
+        form = EvenForm(
+            4,
+            (JetVariable("eps", 0, 1), JetVariable("rho", 0, 1)),
+            (((0, 4), parse("rho", ctx)), ((2, 2), parse("-2*D(s, rho_x)", ctx))),
+        )
+        plain = korteweg_report.restrictions
+        report = korteweg_report._replace(restrictions=plain._replace(even_forms=(form,)))
+        record = report_json_dict(report)
+        assert record["evenForms"] == [
+            {
+                "degree": 4,
+                "entries": [
+                    {"monomial": "rho_x^4", "value": "rho"},
+                    {"monomial": "eps_x^2*rho_x^2", "value": "-2*D(s, rho_x)"},
+                ],
+            }
+        ]
+        text = report_text(report)
+        assert text == format_report(json.loads(stable_json(record)))
+        assert "even form of degree 4:\n  coeff[rho_x^4] = rho\n" in text
+        assert "  coeff[eps_x^2*rho_x^2] = -2*D(s, rho_x)\n" in text
+        lat = report_latex(report)
+        assert (
+            "\\subsection*{Even forms}\n\\begin{align*}\n"
+            "c^{(4)}_{\\rho_{,x}^{4}} &= \\rho \\\\\n"
+            "c^{(4)}_{\\varepsilon_{,x}^{2}\\,\\rho_{,x}^{2}} &= "
+            "-2 \\, \\frac{\\partial s}{\\partial \\rho_{,x}} \\\\\n"
+            "\\end{align*}\n\\subsection*{Residual production}"
+        ) in lat
+        assert "Even forms" not in report_latex(korteweg_report)
 
     def test_json_does_not_depend_on_atom_creation_order(self, korteweg_report):
         # A fresh process derives korteweg once to learn its atoms; a second

@@ -57,7 +57,7 @@ def test_check_text(name):
 
 def test_failed_check_text(korteweg_model, korteweg_report, korteweg_solution):
     # A sign condition that the scenarios break at their first point leaves
-    # an infinite minimum residual, which JSON writes as Infinity.
+    # an infinite minimum residual, which the record writes as null.
     flipped = korteweg_solution._replace(
         conditions=tuple(
             c._replace(kind="ge") if c.name == "maxent" else c
@@ -68,7 +68,8 @@ def test_failed_check_text(korteweg_model, korteweg_report, korteweg_solution):
     assert not result.ok
     text = format_check(_round_trip(check_json_dict(result)))
     assert text == check_text(result)
-    assert "minResidual=inf" in text and "failures:" in text
+    assert check_json_dict(result)["scenarios"][0]["minResidual"] is None
+    assert "minResidual=" not in text and "failures:" in text
 
 
 def test_check_text_without_points():
@@ -78,7 +79,18 @@ def test_check_text_without_points():
     )
     text = format_check(_round_trip(check_json_dict(result)))
     assert text == check_text(result)
-    assert "minResidual=nan FAILED" in text and "worstMinor" not in text
+    assert "violations=0 FAILED" in text and "minResidual" not in text and "worstMinor" not in text
+
+
+def test_non_finite_values_are_null():
+    # JSON (RFC 8259) has no NaN or Infinity; a condition broken at the first
+    # sample leaves both minima infinite.
+    scenario = ScenarioResult("s", "pass", 1, 0, float("inf"), float("inf"), 0, False, "broken")
+    result = CheckResult("m", (), (scenario,), ConcavityResult("confirmed", "-"), (), ("broken",))
+    record = check_json_dict(result)
+    assert (record["scenarios"][0]["minResidual"], record["scenarios"][0]["worstMinor"]) == (None, None)
+    json.loads(stable_json(record), parse_constant=lambda name: pytest.fail(f"wrote {name}"))
+    assert "violations=0 FAILED" in format_check(_round_trip(record))
 
 
 def test_fdb_text(capsys):
