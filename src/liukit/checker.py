@@ -13,11 +13,18 @@ three parts:
   ranges, after scenario "let" bindings give values to the remaining free
   functions.  `run_scenario` is one straight path: prepare the targets (the
   minors built from the prepared entries of the quadratic form), check that
-  only jets are left, compile them once into one float function over the
-  sampled jets (`expr.compile_floats`), sample, and judge.  Every value
-  rounds as the term-by-term sum over the printed normal form does, and
-  each declared condition must lie in a closed interval around zero.  A
-  minimum that is not finite is written as null in the JSON record.
+  only jets are left, compile the whole sampling loop once into one
+  generated function, run it, and judge.  The bindings and the condition
+  substitution are applied once per candidate (`CandidateSolution.bind`);
+  each scenario applies only its "let" values.  The loop draws each jet as
+  `uniform` does and evaluates the targets through the statements of
+  `expr.float_body`, so every value rounds as the term-by-term sum over the
+  printed normal form does, bit for bit as `expr.compile_floats` gives it.
+  Each declared condition must lie in a closed interval around zero.  A
+  scenario expected to pass that does not names the first target below
+  -tol at the first violating point, that point and the target's worst
+  value.  A minimum that is not finite is written as null in the JSON
+  record.
 * equilibrium concavity: the bound entropy, as a quadratic form in the
   gradient state variables, must be negative semidefinite so that uniform
   states maximize it; the decision uses the declared sign conditions.
@@ -38,6 +45,8 @@ from .expr import (
     Substitution,
     ZERO,
     compile_floats,
+    compile_source,
+    float_body,
     principal_minors,
     to_text,
 )
@@ -175,37 +184,40 @@ def run_scenario(
     higher even forms have no finite minor criterion, so their polynomials
     are sampled directly alongside the quadratic minors.
     """
-    bindings = solution.binding_substitution
-    cond_subs = solution.condition_substitution
     lets = Substitution(dict(scenario.lets))
     n = samples if samples is not None else scenario.samples
     sd = seed if seed is not None else scenario.seed
     tl = tol if tol is not None else scenario.tol
 
     def prepare(e: Expression) -> Expression:
-        return e.subs(bindings).subs(cond_subs).subs(lets)
+        return solution.bind(e).subs(lets)
 
-    # The sampled forms.  The minors are built from the n(n+1)/2 prepared
-    # entries, not the 2^n - 1 expanded minors: a determinant commutes with
-    # substitution and the normal form is canonical, so each equals
-    # prepare(det).
+    # The sampled forms, each with the label a failure names it by.  The
+    # minors are built from the n(n+1)/2 prepared entries, not the 2^n - 1
+    # expanded minors: a determinant commutes with substitution and the
+    # normal form is canonical, so each equals prepare(det).
     restr = report.restrictions
-    forms: list[Expression] = []
+    forms: list[tuple[Expression, str]] = []
     if restr.quadratic is not None:
         q = restr.quadratic
-        forms += principal_minors(q.matrix(prepare), [sub for sub, _ in q.minors])
+        subsets = [sub for sub, _ in q.minors]
+        forms += zip(
+            principal_minors(q.matrix(prepare), subsets),
+            [f"minor over ({', '.join(q.variables[i].text() for i in sub)})" for sub in subsets],
+        )
     for f in restr.even_forms:
-        forms.append(sum(
+        form = sum(
             (prepare(c) * prod(Expression.jet(v) ** e for v, e in zip(f.variables, idx))
              for idx, c in f.entries),
             ZERO,
-        ))
-    forms = [d for d in forms if not d.is_zero]
+        )
+        forms.append((form, f"even form of degree {f.degree} over ({', '.join(v.text() for v in f.variables)})"))
+    forms = [(d, label) for d, label in forms if not d.is_zero]
     residual = prepare(restr.residual)
-    conds = [c.as_zero().subs(bindings).subs(lets) for c in solution.conditions]
+    conds = [c.subs(lets) for c in solution.bound_conditions]
     # Conditions first, then the residual, then the forms: a point fails on
     # the first target that cannot be evaluated there.
-    targets = conds + [residual] + forms
+    targets = conds + [residual] + [d for d, _ in forms]
 
     atoms = sorted({a for t in targets for a in t.atoms()}, key=lambda a: a.atom_key)
     unbound = [a.text() for a in atoms if not isinstance(a, JetVariable)]
@@ -219,42 +231,22 @@ def run_scenario(
         if j not in atoms and j.field not in model.fields:
             raise CheckError(f"scenario {scenario.name!r} ranges unknown variable {j.text()}")
     bounds = [ranges.get(a, _default_range(a)) for a in atoms]
-    values = compile_floats(targets, atoms)
     # The closed interval each condition's value must lie in: the tolerance, floored.
     intervals = []
     for c in solution.conditions:
         lim = max(tl, 1e-9 if c.kind == "eq" else 1e-12)
-        intervals.append((c.name, -inf if c.kind == "le" else -lim, inf if c.kind == "ge" else lim))
+        intervals.append((-inf if c.kind == "le" else -lim, inf if c.kind == "ge" else lim))
 
-    rng = random.Random(sd)
-    produced = resamples = violations = 0
-    min_res = inf
-    worst_minor = None if not forms else inf
-    failure = None
-    while produced < n:
-        if produced + resamples >= n * _MAX_RESAMPLE_FACTOR:
-            failure = f"scenario {scenario.name!r}: too many singular sample points"
-            break
-        try:
-            out = values([rng.uniform(lo, hi) for lo, hi in bounds])
-        except EvaluationError:
-            resamples += 1
-            continue
-        except CoefficientRangeError as exc:
-            # A property of the bound targets: no other point can help.
-            failure = f"scenario {scenario.name!r}: {exc}"
-            break
-        produced += 1
-        bad = next((name for (name, lo, hi), v in zip(intervals, out) if not lo <= v <= hi), None)
-        if bad is not None:
-            failure = f"scenario {scenario.name!r}: condition {bad!r} fails at sample {produced}"
-            break
-        rv, fvals = out[len(conds)], out[len(conds) + 1:]
-        min_res = min(min_res, rv)
-        if fvals:
-            worst_minor = min(worst_minor, *fvals)
-        if rv < -tl or any(v < -tl for v in fvals):
-            violations += 1
+    sample, consts = _sampler(targets, atoms, bounds, intervals)
+    stop, produced, resamples, violations, min_res, worst, form_mins, witness = sample(
+        random.Random(sd).random, n, n * _MAX_RESAMPLE_FACTOR, -tl, consts
+    )
+    if stop is None:
+        failure = None
+    elif isinstance(stop, int):
+        failure = f"scenario {scenario.name!r}: condition {solution.conditions[stop].name!r} fails at sample {produced}"
+    else:
+        failure = f"scenario {scenario.name!r}: {stop}"
     as_expected = failure is None and (violations > 0) == (scenario.expect == "violate")
     if failure is None and not as_expected:
         if scenario.expect == "violate":
@@ -263,14 +255,129 @@ def run_scenario(
                 f"{produced} samples satisfy the restrictions"
             )
         else:
+            # The witness: the first target below -tol at the first violating sample.
+            index, point, values = witness
+            k = next(k for k, v in enumerate(values) if v < -tl)
+            label, lowest = ("residual production", min_res) if k == 0 else (forms[k - 1][1], form_mins[k - 1])
+            where = ", ".join(f"{a.text()} = {x:.6g}" for a, x in zip(atoms, point))
             failure = (
-                f"scenario {scenario.name!r}: residual production or a minor is "
-                f"negative at {violations} of {produced} samples (min residual {min_res:.6g})"
+                f"scenario {scenario.name!r}: a restriction is negative at {violations} of "
+                f"{produced} samples; first at sample {index} (seed {sd}): {label} = "
+                f"{values[k]:.6g}" + (f" at {where}" if where else "") + f"; its worst value is {lowest:.6g}"
             )
     return ScenarioResult(
         scenario.name, scenario.expect, produced, resamples,
-        min_res if produced else nan, worst_minor, violations, as_expected, failure,
+        min_res if produced else nan, worst if forms else None, violations, as_expected, failure,
     )
+
+
+def _sampler(
+    targets: Sequence[Expression],
+    atoms: Sequence[JetVariable],
+    bounds: Sequence[tuple[float, float]],
+    intervals: Sequence[tuple[float, float]],
+):
+    """Compile a scenario's whole sampling loop into one function.
+
+    `targets` are the conditions (one per interval), the residual and the
+    forms.  The function is called as sample(random, n, cap, -tol, consts)
+    and returns (stop, produced, resamples, violations, min residual, worst
+    form, minimum of each form, witness).  `stop` is None when n points were
+    produced, the index of the first condition outside its interval at the
+    last point, or the failure text when the resample cap or a coefficient
+    without a float value ends the loop.  The witness is (index, point,
+    values of the residual and the forms) at the first violating point.
+
+    Each atom is drawn as lo + (hi - lo)*random(), which is `uniform(lo,
+    hi)` on CPython, in atom order, and the targets run through the
+    statements of `expr.float_body`, so every value is the one that
+    `compile_floats` gives at the same point.  A point at which a target
+    raises EvaluationError or overflows is drawn again.  A target without
+    atoms is evaluated once, here, by those same statements, and its value
+    is reused when that cannot raise: a condition that always holds is not
+    tested, and one that never holds fails at the first produced point.
+    """
+    ncond = len(intervals)
+    names = [f"r{k}" for k in range(len(targets))]
+    consts: dict[str, float] = {"inf": inf}
+    for k, (lo, hi) in enumerate(bounds):
+        consts[f"a{k}"], consts[f"b{k}"] = lo, hi - lo
+    folded = _constant_values(targets)
+    consts.update((names[k], v) for k, v in folded.items())
+    body = float_body([(names[k], t) for k, t in enumerate(targets) if k not in folded], atoms)
+
+    nforms = len(targets) - ncond - 1
+    mins = "".join(f"mf{j}, " for j in range(nforms))
+    xs = "".join(f"x{k}, " for k in range(len(atoms)))
+    state = f"produced, resamples, violations, mr, wm, ({mins}), witness"
+    judge = []
+    for k, (lo, hi) in enumerate(intervals):
+        if k in folded:
+            if lo <= folded[k] <= hi:
+                continue
+            judge.append(f"return {k}, {state}")
+            break
+        # A finite value always lies within an infinite side of an interval.
+        test = " <= ".join(
+            ([f"lo{k}"] if lo != -inf else []) + [names[k]] + ([f"hi{k}"] if hi != inf else [])
+        )
+        if test != names[k]:
+            consts[f"lo{k}"], consts[f"hi{k}"] = lo, hi
+            judge.append(f"if not {test}: return {k}, {state}")
+    else:
+        res, fs = names[ncond], names[ncond + 1:]
+        judge.append(f"if {res} < mr: mr = {res}")
+        for j, f in enumerate(fs):
+            judge += [f"if {f} < wm: wm = {f}", f"if {f} < mf{j}: mf{j} = {f}"]
+        judge += [
+            "if " + " or ".join(f"{v} < ntl" for v in [res, *fs]) + ":",
+            "    violations += 1",
+            "    if witness is None:",
+            f"        witness = produced, ({xs}), ({res}, {''.join(f + ', ' for f in fs)})",
+        ]
+    lines = [
+        "def sample(r, n, cap, ntl, c):",
+        "    " + "".join(f"{name}, " for name in consts) + "= c",
+        "    produced = resamples = violations = 0",
+        "    mr = wm = " + "".join(f"mf{j} = " for j in range(nforms)) + "inf",
+        "    witness = None",
+        "    try:",
+        "        while produced < n:",
+        "            if produced + resamples >= cap:",
+        f"                return 'too many singular sample points', {state}",
+        *(f"            x{k} = a{k} + b{k}*r()" for k in range(len(atoms))),
+        "            try:",
+        *(f"                {line}" for line in body or ["pass"]),
+        "            except (_E, OverflowError):",
+        "                resamples += 1",
+        "                continue",
+        "            produced += 1",
+        *(f"            {line}" for line in judge),
+        "    except _R as exc:",
+        f"        return str(exc), {state}",
+        f"    return None, {state}",
+    ]
+    sample = compile_source("".join(line + "\n" for line in lines), "<liukit sampler>")["sample"]
+    return sample, tuple(consts.values())
+
+
+def _constant_values(targets: Sequence[Expression]) -> dict[int, float]:
+    """Position -> float value of each target without atoms whose statements cannot raise."""
+    ks = [k for k, t in enumerate(targets) if not t.atoms()]
+    if not ks:
+        return {}
+    # One compile for all of them; one each only when some cannot be evaluated.
+    try:
+        return dict(zip(ks, compile_floats([targets[k] for k in ks], [])([])))
+    except (EvaluationError, CoefficientRangeError):
+        pass
+    out = {}
+    for k in ks:
+        try:
+            out[k] = compile_floats([targets[k]], [])([])[0]
+        except (EvaluationError, CoefficientRangeError):
+            continue
+    return out
 
 
 # -- equilibrium concavity --------------------------------------------------
@@ -312,9 +419,7 @@ def max_entropy_at_equilibrium(
     is refuted: it admits parameter values for which uniform states are not
     entropy maxima.
     """
-    s_expr = model.entropy.density.subs(solution.binding_substitution).subs(
-        solution.condition_substitution
-    )
+    s_expr = solution.bind(model.entropy.density)
     grads = [w for w in model.space.sorted_members() if w.x_order >= 1]
     if not grads:
         return ConcavityResult("confirmed", "state space has no gradient variables")

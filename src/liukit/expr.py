@@ -53,8 +53,8 @@ from .jet import _ATOM_IDS, ATOMS, Frozen, JetVariable, intern_atom
 __all__ = [
     "Atom", "BindingError", "CoefficientRangeError", "CollectError", "EvaluationError",
     "ExprError", "Expression", "FuncSym", "ONE", "ParseContext", "ParseError",
-    "Substitution", "ZERO", "as_expression", "compile_floats", "parse",
-    "poly_gcd", "principal_minors", "to_latex", "to_text",
+    "Substitution", "ZERO", "as_expression", "compile_floats", "compile_source",
+    "float_body", "parse", "poly_gcd", "principal_minors", "to_latex", "to_text",
 ]
 
 
@@ -90,7 +90,7 @@ class FuncSym(Frozen):
     kept sorted and duplicate-free.
     """
 
-    __slots__ = ("name", "deps", "orders", "atom_key", "id", "_hash", "_text")
+    __slots__ = ("name", "deps", "orders", "atom_key", "id", "_hash", "_text", "_dep_ids")
 
     def __init__(self, name: str, deps: Iterable[JetVariable], orders: Iterable[int] | None = None):
         deps = tuple(deps)
@@ -104,15 +104,16 @@ class FuncSym(Frozen):
         if len(set(deps)) != len(deps):
             raise ExprError(f"{name}: duplicate dependency")
         orders = tuple(p[1] for p in pairs)
-        self._fill(name, deps, orders, tuple(d.sort_key() for d in deps))
+        self._fill(name, deps, orders, tuple(d.sort_key() for d in deps), tuple(d.id for d in deps))
         self._intern()
 
-    def _fill(self, name: str, deps: tuple, orders: tuple, dep_keys: tuple) -> None:
+    def _fill(self, name: str, deps: tuple, orders: tuple, dep_keys: tuple, dep_ids: tuple) -> None:
         """Set the fields that equality and hashing read, from checked parts."""
         put = object.__setattr__
         put(self, "name", name)
         put(self, "deps", deps)
         put(self, "orders", orders)
+        put(self, "_dep_ids", dep_ids)
         # Hashed, keyed, printed and interned once, as jets are.  A jet hashes
         # as its sort key, so this is hash((name, deps, orders)).
         put(self, "atom_key", (1, name, dep_keys, orders))
@@ -139,16 +140,17 @@ class FuncSym(Frozen):
     def bump(self, dep: JetVariable) -> "FuncSym":
         """Increment the derivative order with respect to `dep`.
 
-        The dependencies are already sorted and checked, so they and their
-        sort keys are reused; an atom that exists already is returned as is.
+        The dependencies are already sorted and checked, so they, their sort
+        keys and their atom ids are reused, and `dep` is found by its id; an
+        atom that exists already is returned as is.
         """
         try:
-            i = self.deps.index(dep)
+            i = self._dep_ids.index(dep.id)
         except ValueError:
             raise ExprError(f"{self.name} does not depend on {dep.text()}") from None
         orders = self.orders[:i] + (self.orders[i] + 1,) + self.orders[i + 1:]
         out = FuncSym.__new__(FuncSym)
-        out._fill(self.name, self.deps, orders, self.atom_key[2])
+        out._fill(self.name, self.deps, orders, self.atom_key[2], self._dep_ids)
         i = _ATOM_IDS.get(out)
         return out._intern() if i is None else ATOMS[i]
 
@@ -757,8 +759,8 @@ class Expression:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, env: Mapping) -> float:
-        """Float value at a point, through the same compiled float function
-        (`compile_floats`) that scenario sampling runs; a vanishing
+        """Float value at a point, through `compile_floats`, which runs the
+        same statements (`float_body`) as scenario sampling; a vanishing
         denominator, an overflow or a non-finite value raises EvaluationError,
         so samplers can skip the point.  A coefficient outside the float range
         raises CoefficientRangeError, since no point can help it."""
@@ -1050,17 +1052,17 @@ _FLOAT_NAMES = {
 }
 
 
-def compile_floats(targets: Sequence[Expression], atoms: Sequence[Atom]):
-    """One float function for `targets`: f(values) -> [value of each target].
+def float_body(targets: Sequence[tuple[str, Expression]], atoms: Sequence[Atom]) -> list[str]:
+    """The statements that set each named local to the float value of its target.
 
-    `values` holds one float per atom of `atoms`, which must cover every atom
-    of the targets.  Each target sums its denominator, then its numerator,
-    term by term: the coefficient times each atom power in canonical atom
-    order, `c*x3**2*x0**1`, so every float rounds as a product over the
-    printed monomial does.  A vanishing denominator, an overflow or a
-    non-finite value raises EvaluationError; the first target whose
-    coefficients have no float value raises CoefficientRangeError when the
-    targets before it have been evaluated.
+    The atom at position k of `atoms` is the local `x<k>`; `atoms` must cover
+    every atom of the targets.  Each target sums its denominator, then its
+    numerator, term by term: the coefficient times each atom power in
+    canonical atom order, `c*x3**2*x0**1`, so every float rounds as a product
+    over the printed monomial does.  A vanishing denominator or a non-finite
+    value raises EvaluationError, and an overflow raises OverflowError.  The
+    first target whose coefficients have no float value ends the statements
+    with a raise of CoefficientRangeError.  `compile_source` runs them.
     """
     pos = {a.id: k for k, a in enumerate(atoms)}
     nrank = _ranks()
@@ -1072,8 +1074,8 @@ def compile_floats(targets: Sequence[Expression], atoms: Sequence[Atom]):
             out.append(f"{acc} += {float(c)!r}" + "".join(f"*x{pos[i]}**{e}" for i, e in pairs))
         return out
 
-    body = [", ".join(f"x{k}" for k in range(len(atoms))) + ", = v"] if atoms else []
-    for k, e in enumerate(targets):
+    body: list[str] = []
+    for name, e in targets:
         try:
             den = [] if e._den == _ONE_T else terms("d", e._den)
             num = terms("t", e._num)
@@ -1082,19 +1084,42 @@ def compile_floats(targets: Sequence[Expression], atoms: Sequence[Atom]):
             break
         if not den:
             # num / 1.0 is num, bit for bit.
-            body += num + ["if not _fin(t): raise _E(_NONFINITE)", f"r{k} = t"]
+            body += num + ["if not _fin(t): raise _E(_NONFINITE)", f"{name} = t"]
         else:
             body += den + ["if d == 0.0: raise _E(_VANISHED)"] + num
             # inf - inf is nan, and a finite numerator over an infinite
             # denominator is an underflowed guess.
-            body += [f"r{k} = t / d", f"if not (_fin(r{k}) and _fin(d)): raise _E(_NONFINITE)"]
-    else:
-        body.append("return [" + ", ".join(f"r{k}" for k in range(len(targets))) + "]")
+            body += [f"{name} = t / d", f"if not (_fin({name}) and _fin(d)): raise _E(_NONFINITE)"]
+    return body
+
+
+def compile_floats(targets: Sequence[Expression], atoms: Sequence[Atom]):
+    """One float function for `targets`: f(values) -> [value of each target].
+
+    `values` holds one float per atom of `atoms`.  The function runs the
+    statements of `float_body`, which `checker.run_scenario` also compiles
+    into each scenario's whole sampling loop, so a sampled value and
+    `Expression.evaluate` round alike.  An overflow is raised here as
+    EvaluationError; the first target whose coefficients have no float
+    value raises CoefficientRangeError when the targets before it have been
+    evaluated.
+    """
+    names = [f"r{k}" for k in range(len(targets))]
+    body = float_body(list(zip(names, targets)), atoms)
+    if atoms:
+        body.insert(0, ", ".join(f"x{k}" for k in range(len(atoms))) + ", = v")
+    # Not reached after a CoefficientRangeError.
+    body.append("return [" + ", ".join(names) + "]")
     src = "def f(v):\n    try:\n" + "".join(f"        {line}\n" for line in body)
     src += "    except OverflowError as exc:\n        raise _E(_OVERFLOW % exc) from None\n"
+    return compile_source(src, "<liukit floats>")["f"]
+
+
+def compile_source(src: str, filename: str) -> dict:
+    """Run generated source that uses the names of `float_body`; its definitions are in the result."""
     names = dict(_FLOAT_NAMES)
-    exec(compile(src, "<liukit floats>", "exec"), names)
-    return names["f"]
+    exec(compile(src, filename, "exec"), names)
+    return names
 
 
 def _atoms_met(e: Expression) -> tuple:

@@ -304,6 +304,26 @@ class CandidateSolution(_SolutionFields, Frozen):
         """Equality conditions whose left side is a single atom, as bindings."""
         return Substitution(_condition_substitutions(self.conditions))
 
+    @cached_property
+    def bound_conditions(self) -> tuple[Expression, ...]:
+        """Each condition's `as_zero` expression with the bindings substituted."""
+        return tuple(c.as_zero().subs(self.binding_substitution) for c in self.conditions)
+
+    @cached_property
+    def _bound(self) -> dict[Expression, Expression]:
+        return {}
+
+    def bind(self, e: Expression) -> Expression:
+        """e with the bindings, then the condition substitution, substituted.
+
+        Kept per candidate, so every scenario of a check applies only its
+        own `let` values to an expression that was bound once.
+        """
+        out = self._bound.get(e)
+        if out is None:
+            out = self._bound[e] = e.subs(self.binding_substitution).subs(self.condition_substitution)
+        return out
+
     def condition(self, name: str) -> Condition:
         for c in self.conditions:
             if c.name == name:

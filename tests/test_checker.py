@@ -4,15 +4,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
+from functools import lru_cache
+from math import inf, nan, prod
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liukit.balance import BalanceLaw, EntropyDeclaration, ModelSpec
 from liukit.checker import (
+    DEFAULT_FIELD_RANGE,
+    DEFAULT_GRADIENT_RANGE,
     CandidateSolution,
     CheckError,
     Condition,
     NumericScenario,
+    ScenarioResult,
     binding_singularities,
     check,
     check_equalities,
@@ -23,7 +30,18 @@ from liukit.checker import (
     validate_solution,
 )
 from liukit.cli import main
-from liukit.expr import Expression, FuncSym, ParseContext, Substitution, ZERO, parse, principal_minors
+from liukit.expr import (
+    CoefficientRangeError,
+    EvaluationError,
+    Expression,
+    FuncSym,
+    ParseContext,
+    Substitution,
+    ZERO,
+    compile_floats,
+    parse,
+    principal_minors,
+)
 from liukit.jet import JetVariable, StateSpace
 from liukit.liu import EvenForm, Restrictions, derive, quadratic_form
 
@@ -631,3 +649,282 @@ def test_prepared_minors_equal_prepared_dets_when_nonzero(name, request):
     got = _entry_minors(quadratic, lambda e: e.subs(sub))
     assert got == [d.subs(sub) for _, d in quadratic.minors]
     assert not any(d.is_zero for d in got)
+
+
+# -- the compiled sampling loop against the per-point loop ---------------------
+
+def _reference_run_scenario(model, report, solution, scenario, samples=None, seed=None, tol=None):
+    """The sampler as a per-point loop: uniform draws, one compiled call per point, judged in Python.
+
+    A scenario expected to pass that fails keeps only its count in the
+    failure text; the compiled loop adds the witness to it.
+    """
+    bindings = solution.binding_substitution
+    cond_subs = solution.condition_substitution
+    lets = Substitution(dict(scenario.lets))
+    n = samples if samples is not None else scenario.samples
+    sd = seed if seed is not None else scenario.seed
+    tl = tol if tol is not None else scenario.tol
+
+    def prepare(e):
+        return e.subs(bindings).subs(cond_subs).subs(lets)
+
+    restr = report.restrictions
+    forms = []
+    if restr.quadratic is not None:
+        q = restr.quadratic
+        forms += principal_minors(q.matrix(prepare), [sub for sub, _ in q.minors])
+    for f in restr.even_forms:
+        forms.append(sum(
+            (prepare(c) * prod(Expression.jet(v) ** e for v, e in zip(f.variables, idx))
+             for idx, c in f.entries),
+            ZERO,
+        ))
+    forms = [d for d in forms if not d.is_zero]
+    residual = prepare(restr.residual)
+    conds = [c.as_zero().subs(bindings).subs(lets) for c in solution.conditions]
+    targets = conds + [residual] + forms
+
+    atoms = sorted({a for t in targets for a in t.atoms()}, key=lambda a: a.atom_key)
+    unbound = [a.text() for a in atoms if not isinstance(a, JetVariable)]
+    if unbound:
+        them = "it with a let line" if len(unbound) == 1 else "them with let lines"
+        raise CheckError(
+            f"scenario {scenario.name!r} leaves {', '.join(unbound)} without a value; bind {them}"
+        )
+    ranges = {j: (lo, hi) for j, lo, hi in scenario.ranges}
+    for j in ranges:
+        if j not in atoms and j.field not in model.fields:
+            raise CheckError(f"scenario {scenario.name!r} ranges unknown variable {j.text()}")
+    default = lambda j: DEFAULT_FIELD_RANGE if j.t_order == 0 and j.x_order == 0 else DEFAULT_GRADIENT_RANGE
+    bounds = [ranges.get(a, default(a)) for a in atoms]
+    values = compile_floats(targets, atoms)
+    intervals = []
+    for c in solution.conditions:
+        lim = max(tl, 1e-9 if c.kind == "eq" else 1e-12)
+        intervals.append((c.name, -inf if c.kind == "le" else -lim, inf if c.kind == "ge" else lim))
+
+    rng = random.Random(sd)
+    produced = resamples = violations = 0
+    min_res = inf
+    worst_minor = None if not forms else inf
+    failure = None
+    while produced < n:
+        if produced + resamples >= n * 50:
+            failure = f"scenario {scenario.name!r}: too many singular sample points"
+            break
+        try:
+            out = values([rng.uniform(lo, hi) for lo, hi in bounds])
+        except EvaluationError:
+            resamples += 1
+            continue
+        except CoefficientRangeError as exc:
+            failure = f"scenario {scenario.name!r}: {exc}"
+            break
+        produced += 1
+        bad = next((name for (name, lo, hi), v in zip(intervals, out) if not lo <= v <= hi), None)
+        if bad is not None:
+            failure = f"scenario {scenario.name!r}: condition {bad!r} fails at sample {produced}"
+            break
+        rv, fvals = out[len(conds)], out[len(conds) + 1:]
+        min_res = min(min_res, rv)
+        if fvals:
+            worst_minor = min(worst_minor, *fvals)
+        if rv < -tl or any(v < -tl for v in fvals):
+            violations += 1
+    as_expected = failure is None and (violations > 0) == (scenario.expect == "violate")
+    if failure is None and not as_expected:
+        if scenario.expect == "violate":
+            failure = (
+                f"scenario {scenario.name!r}: expected a violation but all "
+                f"{produced} samples satisfy the restrictions"
+            )
+        else:
+            failure = f"negative at {violations} of {produced} samples"
+    return ScenarioResult(
+        scenario.name, scenario.expect, produced, resamples,
+        min_res if produced else nan, worst_minor, violations, as_expected, failure,
+    )
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+@lru_cache(maxsize=None)
+def _sampling_setup():
+    """The grade2 model and report, and a context with three ansatz functions."""
+    from liukit.models import load_builtin
+
+    model = load_builtin("grade2")
+    ctx = ParseContext(fields=model.ctx.fields, syms=dict(model.ctx.syms))
+    rho, eps = JetVariable("rho"), JetVariable("eps")
+    ansatz = (ctx.declare_sym("f", (rho, eps)), ctx.declare_sym("g", (rho,)), ctx.declare_sym("h", (rho,)))
+    return model, derive(model), ctx, ansatz
+
+
+# Targets over rho, eps, rho_x, eps_x and the ansatz functions.  1/rho_x^400
+# underflows to a vanishing denominator near rho_x = 0, rho^2000 overflows
+# above about 1.43, and 10^400 has no float value.  At rho = 1, rho - 1 is
+# 0.0 and (rho - 1)/(eps_x - 2) is -0.0, so a minimum keeps the first zero.
+_TARGET_TEXTS = (
+    "0", "1", "-1", "rho - 1", "eps_x^2 - rho_x^2", "rho*eps_x^2 + f", "g*rho_x^2 - h",
+    "1/(rho_x - 1)", "1/rho_x^400 - 1", "rho^2000 - 1", "f/(rho - eps)", "h^2", "rho_x^2 + 1",
+    "(rho - 1)/(eps_x - 2)",
+)
+_LET_TEXTS = ("rho*eps", "1", "-1", "0", "eps - 2", "1/(rho - 1)", "rho_x^2", "rho + 1", "10^400")
+_RANGES = {
+    "rho": [(0.5, 2.0), (1.0, 1.0), (1.5, 1.6), (-1, 3)],
+    "rho_x": [(-1.0, 1.0), (1.0, 1.0), (0.0, 0.0), (-0.01, 0.01)],
+    "eps": [(0.5, 2.0), (2.0, 3.0)],
+}
+_texts = st.sampled_from(_TARGET_TEXTS)
+
+
+@st.composite
+def sampling_cases(draw):
+    model, base, ctx, (f, g, h) = _sampling_setup()
+    e = lambda t: parse(t, ctx)
+    # f is bound to an expression in g; h is fixed by an equality condition
+    # when one is declared, and g always by a let.
+    bindings = ((f, e(draw(st.sampled_from(("g*rho", "g + eps", "g/rho_x^2"))))),) if draw(st.booleans()) else ()
+    conditions = []
+    if draw(st.booleans()):
+        conditions.append(Condition("hfix", "eq", e("h"), e(draw(st.sampled_from(_LET_TEXTS)))))
+    for k in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("eq", "ge", "ge", "le")))
+        conditions.append(Condition(f"c{k}", kind, e(draw(_texts)), e(draw(st.sampled_from(("0", "1", "-1"))))))
+    lets = [(g, e(draw(st.sampled_from(_LET_TEXTS[:-1]))))]
+    for sym in (f, h):
+        if draw(st.booleans()) or sym is h:
+            lets.append((sym, e(draw(st.sampled_from(_LET_TEXTS)))))
+    quadratic = None
+    if draw(st.booleans()):
+        jets = (JetVariable("rho", 0, 2), JetVariable("eps", 0, 2))
+        items = [(idx, e(draw(_texts))) for idx in ((2, 0), (1, 1), (0, 2))]
+        quadratic = quadratic_form(jets, items)
+    even = ()
+    if draw(st.booleans()):
+        even = (EvenForm(4, (JetVariable("eps", 0, 2),), (((4,), e(draw(_texts))),)),)
+    report = base._replace(restrictions=Restrictions((), quadratic, even, e(draw(_texts))))
+    ranges = tuple(
+        (_jet(name), *draw(st.sampled_from(choices)))
+        for name, choices in _RANGES.items() if draw(st.booleans())
+    )
+    scenario = NumericScenario(
+        "s", draw(st.integers(1, 40)), draw(st.integers(0, 10**6)),
+        draw(st.sampled_from((0.0, 1e-9, 0.25))), draw(st.sampled_from(("pass", "violate"))),
+        ranges, tuple(lets),
+    )
+    solution = CandidateSolution((f, g, h), bindings, tuple(conditions), (scenario,))
+    return model, report, solution, scenario
+
+
+def _jet(name: str) -> JetVariable:
+    field, _, xs = name.partition("_")
+    return JetVariable(field, 0, len(xs))
+
+
+SAMPLING_CASES: dict[str, int] = {}
+
+
+def _compare_sampling(model, report, solution, scenario) -> None:
+    """The compiled loop and the reference give the same result, floats bit for bit."""
+    try:
+        want = _reference_run_scenario(model, report, solution, scenario)
+    except CheckError as exc:
+        with pytest.raises(CheckError) as ei:
+            run_scenario(model, report, solution, scenario)
+        assert str(ei.value) == str(exc)
+        SAMPLING_CASES["check error"] = SAMPLING_CASES.get("check error", 0) + 1
+        return
+    got = run_scenario(model, report, solution, scenario)
+    assert [_bits(x) for x in got[:-1]] == [_bits(x) for x in want[:-1]]
+    if want.failure is not None and want.failure.startswith("negative at"):
+        assert f"a restriction is {want.failure}; first at sample " in got.failure
+    else:
+        assert got.failure == want.failure
+    kinds = {
+        "resamples": want.resamples > 0 and want.points == scenario.samples,
+        "range": want.failure is not None and "float range" in want.failure,
+        "singular": want.failure is not None and "singular" in want.failure,
+        "condition": want.failure is not None and "condition" in want.failure,
+        "violations": want.violations > 0,
+        "tol 0": scenario.tol == 0.0 and want.points > 0,
+        "forms": want.worst_minor is not None and want.points > 0,
+        "passed": want.failure is None and want.as_expected,
+    }
+    for kind, hit in kinds.items():
+        SAMPLING_CASES[kind] = SAMPLING_CASES.get(kind, 0) + hit
+
+
+@settings(
+    max_examples=250, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(case=sampling_cases())
+def check_sampling_loop(case):
+    _compare_sampling(*case)
+
+
+def test_compiled_sampling_loop_matches_the_per_point_loop():
+    SAMPLING_CASES.clear()
+    check_sampling_loop()
+    for kind in ("resamples", "range", "singular", "condition", "violations", "tol 0", "forms", "passed"):
+        assert SAMPLING_CASES.get(kind, 0) >= 3, (kind, SAMPLING_CASES)
+
+
+def _sampling_case(residual, conditions=(), ranges=(), tol=1e-9, expect="pass"):
+    model, base, ctx, ansatz = _sampling_setup()
+    e = lambda t: parse(t, ctx)
+    report = base._replace(restrictions=Restrictions((), None, (), e(residual)))
+    conds = tuple(Condition(f"c{k}", kind, e(lhs), ZERO) for k, (kind, lhs) in enumerate(conditions))
+    scenario = NumericScenario(
+        "s", 40, 7, tol, expect, tuple((_jet(name), lo, hi) for name, lo, hi in ranges), ()
+    )
+    return model, report, CandidateSolution(ansatz, (), conds, (scenario,)), scenario
+
+
+@pytest.mark.parametrize("case, expected", [
+    # A denominator that underflows to zero near rho_x = 0: some points are drawn again.
+    (dict(residual="1/rho_x^400 - 1"), dict(points=40, resamples=lambda r: r > 0)),
+    # rho^2000 overflows above about 1.43.
+    (dict(residual="rho^2000 - 1"), dict(points=40, resamples=lambda r: r > 0)),
+    # The condition is evaluated, or drawn again, before the residual's coefficient fails.
+    (dict(residual="10^400*rho", conditions=[("ge", "1/rho_x^400")], ranges=[("rho_x", -0.2, 0.2)]),
+     dict(points=0, resamples=lambda r: r > 0, failure="scenario 's': a coefficient is outside the float range")),
+    (dict(residual="rho_x^2", conditions=[("ge", "1"), ("eq", "0"), ("le", "-1")]),
+     dict(points=40, failure=None)),
+    (dict(residual="rho_x^2", conditions=[("ge", "rho"), ("le", "1")]),
+     dict(points=1, failure="scenario 's': condition 'c1' fails at sample 1")),
+    (dict(residual="1/(rho_x - 1)", ranges=[("rho_x", 1.0, 1.0)]),
+     dict(points=0, resamples=lambda r: r == 2000, failure="scenario 's': too many singular sample points")),
+    (dict(residual="eps_x^2 - rho_x^2", tol=0.0), dict(points=40, violations=lambda v: 0 < v < 40)),
+    (dict(residual="rho_x^2*0 + 0", tol=0.0), dict(points=40, violations=lambda v: v == 0)),
+])
+def test_compiled_sampling_loop_fixed_cases(case, expected):
+    args = _sampling_case(**case)
+    _compare_sampling(*args)
+    res = run_scenario(*args)
+    for field, want in expected.items():
+        got = getattr(res, field)
+        assert want(got) if callable(want) else got == want, (field, got)
+
+
+def test_failed_pass_scenario_names_the_target_and_its_witness(grade2_model, grade2_report):
+    # The residual is zero; the 2x2 minor rho^2 - 4 is negative for rho < 2.
+    jets = (JetVariable("rho", 0, 2), JetVariable("eps", 0, 2))
+    e = lambda t: parse(t, grade2_model.ctx)
+    items = [((2, 0), e("rho")), ((1, 1), e("4")), ((0, 2), e("rho"))]
+    report = grade2_report._replace(restrictions=Restrictions((), quadratic_form(jets, items), (), ZERO))
+    res = run_scenario(
+        grade2_model, report, CandidateSolution((), (), (), ()),
+        NumericScenario("indefinite", 32, 11, 1e-9, "pass", (), ()),
+    )
+    assert (res.points, res.violations, res.min_residual) == (32, 32, 0.0)
+    assert res.failure == (
+        "scenario 'indefinite': a restriction is negative at 32 of 32 samples; first at sample 1 "
+        "(seed 11): minor over (rho_xx, eps_xx) = -2.61097 at rho = 1.17857; "
+        f"its worst value is {res.worst_minor:.6g}"
+    )
+    assert f"{res.worst_minor:.6g}" == "-3.72699"
