@@ -13,18 +13,19 @@ three parts:
   ranges, after scenario "let" bindings give values to the remaining free
   functions.  `run_scenario` is one straight path: prepare the targets (the
   minors built from the prepared entries of the quadratic form), check that
-  only jets are left, compile the whole sampling loop once into one
-  generated function, run it, and judge.  The bindings and the condition
-  substitution are applied once per candidate (`CandidateSolution.bind`);
-  each scenario applies only its "let" values.  The loop draws each jet as
-  `uniform` does and evaluates the targets through the statements of
-  `expr.float_body`, so every value rounds as the term-by-term sum over the
-  printed normal form does, bit for bit as `expr.compile_floats` gives it.
-  Each declared condition must lie in a closed interval around zero.  A
-  scenario expected to pass that does not names the first target below
-  -tol at the first violating point, that point and the target's worst
-  value.  A minimum that is not finite is written as null in the JSON
-  record.
+  only jets are left, compile the whole sampling loop into one generated
+  function (the scenario's only compile), run it, and judge.  The bindings
+  and the condition substitution are applied once per candidate
+  (`CandidateSolution.bind`); each scenario applies only its "let" values.
+  The loop draws each jet as `uniform` does and evaluates the targets
+  through the statements of `expr.float_body`, so every value rounds as the
+  term-by-term sum over the printed normal form does, bit for bit as
+  `expr.compile_floats` gives it; a target without jets is folded from its
+  exact value.  Each declared condition must lie in a closed interval
+  around zero.  A scenario expected to pass that does not names the first
+  target below -tol at the first violating point, that point and the
+  target's worst value.  A minimum that is not finite is written as null
+  in the JSON record.
 * equilibrium concavity: the bound entropy, as a quadratic form in the
   gradient state variables, must be negative semidefinite so that uniform
   states maximize it; the decision uses the declared sign conditions.
@@ -37,14 +38,11 @@ from typing import NamedTuple, Sequence
 
 from .jet import JetVariable
 from .expr import (
-    CoefficientRangeError,
     CollectError,
-    EvaluationError,
     Expression,
     ExprError,
     Substitution,
     ZERO,
-    compile_floats,
     compile_source,
     float_body,
     principal_minors,
@@ -237,9 +235,9 @@ def run_scenario(
         lim = max(tl, 1e-9 if c.kind == "eq" else 1e-12)
         intervals.append((-inf if c.kind == "le" else -lim, inf if c.kind == "ge" else lim))
 
-    sample, consts = _sampler(targets, atoms, bounds, intervals)
+    sample = _sampler(targets, atoms, bounds, intervals, n, n * _MAX_RESAMPLE_FACTOR, -tl)
     stop, produced, resamples, violations, min_res, worst, form_mins, witness = sample(
-        random.Random(sd).random, n, n * _MAX_RESAMPLE_FACTOR, -tl, consts
+        random.Random(sd).random
     )
     if stop is None:
         failure = None
@@ -276,34 +274,41 @@ def _sampler(
     atoms: Sequence[JetVariable],
     bounds: Sequence[tuple[float, float]],
     intervals: Sequence[tuple[float, float]],
+    n: int,
+    cap: int,
+    ntl: float,
 ):
-    """Compile a scenario's whole sampling loop into one function.
+    """Compile a scenario's whole sampling loop into one function, sample(random).
 
     `targets` are the conditions (one per interval), the residual and the
-    forms.  The function is called as sample(random, n, cap, -tol, consts)
-    and returns (stop, produced, resamples, violations, min residual, worst
-    form, minimum of each form, witness).  `stop` is None when n points were
-    produced, the index of the first condition outside its interval at the
-    last point, or the failure text when the resample cap or a coefficient
-    without a float value ends the loop.  The witness is (index, point,
-    values of the residual and the forms) at the first violating point.
+    forms; `n` points are wanted, at most `cap` are drawn, and a value
+    below `ntl` (-tol) violates.  Every number is written into the source
+    as its repr.  The function returns (stop, produced, resamples,
+    violations, min residual, worst form, minimum of each form, witness).
+    `stop` is None when n points were produced, the index of the first
+    condition outside its interval at the last point, or the failure text
+    when the cap or a coefficient without a float value ends the loop.  The
+    witness is (index, point, values of the residual and the forms) at the
+    first violating point.
 
     Each atom is drawn as lo + (hi - lo)*random(), which is `uniform(lo,
     hi)` on CPython, in atom order, and the targets run through the
     statements of `expr.float_body`, so every value is the one that
     `compile_floats` gives at the same point.  A point at which a target
     raises EvaluationError or overflows is drawn again.  A target without
-    atoms is evaluated once, here, by those same statements, and its value
-    is reused when that cannot raise: a condition that always holds is not
-    tested, and one that never holds fails at the first produced point.
+    atoms is folded from its exact value, 0.0 + float(value), which is what
+    those statements compute; one whose value overflows a float stays in
+    the loop.  A condition that always holds is not tested.
     """
     ncond = len(intervals)
     names = [f"r{k}" for k in range(len(targets))]
-    consts: dict[str, float] = {"inf": inf}
-    for k, (lo, hi) in enumerate(bounds):
-        consts[f"a{k}"], consts[f"b{k}"] = lo, hi - lo
-    folded = _constant_values(targets)
-    consts.update((names[k], v) for k, v in folded.items())
+    folded: dict[int, float] = {}
+    for k, t in enumerate(targets):
+        if not t.atoms():
+            try:
+                folded[k] = 0.0 + float(t.as_fraction())
+            except OverflowError:
+                pass
     body = float_body([(names[k], t) for k, t in enumerate(targets) if k not in folded], atoms)
 
     nforms = len(targets) - ncond - 1
@@ -312,40 +317,35 @@ def _sampler(
     state = f"produced, resamples, violations, mr, wm, ({mins}), witness"
     judge = []
     for k, (lo, hi) in enumerate(intervals):
-        if k in folded:
-            if lo <= folded[k] <= hi:
-                continue
-            judge.append(f"return {k}, {state}")
-            break
+        if k in folded and lo <= folded[k] <= hi:
+            continue
         # A finite value always lies within an infinite side of an interval.
         test = " <= ".join(
-            ([f"lo{k}"] if lo != -inf else []) + [names[k]] + ([f"hi{k}"] if hi != inf else [])
+            ([repr(lo)] if lo != -inf else []) + [names[k]] + ([repr(hi)] if hi != inf else [])
         )
         if test != names[k]:
-            consts[f"lo{k}"], consts[f"hi{k}"] = lo, hi
             judge.append(f"if not {test}: return {k}, {state}")
-    else:
-        res, fs = names[ncond], names[ncond + 1:]
-        judge.append(f"if {res} < mr: mr = {res}")
-        for j, f in enumerate(fs):
-            judge += [f"if {f} < wm: wm = {f}", f"if {f} < mf{j}: mf{j} = {f}"]
-        judge += [
-            "if " + " or ".join(f"{v} < ntl" for v in [res, *fs]) + ":",
-            "    violations += 1",
-            "    if witness is None:",
-            f"        witness = produced, ({xs}), ({res}, {''.join(f + ', ' for f in fs)})",
-        ]
+    res, fs = names[ncond], names[ncond + 1:]
+    judge.append(f"if {res} < mr: mr = {res}")
+    for j, f in enumerate(fs):
+        judge += [f"if {f} < wm: wm = {f}", f"if {f} < mf{j}: mf{j} = {f}"]
+    judge += [
+        "if " + " or ".join(f"{v} < {ntl!r}" for v in [res, *fs]) + ":",
+        "    violations += 1",
+        "    if witness is None:",
+        f"        witness = produced, ({xs}), ({res}, {''.join(f + ', ' for f in fs)})",
+    ]
     lines = [
-        "def sample(r, n, cap, ntl, c):",
-        "    " + "".join(f"{name}, " for name in consts) + "= c",
+        "def sample(r):",
+        *(f"    {names[k]} = {v!r}" for k, v in folded.items()),
         "    produced = resamples = violations = 0",
         "    mr = wm = " + "".join(f"mf{j} = " for j in range(nforms)) + "inf",
         "    witness = None",
         "    try:",
-        "        while produced < n:",
-        "            if produced + resamples >= cap:",
+        f"        while produced < {n!r}:",
+        f"            if produced + resamples >= {cap!r}:",
         f"                return 'too many singular sample points', {state}",
-        *(f"            x{k} = a{k} + b{k}*r()" for k in range(len(atoms))),
+        *(f"            x{k} = {lo!r} + {hi - lo!r}*r()" for k, (lo, hi) in enumerate(bounds)),
         "            try:",
         *(f"                {line}" for line in body or ["pass"]),
         "            except (_E, OverflowError):",
@@ -357,27 +357,7 @@ def _sampler(
         f"        return str(exc), {state}",
         f"    return None, {state}",
     ]
-    sample = compile_source("".join(line + "\n" for line in lines), "<liukit sampler>")["sample"]
-    return sample, tuple(consts.values())
-
-
-def _constant_values(targets: Sequence[Expression]) -> dict[int, float]:
-    """Position -> float value of each target without atoms whose statements cannot raise."""
-    ks = [k for k, t in enumerate(targets) if not t.atoms()]
-    if not ks:
-        return {}
-    # One compile for all of them; one each only when some cannot be evaluated.
-    try:
-        return dict(zip(ks, compile_floats([targets[k] for k in ks], [])([])))
-    except (EvaluationError, CoefficientRangeError):
-        pass
-    out = {}
-    for k in ks:
-        try:
-            out[k] = compile_floats([targets[k]], [])([])[0]
-        except (EvaluationError, CoefficientRangeError):
-            continue
-    return out
+    return compile_source("".join(line + "\n" for line in lines), "<liukit sampler>")["sample"]
 
 
 # -- equilibrium concavity --------------------------------------------------

@@ -746,15 +746,7 @@ class Expression:
         resolves are reused across calls.
         """
         sub = bindings if isinstance(bindings, Substitution) else Substitution(bindings)
-        if not sub.bind:
-            return self
-        expr = self
-        for _ in range(len(sub.bind) + 2):
-            nxt = _subs_pass(expr, sub)
-            if nxt == expr:
-                return nxt
-            expr = nxt
-        raise BindingError("substitution did not reach a fixed point; cyclic bindings?")
+        return _subs_pass(self, sub) if sub.bind else self
 
     # -- evaluation -----------------------------------------------------
 
@@ -1045,6 +1037,8 @@ _FLOAT_NAMES = {
     "_E": EvaluationError,
     "_R": CoefficientRangeError,
     "_fin": math.isfinite,
+    "inf": math.inf,
+    "nan": math.nan,
     "_VANISHED": "denominator vanished at the sample point",
     "_NONFINITE": "non-finite value at the sample point",
     "_OVERFLOW": "overflow at the sample point: %s",
@@ -1070,8 +1064,8 @@ def float_body(targets: Sequence[tuple[str, Expression]], atoms: Sequence[Atom])
     def terms(acc: str, part: tuple) -> list[str]:
         out = [f"{acc} = 0.0"]
         for m, c in part:
-            pairs = sorted(zip(m[::2], m[1::2]), key=lambda p: -nrank[p[0]])
-            out.append(f"{acc} += {float(c)!r}" + "".join(f"*x{pos[i]}**{e}" for i, e in pairs))
+            powers = "".join(f"*x{pos[i]}**{e}" for _, i, e in _canonical_atoms(m, nrank))
+            out.append(f"{acc} += {float(c)!r}" + powers)
         return out
 
     body: list[str] = []
@@ -1099,7 +1093,8 @@ def compile_floats(targets: Sequence[Expression], atoms: Sequence[Atom]):
     `values` holds one float per atom of `atoms`.  The function runs the
     statements of `float_body`, which `checker.run_scenario` also compiles
     into each scenario's whole sampling loop, so a sampled value and
-    `Expression.evaluate` round alike.  An overflow is raised here as
+    `Expression.evaluate` round alike.  Sampling does not call it: the loop
+    is the scenario's one compile.  An overflow is raised here as
     EvaluationError; the first target whose coefficients have no float
     value raises CoefficientRangeError when the targets before it have been
     evaluated.
@@ -1116,7 +1111,7 @@ def compile_floats(targets: Sequence[Expression], atoms: Sequence[Atom]):
 
 
 def compile_source(src: str, filename: str) -> dict:
-    """Run generated source that uses the names of `float_body`; its definitions are in the result."""
+    """Run generated source that uses the names of `float_body`, `inf` and `nan`; its definitions are in the result."""
     names = dict(_FLOAT_NAMES)
     exec(compile(src, filename, "exec"), names)
     return names
@@ -1128,7 +1123,7 @@ def _atoms_met(e: Expression) -> tuple:
     seen: dict = {}
     for part in (e._den, e._num):
         for m, _ in part:
-            for i in sorted(m[::2], key=nrank.__getitem__, reverse=True):
+            for _, i, _ in _canonical_atoms(m, nrank):
                 seen.setdefault(i, None)
     return tuple(ATOMS[i] for i in seen)
 
@@ -1136,24 +1131,20 @@ def _atoms_met(e: Expression) -> tuple:
 # -- substitution machinery ----------------------------------------------
 
 
+def _name(a: Atom) -> str:
+    """The name a binding of `a` goes by: a jet's field, or a symbol's name."""
+    return a.field if isinstance(a, JetVariable) else a.name
+
+
 def _binding_names(bind: Mapping) -> dict[str, set[str]]:
-    graph: dict[str, set[str]] = {}
-    keys = set()
-    for k in bind:
-        keys.add(k.field if isinstance(k, JetVariable) else k.name)
+    """Each bound name -> the bound names its replacements use."""
+    graph: dict[str, set[str]] = {_name(k): set() for k in bind}
     for k, v in bind.items():
-        name = k.field if isinstance(k, JetVariable) else k.name
-        refs = set()
-        for a in v.atoms():
-            n = a.field if isinstance(a, JetVariable) else a.name
-            if n in keys:
-                refs.add(n)
-        graph.setdefault(name, set()).update(refs)
+        graph[_name(k)].update(n for n in map(_name, v.atoms()) if n in graph)
     return graph
 
 
-def _check_acyclic(bind: Mapping) -> None:
-    graph = _binding_names(bind)
+def _check_acyclic(graph: Mapping[str, set[str]]) -> None:
     state: dict[str, int] = {}
 
     def visit(n: str, trail: list[str]) -> None:
@@ -1173,7 +1164,7 @@ def _check_acyclic(bind: Mapping) -> None:
 
 
 class Substitution:
-    """A validated, acyclic binding set and the replacements it has resolved.
+    """A validated, acyclic binding set and the replacements it has resolved, each closed.
 
     `Expression.subs` builds one per call from a mapping; a caller that
     substitutes the same bindings into many expressions can build it once
@@ -1182,7 +1173,12 @@ class Substitution:
 
     def __init__(self, bindings: Mapping):
         self.bind = {k: as_expression(v) for k, v in bindings.items()}
-        _check_acyclic(self.bind)
+        self.graph = _binding_names(self.bind)
+        _check_acyclic(self.graph)
+        self.keys: dict[str, list] = {}
+        for k in self.bind:
+            self.keys.setdefault(_name(k), []).append(k)
+        self.ready: set[str] = set()  # names whose used replacements are all closed
         self.cache: dict = {}  # atom id -> replacement, or None when unbound
         self.jets: dict = {}  # jet -> total derivative of its field's replacement
         self.powers: dict = {}
@@ -1197,8 +1193,27 @@ class Substitution:
         i = a.id
         if i in self.cache:
             return self.cache[i]
-        out = self.cache[i] = self._resolve(a)
+        self._ready(_name(a))
+        out = self._resolve(a)
+        if out is not None:
+            # Closed once, by one pass that meets only closed replacements.
+            out = _subs_pass(out, self)
+        self.cache[i] = out
         return out
+
+    def _ready(self, n: str) -> None:
+        """Close the replacements that the bindings of name n use, those they use first.
+
+        One call per name along a chain of bindings, not one per atom and
+        pass, so a long chain nests no deeper than the cycle check does.
+        """
+        if n in self.ready or n not in self.graph:
+            return
+        self.ready.add(n)
+        for m in sorted(self.graph[n]):
+            self._ready(m)
+            for k in self.keys[m]:
+                self.resolve(k)
 
     def power(self, i: int, e: int, den: bool) -> Poly:
         """Numerator (or denominator) of the replacement of atom i, to the e-th power."""
@@ -1292,7 +1307,7 @@ def _rebuild(part: tuple, sub: Substitution) -> tuple[Poly, Poly]:
 
 
 def _subs_pass(expr: Expression, sub: Substitution) -> Expression:
-    """One substitution pass, normalized once."""
+    """The substitution, normalized once: one pass, since every replacement is closed."""
     if all(sub.resolve(a) is None for a in expr.atoms()):
         return expr
     num, num_den = _rebuild(expr._num, sub)

@@ -181,8 +181,10 @@ def test_criterion_6_equilibrium_concavity_gate():
 
 
 def test_criterion_7_thread_count_determinism():
-    def run(threads: str, argv: list[str]) -> bytes:
-        env = dict(os.environ, LIU_THREADS=threads)
+    # The engine runs on one thread; what could still vary between processes
+    # is the order of hashed sets and dicts, so the hash seed is varied.
+    def run(hash_seed: str, argv: list[str]) -> bytes:
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
             [sys.executable, "-m", "liukit.cli", *argv],
             capture_output=True,
@@ -192,9 +194,9 @@ def test_criterion_7_thread_count_determinism():
         return proc.stdout
 
     derive_argv = ["derive", "--builtin", "grade2", "--format", "json"]
-    assert run("1", derive_argv) == run("4", derive_argv)
+    assert run("0", derive_argv) == run("4242", derive_argv)
     check_argv = ["check", "--builtin", "korteweg", "--format", "json"]
-    assert run("1", check_argv) == run("4", check_argv)
+    assert run("0", check_argv) == run("4242", check_argv)
 
 
 def test_criterion_8_randomized_expression_suites():

@@ -6,7 +6,7 @@ import json
 import os
 import random
 from functools import lru_cache
-from math import inf, nan, prod
+from math import copysign, inf, nan, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -928,3 +928,39 @@ def test_failed_pass_scenario_names_the_target_and_its_witness(grade2_model, gra
         f"its worst value is {res.worst_minor:.6g}"
     )
     assert f"{res.worst_minor:.6g}" == "-3.72699"
+
+
+def test_constant_residual_is_folded_from_its_exact_value():
+    # float(-1/10^400) is -0.0; the statements of float_body sum it onto 0.0.
+    res = run_scenario(*_sampling_case(residual="-1/10^400"))
+    assert (res.points, res.min_residual, copysign(1.0, res.min_residual)) == (40, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("change, failure, points, resamples", [
+    (dict(ranges=((JetVariable("eps", 0, 1), -inf, inf),)), "too many singular sample points", 0, 400),
+    (dict(tol=nan), "condition 'heatcoupling' fails at sample 1", 1, 0),
+])
+def test_non_finite_numbers_built_in_code_reach_the_sampler(
+    change, failure, points, resamples, korteweg_model, korteweg_report, korteweg_solution
+):
+    sc = _scenario(korteweg_solution, "fourier")._replace(**change)
+    res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, sc, samples=8, seed=1)
+    assert (res.failure, res.points, res.resamples) == (f"scenario 'fourier': {failure}", points, resamples)
+
+
+def test_each_scenario_compiles_once(monkeypatch, korteweg_model, korteweg_report, korteweg_solution):
+    import liukit.checker
+    import liukit.expr
+
+    real, compiled = liukit.expr.compile_source, []
+
+    def counting(src, filename):
+        compiled.append(filename)
+        return real(src, filename)
+
+    monkeypatch.setattr(liukit.expr, "compile_source", counting)
+    monkeypatch.setattr(liukit.checker, "compile_source", counting)
+    result = check(korteweg_model, korteweg_report, korteweg_solution)
+    assert result.ok
+    assert len(korteweg_solution.scenarios) == 3
+    assert compiled == ["<liukit sampler>"] * 3

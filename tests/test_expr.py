@@ -264,6 +264,18 @@ class TestSubstitution:
         got = e("q1 + 1", ctx).subs({q1: Expression.sym(s0), s0: e("eps", ctx)})
         assert got == e("eps + 1", ctx)
 
+    def test_long_chain_of_bindings_closes(self, ctx):
+        # Closing each replacement as its atom is met would nest three calls per link.
+        syms = [ctx.declare_sym(f"a{k}", (RHO,)) for k in range(401)]
+        chain = {syms[k]: Expression.sym(syms[k + 1]) + ONE for k in range(400)}
+        assert Expression.sym(syms[0]).subs(chain) == Expression.sym(syms[400]) + 400
+
+    def test_unused_binding_is_not_closed(self, ctx):
+        # q1 = 1/s0 has no value once s0 = 0, but nothing here uses q1.
+        q1, s0, c0 = ctx.sym("q1"), ctx.sym("s0"), ctx.sym("c0")
+        bindings = {q1: ONE / Expression.sym(s0), s0: ZERO, c0: e("eps", ctx)}
+        assert e("c0 + 1", ctx).subs(bindings) == e("eps + 1", ctx)
+
     def test_cyclic_bindings_rejected(self, ctx):
         q1, s0 = ctx.sym("q1"), ctx.sym("s0")
         with pytest.raises(BindingError):
