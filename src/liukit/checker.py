@@ -226,8 +226,15 @@ def run_scenario(
         )
     ranges = {j: (lo, hi) for j, lo, hi in scenario.ranges}
     for j in ranges:
-        if j not in atoms and j.field not in model.fields:
+        if j in atoms:
+            continue
+        if j.field not in model.fields:
             raise CheckError(f"scenario {scenario.name!r} ranges unknown variable {j.text()}")
+        if j not in model.space and j not in report.classification.higher:
+            raise CheckError(
+                f"scenario {scenario.name!r} ranges {j.text()}, which is neither sampled,"
+                " a state variable nor a higher derivative"
+            )
     bounds = [ranges.get(a, _default_range(a)) for a in atoms]
     # The closed interval each condition's value must lie in: the tolerance, floored.
     intervals = []

@@ -46,7 +46,7 @@ import re
 from bisect import bisect
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .jet import _ATOM_IDS, ATOMS, Frozen, JetVariable, intern_atom
 
@@ -741,9 +741,11 @@ class Expression:
         Binding a base function symbol also binds every derivative atom of
         that symbol to the corresponding derivative of the replacement.
         Binding an undifferentiated field jet binds its jets to total
-        derivatives of the replacement.  Bindings must be acyclic.  A
-        `Substitution` may stand in for the mapping, so that the atoms it
-        resolves are reused across calls.
+        derivatives of the replacement.  A derivative atom follows its
+        largest bound ancestor.  Bindings may chain to any length but must be
+        acyclic: a cycle raises BindingError naming it.  A `Substitution` may
+        stand in for the mapping, so that the atoms it resolves are reused
+        across calls.
         """
         sub = bindings if isinstance(bindings, Substitution) else Substitution(bindings)
         return _subs_pass(self, sub) if sub.bind else self
@@ -1136,35 +1138,41 @@ def _name(a: Atom) -> str:
     return a.field if isinstance(a, JetVariable) else a.name
 
 
-def _binding_names(bind: Mapping) -> dict[str, set[str]]:
-    """Each bound name -> the bound names its replacements use."""
-    graph: dict[str, set[str]] = {_name(k): set() for k in bind}
-    for k, v in bind.items():
-        graph[_name(k)].update(n for n in map(_name, v.atoms()) if n in graph)
-    return graph
+def _closing_order(graph: Mapping[str, Sequence[str]], roots: Iterable[str], done: set[str]) -> Iterator[str]:
+    """The names reachable from roots and not yet done, each after the names it uses.
 
-
-def _check_acyclic(graph: Mapping[str, set[str]]) -> None:
-    state: dict[str, int] = {}
-
-    def visit(n: str, trail: list[str]) -> None:
-        st = state.get(n, 0)
-        if st == 1:
-            cycle = " -> ".join(trail + [n])
-            raise BindingError(f"cyclic bindings: {cycle}")
-        if st == 2:
-            return
-        state[n] = 1
-        for m in sorted(graph.get(n, ())):
-            visit(m, trail + [n])
-        state[n] = 2
-
-    for n in sorted(graph):
-        visit(n, [])
+    Depth first on an explicit stack, neighbours in the order the graph
+    lists them, so a chain of any length nests no call.  A name joins
+    `done` as it is yielded.  A name met again while it is still on the
+    path raises the cycle, named from the first root down.
+    """
+    for r in roots:
+        if r in done:
+            continue
+        path, todo = {r: None}, [iter(graph[r])]  # path: the names on the stack, in order
+        while todo:
+            for m in todo[-1]:
+                if m in path:
+                    raise BindingError(f"cyclic bindings: {' -> '.join([*path, m])}")
+                if m not in done:
+                    path[m] = None
+                    todo.append(iter(graph[m]))
+                    break
+            else:
+                todo.pop()
+                n, _ = path.popitem()
+                done.add(n)
+                yield n
 
 
 class Substitution:
     """A validated, acyclic binding set and the replacements it has resolved, each closed.
+
+    `keys` indexes the bound atoms by the name their bindings go by (a jet's
+    field, a symbol's name), and the binding graph joins each name to the
+    bound names its replacements use.  One walk of that graph checks it for
+    cycles, and the same walk closes, before an atom's own replacement, the
+    replacements its name uses.  A binding that nothing uses is never closed.
 
     `Expression.subs` builds one per call from a mapping; a caller that
     substitutes the same bindings into many expressions can build it once
@@ -1173,21 +1181,18 @@ class Substitution:
 
     def __init__(self, bindings: Mapping):
         self.bind = {k: as_expression(v) for k, v in bindings.items()}
-        self.graph = _binding_names(self.bind)
-        _check_acyclic(self.graph)
         self.keys: dict[str, list] = {}
         for k in self.bind:
             self.keys.setdefault(_name(k), []).append(k)
-        self.ready: set[str] = set()  # names whose used replacements are all closed
+        self.graph = {
+            n: sorted({m for k in ks for m in map(_name, self.bind[k].atoms()) if m in self.keys})
+            for n, ks in self.keys.items()
+        }
+        for _ in _closing_order(self.graph, sorted(self.graph), set()):
+            pass
+        self.ready: set[str] = set()  # names whose bound atoms are closed
         self.cache: dict = {}  # atom id -> replacement, or None when unbound
-        self.jets: dict = {}  # jet -> total derivative of its field's replacement
         self.powers: dict = {}
-        self.sym_bases: dict[tuple, list] = {}
-        for k in self.bind:
-            if isinstance(k, FuncSym):
-                self.sym_bases.setdefault((k.name, k.deps), []).append(k)
-        for lst in self.sym_bases.values():
-            lst.sort(key=lambda s: (sum(s.orders), s.orders))
 
     def resolve(self, a: Atom) -> Expression | None:
         i = a.id
@@ -1202,16 +1207,8 @@ class Substitution:
         return out
 
     def _ready(self, n: str) -> None:
-        """Close the replacements that the bindings of name n use, those they use first.
-
-        One call per name along a chain of bindings, not one per atom and
-        pass, so a long chain nests no deeper than the cycle check does.
-        """
-        if n in self.ready or n not in self.graph:
-            return
-        self.ready.add(n)
-        for m in sorted(self.graph[n]):
-            self._ready(m)
+        """Close the replacements of the names that the bindings of name n use, those they use first."""
+        for m in _closing_order(self.graph, self.graph.get(n, ()), self.ready):
             for k in self.keys[m]:
                 self.resolve(k)
 
@@ -1230,38 +1227,27 @@ class Substitution:
         if hit is not None:
             return hit
         if isinstance(a, JetVariable):
-            if a.is_field or JetVariable(a.field) not in self.bind:
-                return None
-            return self._field_jet(a)
-        candidates = self.sym_bases.get((a.name, a.deps))
-        if not candidates:
+            e = None if a.is_field else self.bind.get(JetVariable(a.field))
+            if e is not None:
+                # The field's replacement, differentiated t_order times in t, then in x.
+                for _ in range(a.t_order):
+                    e = e.total_t()
+                for _ in range(a.x_order):
+                    e = e.total_x()
+            return e
+        fits = [
+            c for c in self.keys.get(a.name, ())
+            if isinstance(c, FuncSym) and c.deps == a.deps
+            and all(co <= ao for co, ao in zip(c.orders, a.orders))
+        ]
+        if not fits:
             return None
-        best = None
-        for c in candidates:
-            if c == a:
-                continue
-            if all(co <= ao for co, ao in zip(c.orders, a.orders)):
-                best = c  # list is sorted ascending, keep the largest fit
-        if best is None:
-            return None
+        best = max(fits, key=lambda c: (sum(c.orders), c.orders))
         # One derivative of the next-lower atom, which resolves through `best` too.
         k = max(i for i, (co, ao) in enumerate(zip(best.orders, a.orders)) if ao > co)
         orders = list(a.orders)
         orders[k] -= 1
         return self.resolve(FuncSym(a.name, a.deps, orders)).diff(a.deps[k])
-
-    def _field_jet(self, a: JetVariable) -> Expression:
-        """The replacement of the bound field, differentiated t_order times in t, then in x."""
-        e = self.jets.get(a)
-        if e is None:
-            if a.x_order:
-                e = self._field_jet(JetVariable(a.field, a.t_order, a.x_order - 1)).total_x()
-            elif a.t_order:
-                e = self._field_jet(JetVariable(a.field, a.t_order - 1)).total_t()
-            else:
-                e = self.bind[a]
-            self.jets[a] = e
-        return e
 
 
 def _rebuild(part: tuple, sub: Substitution) -> tuple[Poly, Poly]:
@@ -1553,7 +1539,11 @@ class _Parser:
 
 
 def parse(text: str, ctx: ParseContext) -> Expression:
-    return _Parser(_tokenize(text), ctx).parse()
+    try:
+        return _Parser(_tokenize(text), ctx).parse()
+    except RecursionError:
+        # The parser descends one call chain per nesting level.
+        raise ParseError("expression nests too deeply") from None
 
 
 # -- printing --------------------------------------------------------------

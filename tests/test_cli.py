@@ -408,6 +408,73 @@ class TestCheck:
         record = json.loads(out, parse_constant=reject)
         assert record["scenarios"][0]["minResidual"] is None
 
+    def test_range_on_a_jet_nothing_uses_is_a_validation_error(self, tmp_path):
+        from liukit.models import _read
+
+        mp, sp = tmp_path / "g.model", tmp_path / "g.solution"
+        mp.write_text(_read("grade2.model"))
+        sp.write_text(_read("grade2.solution").replace("range rho_x =", "range rho_xxx =", 1))
+        proc = _cli("check", str(mp), str(sp), "--samples", "16")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: scenario 'fourier' ranges rho_xxx, which is neither sampled,"
+            " a state variable nor a higher derivative\n"
+        )
+
+
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, at the default recursion limit."""
+    import liukit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liukit.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "liukit.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+class TestDeepInputs:
+    """Inputs that nest or chain thousands deep end in an exit code, not a traceback."""
+
+    LINKS = 5000
+
+    def _chain(self, tmp_path, last: str):
+        from liukit.models import _read
+
+        # q3 = a0, a0 = a1, ..., a4999 = last, in the fourier scenario.
+        names = [f"a{k}" for k in range(self.LINKS)]
+        lets = "".join(f"let {a} = {b}\n" for a, b in zip(["q3"] + names, names + [last]))
+        text = _read("korteweg.solution").replace("[bindings]", "\n".join(names) + "\n\n[bindings]", 1)
+        mp, sp = tmp_path / "korteweg.model", tmp_path / "k.solution"  # the report names the model file
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text.replace("let q3 = 0\n", lets, 1))
+        return _cli("check", str(mp), str(sp), "--samples", "8")
+
+    def test_long_let_chain_closes(self, tmp_path):
+        proc = self._chain(tmp_path, "0")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # q3 closes to 0, as the built-in solution binds it.
+        assert proc.stdout == _cli("check", "--builtin", "korteweg", "--samples", "8").stdout
+
+    def test_long_let_cycle_is_named(self, tmp_path):
+        proc = self._chain(tmp_path, "a0")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        cycle = " -> ".join(f"a{k}" for k in range(self.LINKS))
+        assert proc.stderr == f"error: cyclic bindings: {cycle} -> a0\n"
+
+    @pytest.mark.parametrize(
+        "nested", ["(" * 400 + "rho" + ")" * 400, "-" * 1200 + "rho"], ids=["parentheses", "minus-signs"]
+    )
+    def test_deeply_nested_expression_is_a_parse_error(self, tmp_path, nested):
+        from liukit.models import _read
+
+        text = _read("korteweg.model")
+        lineno = text.splitlines().index("density = rho") + 1
+        mp = tmp_path / "k.model"
+        mp.write_text(text.replace("density = rho\n", f"density = {nested}\n", 1))
+        proc = _cli("derive", str(mp))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: line {lineno}: expression nests too deeply\n"
+
 
 class TestFdb:
     def test_first_order_text(self, capsys):

@@ -278,8 +278,23 @@ class TestSubstitution:
 
     def test_cyclic_bindings_rejected(self, ctx):
         q1, s0 = ctx.sym("q1"), ctx.sym("s0")
-        with pytest.raises(BindingError):
+        with pytest.raises(BindingError) as ei:
             e("q1", ctx).subs({q1: Expression.sym(s0), s0: Expression.sym(q1)})
+        assert str(ei.value) == "cyclic bindings: q1 -> s0 -> q1"
+
+    def test_derivative_follows_its_largest_bound_ancestor(self, ctx):
+        s0 = ctx.sym("s0")
+        sub = Substitution({s0: e("rho^2*eps", ctx), s0.bump(EPS): e("1/eps", ctx)})
+        assert e("D(s0, eps, eps)", ctx).subs(sub) == e("-1/eps^2", ctx)
+        assert e("D(s0, rho)", ctx).subs(sub) == e("2*rho*eps", ctx)
+        assert e("D(s0, rho, eps)", ctx).subs(sub) == ZERO
+        # Through s0 the last dependency would be stepped first: D(s0, eps) = rho^2.
+        sub = Substitution({s0: e("rho^2*eps", ctx), s0.bump(RHO): e("1/rho", ctx)})
+        assert e("D(s0, rho, eps)", ctx).subs(sub) == ZERO
+
+    def test_field_binding_resolves_time_and_space_jets(self, ctx):
+        got = e("v_t + v_x + v_tx", ctx).subs({JetVariable("v"): e("rho^2", ctx)})
+        assert got == e("2*rho*rho_t + 2*rho*rho_x + 2*rho_t*rho_x + 2*rho*rho_tx", ctx)
 
     def test_self_cycle_rejected(self, ctx):
         q1 = ctx.sym("q1")
@@ -376,6 +391,12 @@ class TestProcessIndependence:
 
 
 class TestParsing:
+    def test_deep_nesting_is_a_parse_error(self, ctx):
+        depth = sys.getrecursionlimit()
+        for text in ("(" * depth + "rho" + ")" * depth, "-" * depth + "rho"):
+            with pytest.raises(ParseError, match="^expression nests too deeply$"):
+                e(text, ctx)
+
     def test_precedence_and_unary(self, ctx):
         assert e("-rho + 2*eps^2", ctx) == 2 * e("eps", ctx) ** 2 - e("rho", ctx)
         assert e("rho - eps - 1", ctx) == e("(rho - eps) - 1", ctx)
