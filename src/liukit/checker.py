@@ -246,10 +246,20 @@ def run_scenario(
     stop, produced, resamples, violations, min_res, worst, form_mins, witness = sample(
         random.Random(sd).random
     )
+
+    def at(point: Sequence[float]) -> str:
+        where = ", ".join(f"{a.text()} = {x:.6g}" for a, x in zip(atoms, point))
+        return f" at {where}" if where else ""
+
     if stop is None:
         failure = None
-    elif isinstance(stop, int):
-        failure = f"scenario {scenario.name!r}: condition {solution.conditions[stop].name!r} fails at sample {produced}"
+    elif isinstance(stop, tuple):
+        # The witness: the condition's value at the point where it fails.
+        k, point, value = stop
+        failure = (
+            f"scenario {scenario.name!r}: condition {solution.conditions[k].name!r} fails at sample "
+            f"{produced} (seed {sd}): its value is {value:.6g}" + at(point)
+        )
     else:
         failure = f"scenario {scenario.name!r}: {stop}"
     as_expected = failure is None and (violations > 0) == (scenario.expect == "violate")
@@ -264,11 +274,10 @@ def run_scenario(
             index, point, values = witness
             k = next(k for k, v in enumerate(values) if v < -tl)
             label, lowest = ("residual production", min_res) if k == 0 else (forms[k - 1][1], form_mins[k - 1])
-            where = ", ".join(f"{a.text()} = {x:.6g}" for a, x in zip(atoms, point))
             failure = (
                 f"scenario {scenario.name!r}: a restriction is negative at {violations} of "
                 f"{produced} samples; first at sample {index} (seed {sd}): {label} = "
-                f"{values[k]:.6g}" + (f" at {where}" if where else "") + f"; its worst value is {lowest:.6g}"
+                f"{values[k]:.6g}" + at(point) + f"; its worst value is {lowest:.6g}"
             )
     return ScenarioResult(
         scenario.name, scenario.expect, produced, resamples,
@@ -292,11 +301,11 @@ def _sampler(
     below `ntl` (-tol) violates.  Every number is written into the source
     as its repr.  The function returns (stop, produced, resamples,
     violations, min residual, worst form, minimum of each form, witness).
-    `stop` is None when n points were produced, the index of the first
-    condition outside its interval at the last point, or the failure text
-    when the cap or a coefficient without a float value ends the loop.  The
-    witness is (index, point, values of the residual and the forms) at the
-    first violating point.
+    `stop` is None when n points were produced, (index, point, value) of
+    the first condition outside its interval at the last point, or the
+    failure text when the cap or a coefficient without a float value ends
+    the loop.  The witness is (index, point, values of the residual and the
+    forms) at the first violating point.
 
     Each atom is drawn as lo + (hi - lo)*random(), which is `uniform(lo,
     hi)` on CPython, in atom order, and the targets run through the
@@ -331,7 +340,7 @@ def _sampler(
             ([repr(lo)] if lo != -inf else []) + [names[k]] + ([repr(hi)] if hi != inf else [])
         )
         if test != names[k]:
-            judge.append(f"if not {test}: return {k}, {state}")
+            judge.append(f"if not {test}: return ({k}, ({xs}), {names[k]}), {state}")
     res, fs = names[ncond], names[ncond + 1:]
     judge.append(f"if {res} < mr: mr = {res}")
     for j, f in enumerate(fs):

@@ -12,10 +12,15 @@ state functions.
 Representation.  Every atom has a small integer id, handed out in creation
 order by the registry in `jet.py`.  A monomial is one flat tuple of ints,
 (id0, e0, id1, e1, ...), with the ids ascending and the exponents positive;
-a polynomial is a dict from monomials to coefficients.  A coefficient is a
-Python int whenever it is integral and a Fraction otherwise, so hashing,
-merging and multiplying stay on plain ints.  Ids depend on what a process
-happened to create first, so they order atoms internally and nowhere else.
+a polynomial is a dict from monomials to coefficients.  An Expression keeps
+its numerator and denominator as the dicts the kernel computed, and nothing
+mutates them afterwards; `num_poly`/`den_poly` hand out copies.  Equality,
+hashing, arithmetic, collection and substitution read the dicts, in
+whatever order they hold their terms.  A coefficient is a Python int
+whenever the kernel computed an int, so hashing, merging and multiplying
+stay on plain ints; an integral Fraction compares and hashes as its int.
+Ids depend on what a process happened to create first, so they order atoms
+internally and nowhere else.
 
 Canonical order.  Monomials are ordered graded-lexicographically over a
 canonical atom order (jets first, by field name, then time order, then
@@ -24,9 +29,14 @@ multi-index).  A rank table maps each id to the atom's position in that
 order.  It is brought up to date lazily, by binary insertion of the atoms
 created since it was last read.  The sort key of a monomial is the flat int
 tuple (degree, -rank_a, e_a, -rank_b, e_b, ...) over its atoms in ascending
-rank.  Each part of a normal form is stored in ascending key order, so
-printing, serialization and leading-term lookups are deterministic and do
-not depend on the ids.
+rank.  The canonical view of a part (`_num`, `_den`) lists its terms in
+ascending key order, with integral coefficients as ints.  It is built from
+the dict when its order is first read, by the printers, float evaluation,
+the leading term that fixes an equality's sign and pickling, and then
+cached; a constructor that has the order already (unpickling, a packed
+minor) hands it in.  So printing, serialization and leading-term lookups
+are deterministic and do not depend on the ids, and an intermediate result
+that is never printed is never sorted.
 
 Packed monomials.  `principal_minors` expands its determinants over
 monomials packed into one int: the degree on top, then one field per atom,
@@ -512,16 +522,34 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 
 class Expression:
-    """Immutable rational normal form.  All operators return normalized results."""
+    """Immutable rational normal form.  All operators return normalized results.
 
-    __slots__ = ("_num", "_den", "_hash", "_floats")
+    `_n` and `_d` are the numerator and denominator as the kernel computed
+    them, dicts that nothing mutates; `_num` and `_den` are their canonical
+    views, built on first read.
+    """
+
+    __slots__ = ("_n", "_d", "_nt", "_dt", "_hash", "_floats")
 
     def __init__(self, num: Poly, den: Poly):
-        num_t, den_t = _normalize(num, den)
-        object.__setattr__(self, "_num", num_t)
-        object.__setattr__(self, "_den", den_t)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_floats", None)
+        self._n, self._d = _normalize(num, den)
+        self._nt = self._dt = self._hash = self._floats = None
+
+    @property
+    def _num(self) -> tuple:
+        """The numerator's terms in ascending canonical order."""
+        t = self._nt
+        if t is None:
+            t = self._nt = _freeze(self._n)
+        return t
+
+    @property
+    def _den(self) -> tuple:
+        """The denominator's terms in ascending canonical order."""
+        t = self._dt
+        if t is None:
+            t = self._dt = _freeze(self._d)
+        return t
 
     def __reduce__(self):
         # Atom ids are local to a process, so the atoms themselves travel.
@@ -532,47 +560,47 @@ class Expression:
     @staticmethod
     def number(value: Number) -> "Expression":
         c = Fraction(value)
-        num = ((((), c.numerator if c.denominator == 1 else c),) if c else ())
-        return _wrap(num, _ONE_T)
+        return _wrap({(): c.numerator if c.denominator == 1 else c} if c else {}, _P_ONE)
 
     @staticmethod
     def atom(a: Atom) -> "Expression":
-        return _wrap((((a.id, 1), 1),), _ONE_T)
+        return _wrap({(a.id, 1): 1}, _P_ONE)
 
     jet = sym = atom
 
     # -- raw views ------------------------------------------------------
 
     def num_poly(self) -> Poly:
-        return {m: c for m, c in self._num}
+        return dict(self._n)
 
     def den_poly(self) -> Poly:
-        return {m: c for m, c in self._den}
+        return dict(self._d)
 
     def denominator(self) -> "Expression":
         """The normalized denominator, as a polynomial expression."""
-        return _wrap(self._den, _ONE_T)
+        return _wrap(self._d, _P_ONE, self._dt)
 
     @property
     def is_zero(self) -> bool:
-        return not self._num
+        return not self._n
 
     @property
     def den_is_one(self) -> bool:
-        return self._den == _ONE_T
+        return self._d == _P_ONE
 
     def as_fraction(self) -> Fraction | None:
         """The exact rational value when the expression is constant, else None."""
-        if not self._num:
+        n = self._n
+        if not n:
             return Fraction(0)
-        if self._den == _ONE_T and len(self._num) == 1 and self._num[0][0] == ():
-            return Fraction(self._num[0][1])
+        if len(n) == 1 and () in n and self._d == _P_ONE:
+            return Fraction(n[()])
         return None
 
     def atoms(self) -> set:
         ids = set()
-        for part in (self._num, self._den):
-            for m, _ in part:
+        for part in (self._n, self._d):
+            for m in part:
                 ids.update(m[::2])
         return {ATOMS[i] for i in ids}
 
@@ -590,11 +618,11 @@ class Expression:
             return other
         if other.is_zero:
             return self
-        n1, d1 = self.num_poly(), self.den_poly()
-        n2, d2 = other.num_poly(), other.den_poly()
-        if self._den == other._den:
-            p_add_into(n1, n2)
-            return Expression(n1, d1)
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if d1 == d2:
+            num = dict(n1)
+            p_add_into(num, n2)
+            return Expression(num, d1)
         num = p_mul(n1, d2)
         p_add_into(num, p_mul(n2, d1))
         return Expression(num, p_mul(d1, d2))
@@ -602,7 +630,7 @@ class Expression:
     __radd__ = __add__
 
     def __neg__(self) -> "Expression":
-        return _wrap(tuple((m, -c) for m, c in self._num), self._den)
+        return _wrap({m: -c for m, c in self._n.items()}, self._d, None, self._dt)
 
     def __sub__(self, other) -> "Expression":
         return self + (-as_expression(other))
@@ -614,10 +642,7 @@ class Expression:
         other = as_expression(other)
         if self.is_zero or other.is_zero:
             return ZERO
-        return Expression(
-            p_mul(self.num_poly(), other.num_poly()),
-            p_mul(self.den_poly(), other.den_poly()),
-        )
+        return Expression(p_mul(self._n, other._n), p_mul(self._d, other._d))
 
     __rmul__ = __mul__
 
@@ -625,10 +650,7 @@ class Expression:
         other = as_expression(other)
         if other.is_zero:
             raise ExprError("division by a zero expression")
-        return Expression(
-            p_mul(self.num_poly(), other.den_poly()),
-            p_mul(self.den_poly(), other.num_poly()),
-        )
+        return Expression(p_mul(self._n, other._d), p_mul(self._d, other._n))
 
     def __rtruediv__(self, other) -> "Expression":
         return as_expression(other) / self
@@ -641,21 +663,20 @@ class Expression:
         if n < 0:
             if self.is_zero:
                 raise ExprError("zero raised to a negative power")
-            return Expression(p_pow(self.den_poly(), -n), p_pow(self.num_poly(), -n))
-        return Expression(p_pow(self.num_poly(), n), p_pow(self.den_poly(), n))
+            return Expression(p_pow(self._d, -n), p_pow(self._n, -n))
+        return Expression(p_pow(self._n, n), p_pow(self._d, n))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expression):
             if isinstance(other, (int, Fraction)):
                 return self == Expression.number(other)
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self._num, self._den))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((frozenset(self._n.items()), frozenset(self._d.items())))
         return h
 
     def __repr__(self) -> str:
@@ -674,10 +695,10 @@ class Expression:
         return self._derive(functools.partial(_atom_total, True))
 
     def _derive(self, rule) -> "Expression":
-        num, den = self.num_poly(), self.den_poly()
+        num, den = self._n, self._d
         dnum = _p_derive(num, rule)
         if self.den_is_one:
-            return Expression(dnum, _p_one())
+            return Expression(dnum, _P_ONE)
         dden = _p_derive(den, rule)
         out = p_mul(dnum, den)
         p_add_into(out, p_mul(num, dden), -1)
@@ -698,15 +719,17 @@ class Expression:
         if len(set(variables)) != len(variables):
             raise CollectError("duplicate collection variable")
         vset = {a.id: i for i, a in enumerate(variables)}
-        for m, _ in self._den:
-            hit = [i for i in m[::2] if i in vset]
-            if hit:
-                first = max(hit, key=_ranks().__getitem__)  # first in canonical order
-                raise CollectError(
-                    f"denominator involves collection variable {ATOMS[first].text()}"
-                )
+        if any(i in vset for m in self._d for i in m[::2]):
+            # Named from the first term that holds one, in canonical order.
+            for m, _ in self._den:
+                hit = [i for i in m[::2] if i in vset]
+                if hit:
+                    first = max(hit, key=_ranks().__getitem__)  # first in canonical order
+                    raise CollectError(
+                        f"denominator involves collection variable {ATOMS[first].text()}"
+                    )
         buckets: dict[tuple[int, ...], Poly] = {}
-        for m, c in self._num:
+        for m, c in self._n.items():
             exps = [0] * len(variables)
             rest = []
             for k in range(0, len(m), 2):
@@ -718,8 +741,7 @@ class Expression:
             b = buckets.setdefault(tuple(exps), {})
             rm = tuple(rest)
             b[rm] = b.get(rm, 0) + c
-        den = self.den_poly()
-        return {k: Expression(v, dict(den)) for k, v in sorted(buckets.items())}
+        return {k: Expression(v, self._d) for k, v in sorted(buckets.items())}
 
     def coefficient(self, variables: Sequence[Atom], exps: tuple[int, ...]) -> "Expression":
         return self._collect(variables).get(tuple(exps), ZERO)
@@ -727,7 +749,7 @@ class Expression:
     def degree_in(self, variables: Iterable[Atom]) -> int:
         vset = {a.id for a in variables}
         deg = 0
-        for m, _ in self._num:
+        for m in self._n:
             d = sum(m[k + 1] for k in range(0, len(m), 2) if m[k] in vset)
             if d > deg:
                 deg = d
@@ -762,8 +784,7 @@ class Expression:
         if floats is None:
             # Compiled once per expression; samplers evaluate it at many points.
             atoms = _atoms_met(self)
-            floats = (atoms, compile_floats([self], atoms))
-            object.__setattr__(self, "_floats", floats)
+            floats = self._floats = (atoms, compile_floats([self], atoms))
         atoms, fn = floats
         try:
             vals = [float(env[a]) for a in atoms]
@@ -772,13 +793,11 @@ class Expression:
         return fn(vals)[0]
 
 
-def _wrap(num_t: tuple, den_t: tuple) -> Expression:
-    """Build an Expression from already normalized frozen parts."""
+def _wrap(num: Poly, den: Poly, num_t: tuple | None = None, den_t: tuple | None = None) -> Expression:
+    """Build an Expression from already normalized parts, and their canonical views when known."""
     e = Expression.__new__(Expression)
-    object.__setattr__(e, "_num", num_t)
-    object.__setattr__(e, "_den", den_t)
-    object.__setattr__(e, "_hash", None)
-    object.__setattr__(e, "_floats", None)
+    e._n, e._d, e._nt, e._dt = num, den, num_t, den_t
+    e._hash = e._floats = None
     return e
 
 
@@ -789,16 +808,17 @@ def _pairs(part: tuple) -> tuple:
 
 def _from_pairs(num: tuple, den: tuple) -> Expression:
     """Inverse of _pairs; the canonical term order does not depend on ids."""
-    return _wrap(*(tuple((mono_from_pairs(m), c) for m, c in part) for part in (num, den)))
+    num_t, den_t = (tuple((mono_from_pairs(m), c) for m, c in part) for part in (num, den))
+    return _wrap(dict(num_t), dict(den_t), num_t, den_t)
 
 
-_ONE_T = (((), 1),)
+_P_ONE: Poly = {(): 1}  # the denominator of a polynomial; shared, so never mutated
 
 
 def _freeze(p: Poly) -> tuple:
-    """Terms in ascending monomial order, integral coefficients as ints.
+    """The canonical view of a part: terms in ascending monomial order, integral coefficients as ints.
 
-    Printers and leading-term lookups rely on the order.
+    Printers, float evaluation, leading-term lookups and pickling rely on the order.
     """
     if len(p) > 1:
         _ranks()
@@ -814,11 +834,11 @@ def _freeze(p: Poly) -> tuple:
     return tuple(out)
 
 
-def _normalize(num: Poly, den: Poly) -> tuple[tuple, tuple]:
+def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not den:
         raise ExprError("division by a zero expression")
     if not num:
-        return (), _ONE_T
+        return {}, _P_ONE
     if not p_is_const(den):
         mc = _mono_content(num, _mono_content(den))
         if mc:
@@ -833,13 +853,13 @@ def _normalize(num: Poly, den: Poly) -> tuple[tuple, tuple]:
         c = den[()]
         if c != 1:
             num = p_scale(num, _quo(1, c))
-        return _freeze(num), _ONE_T
+        return num, _P_ONE
     # nonconstant denominator: coprime integer coefficients, positive leading
     k, g = _int_scale(chain(num.values(), den.values()), p_leading(den)[1])
     if k != g:
         num = _rescale(num, k, g)
         den = _rescale(den, k, g)
-    return _freeze(num), _freeze(den)
+    return num, den
 
 
 ZERO = Expression.number(0)
@@ -884,17 +904,16 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
     r: dict[int, Poly] = {}
     for i in rows:
         entries = [mat[i][j] for j in rows if not mat[i][j].is_zero]
-        ri = {(): math.lcm(1, *(c.denominator for e in entries for _, c in e._num))}
-        for d in dict.fromkeys(e._den for e in entries):
-            if d != _ONE_T:
-                ri = p_mul(ri, dict(d))
+        ri = {(): math.lcm(1, *(c.denominator for e in entries for c in e._n.values()))}
+        for d in {frozenset(e._d.items()): e._d for e in entries if not e.den_is_one}.values():
+            ri = p_mul(ri, d)
         r[i] = ri
     n: dict[tuple[int, int], Poly] = {}
     for i in rows:
         for j in rows:
             e = mat[i][j]
             if not e.is_zero:
-                nij = _p_div_exact(p_mul(p_mul(e.num_poly(), r[i]), r[j]), e.den_poly())
+                nij = _p_div_exact(p_mul(p_mul(e._n, r[i]), r[j]), e._d)
                 n[i, j] = {m: c.numerator for m, c in nij.items()}  # integral: plain ints
 
     bound: dict[int, int] = {}  # atom id -> largest exponent in any minor
@@ -958,7 +977,7 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
             minors.append(Expression({unpack(m): c for m, c in num.items()}, den))
             continue
         ((dm, c),) = den.items()
-        den_t = _ONE_T
+        den = _P_ONE
         if num and dm:  # divide out the monomial content, capped by dm
             cut = []
             for a, e in zip(dm[::2], dm[1::2]):
@@ -974,10 +993,11 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
             k, g = _int_scale(chain(num.values(), (c,)), c)
             if k != g:
                 num, c = _rescale(num, k, g), c * k // g
-            den_t = ((dm, c),)
+            den = {dm: c}
         elif c != 1:
             num = {m: _quo(v, c) for m, v in num.items()}
-        minors.append(_wrap(tuple((unpack(m), num[m]) for m in sorted(num)), den_t))
+        num_t = tuple((unpack(m), num[m]) for m in sorted(num))  # the packed order is canonical
+        minors.append(_wrap(dict(num_t), den, num_t))
     return minors
 
 
@@ -1073,7 +1093,7 @@ def float_body(targets: Sequence[tuple[str, Expression]], atoms: Sequence[Atom])
     body: list[str] = []
     for name, e in targets:
         try:
-            den = [] if e._den == _ONE_T else terms("d", e._den)
+            den = [] if e.den_is_one else terms("d", e._den)
             num = terms("t", e._num)
         except OverflowError:
             body.append("raise _R(_RANGE)")
@@ -1185,7 +1205,7 @@ class Substitution:
         for k in self.bind:
             self.keys.setdefault(_name(k), []).append(k)
         self.graph = {
-            n: sorted({m for k in ks for m in map(_name, self.bind[k].atoms()) if m in self.keys})
+            n: sorted({m for k in ks for m in self._uses(k) if m in self.keys})
             for n, ks in self.keys.items()
         }
         for _ in _closing_order(self.graph, sorted(self.graph), set()):
@@ -1193,6 +1213,18 @@ class Substitution:
         self.ready: set[str] = set()  # names whose bound atoms are closed
         self.cache: dict = {}  # atom id -> replacement, or None when unbound
         self.powers: dict = {}
+
+    def _uses(self, k: Atom) -> Iterator[str]:
+        """The names that resolving the replacement of k can meet.
+
+        Those of its atoms, and for a bound field also the fields its
+        function symbols depend on: the field's jets are total derivatives
+        of the replacement, which hold the jets of those fields.
+        """
+        for a in self.bind[k].atoms():
+            yield _name(a)
+            if isinstance(a, FuncSym) and isinstance(k, JetVariable) and k.is_field:
+                yield from (d.field for d in a.deps)
 
     def resolve(self, a: Atom) -> Expression | None:
         i = a.id
@@ -1218,7 +1250,7 @@ class Substitution:
         p = self.powers.get(key)
         if p is None:
             rep = self.cache[i]
-            p = p_pow(rep.den_poly() if den else rep.num_poly(), e)
+            p = p_pow(rep._d if den else rep._n, e)
             self.powers[key] = p
         return p
 
@@ -1250,7 +1282,7 @@ class Substitution:
         return self.resolve(FuncSym(a.name, a.deps, orders)).diff(a.deps[k])
 
 
-def _rebuild(part: tuple, sub: Substitution) -> tuple[Poly, Poly]:
+def _rebuild(part: Poly, sub: Substitution) -> tuple[Poly, Poly]:
     """One substituted part of a normal form, as a polynomial over a shared denominator.
 
     The shared denominator is the product of den(rep_a)^E_a over the bound
@@ -1262,7 +1294,7 @@ def _rebuild(part: tuple, sub: Substitution) -> tuple[Poly, Poly]:
     """
     tops: dict = {}  # bound atom id with a nonconstant denominator -> E_a
     groups: dict = {}  # bound (id, e) pairs, flat -> polynomial in the unbound atoms
-    for m, c in part:
+    for m, c in part.items():
         bound = []
         rest = []
         for k in range(0, len(m), 2):
@@ -1296,10 +1328,10 @@ def _subs_pass(expr: Expression, sub: Substitution) -> Expression:
     """The substitution, normalized once: one pass, since every replacement is closed."""
     if all(sub.resolve(a) is None for a in expr.atoms()):
         return expr
-    num, num_den = _rebuild(expr._num, sub)
+    num, num_den = _rebuild(expr._n, sub)
     if expr.den_is_one:
         return Expression(num, num_den)
-    den, den_den = _rebuild(expr._den, sub)
+    den, den_den = _rebuild(expr._d, sub)
     return Expression(p_mul(num, den_den), p_mul(num_den, den))
 
 
@@ -1584,7 +1616,7 @@ def to_text(e: Expression) -> str:
     if e.den_is_one:
         return num
     den = _poly_text(e._den)
-    if len(e._num) > 1:
+    if len(e._n) > 1:
         num = f"({num})"
     lone = len(e._den) == 1 and e._den[0][1] == 1 and len(e._den[0][0]) == 2  # one atom
     if not lone:

@@ -246,7 +246,11 @@ class TestRunScenario:
         )
         bad = sc._replace(lets=lets)
         res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, bad)
-        assert res.failure is not None and "fails at sample" in res.failure
+        # The witness: seed, point and the condition's value there, q2 - 0 with q2 = -1.
+        assert res.failure == (
+            "scenario 'fourier': condition 'heatcoupling' fails at sample 1 (seed 4242): "
+            "its value is -1 at eps = 1.79368, eps_x = -0.168613, v_x = -0.943097"
+        )
         assert not res.as_expected
 
     def test_missing_let_is_reported(self, grade2_model, grade2_report, grade2_solution):
@@ -657,7 +661,8 @@ def _reference_run_scenario(model, report, solution, scenario, samples=None, see
     """The sampler as a per-point loop: uniform draws, one compiled call per point, judged in Python.
 
     A scenario expected to pass that fails keeps only its count in the
-    failure text; the compiled loop adds the witness to it.
+    failure text; the compiled loop adds the witness to it.  A failed
+    condition names its value and the point, as the compiled loop does.
     """
     bindings = solution.binding_substitution
     cond_subs = solution.condition_substitution
@@ -713,8 +718,9 @@ def _reference_run_scenario(model, report, solution, scenario, samples=None, see
         if produced + resamples >= n * 50:
             failure = f"scenario {scenario.name!r}: too many singular sample points"
             break
+        point = [rng.uniform(lo, hi) for lo, hi in bounds]
         try:
-            out = values([rng.uniform(lo, hi) for lo, hi in bounds])
+            out = values(point)
         except EvaluationError:
             resamples += 1
             continue
@@ -722,9 +728,13 @@ def _reference_run_scenario(model, report, solution, scenario, samples=None, see
             failure = f"scenario {scenario.name!r}: {exc}"
             break
         produced += 1
-        bad = next((name for (name, lo, hi), v in zip(intervals, out) if not lo <= v <= hi), None)
+        bad = next(((name, v) for (name, lo, hi), v in zip(intervals, out) if not lo <= v <= hi), None)
         if bad is not None:
-            failure = f"scenario {scenario.name!r}: condition {bad!r} fails at sample {produced}"
+            where = ", ".join(f"{a.text()} = {x:.6g}" for a, x in zip(atoms, point))
+            failure = (
+                f"scenario {scenario.name!r}: condition {bad[0]!r} fails at sample {produced} "
+                f"(seed {sd}): its value is {bad[1]:.6g}" + (f" at {where}" if where else "")
+            )
             break
         rv, fvals = out[len(conds)], out[len(conds) + 1:]
         min_res = min(min_res, rv)
@@ -896,7 +906,8 @@ def _sampling_case(residual, conditions=(), ranges=(), tol=1e-9, expect="pass"):
     (dict(residual="rho_x^2", conditions=[("ge", "1"), ("eq", "0"), ("le", "-1")]),
      dict(points=40, failure=None)),
     (dict(residual="rho_x^2", conditions=[("ge", "rho"), ("le", "1")]),
-     dict(points=1, failure="scenario 's': condition 'c1' fails at sample 1")),
+     dict(points=1, failure="scenario 's': condition 'c1' fails at sample 1 (seed 7): its value is 1 "
+                          "at rho = 0.985749, rho_x = -0.698302")),
     (dict(residual="1/(rho_x - 1)", ranges=[("rho_x", 1.0, 1.0)]),
      dict(points=0, resamples=lambda r: r == 2000, failure="scenario 's': too many singular sample points")),
     (dict(residual="eps_x^2 - rho_x^2", tol=0.0), dict(points=40, violations=lambda v: 0 < v < 40)),
@@ -938,7 +949,8 @@ def test_constant_residual_is_folded_from_its_exact_value():
 
 @pytest.mark.parametrize("change, failure, points, resamples", [
     (dict(ranges=((JetVariable("eps", 0, 1), -inf, inf),)), "too many singular sample points", 0, 400),
-    (dict(tol=nan), "condition 'heatcoupling' fails at sample 1", 1, 0),
+    (dict(tol=nan), "condition 'heatcoupling' fails at sample 1 (seed 1): its value is 0 "
+                    "at eps = 0.701546, eps_x = 0.694867, v_x = 0.527549", 1, 0),
 ])
 def test_non_finite_numbers_built_in_code_reach_the_sampler(
     change, failure, points, resamples, korteweg_model, korteweg_report, korteweg_solution

@@ -461,6 +461,21 @@ class TestDeepInputs:
         cycle = " -> ".join(f"a{k}" for k in range(self.LINKS))
         assert proc.stderr == f"error: cyclic bindings: {cycle} -> a0\n"
 
+    @pytest.mark.parametrize("functions, lets, cycle", [
+        # rho_x is the total derivative of s1(rho), which holds rho_x again.
+        ("", "let rho = s1\n", "rho -> rho"),
+        ("g(eps)\nh(rho)\n", "let rho = g(eps)\nlet eps = h(rho)\n", "eps -> rho -> eps"),
+    ], ids=["field-to-itself", "two-fields"])
+    def test_field_bound_through_its_own_function_is_a_cycle(self, tmp_path, functions, lets, cycle):
+        from liukit.models import _read
+
+        text = _read("korteweg.solution").replace("s1(rho)\n", "s1(rho)\n" + functions, 1)
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text.replace("let q3 = 0\n", "let q3 = 0\n" + lets, 1))
+        proc = _cli("check", str(mp), str(sp), "--samples", "16")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: cyclic bindings: {cycle}\n")
+
     @pytest.mark.parametrize(
         "nested", ["(" * 400 + "rho" + ")" * 400, "-" * 1200 + "rho"], ids=["parentheses", "minus-signs"]
     )

@@ -301,6 +301,16 @@ class TestSubstitution:
         with pytest.raises(BindingError):
             e("q1", ctx).subs({q1: Expression.sym(q1) + ONE})
 
+    def test_field_bound_to_a_function_of_itself_is_a_cycle(self, ctx):
+        # rho_x would resolve to total_x(s0) = D(s0, rho)*rho_x + ..., which holds rho_x again.
+        with pytest.raises(BindingError) as ei:
+            e("rho_x", ctx).subs({RHO: e("s0", ctx)})
+        assert str(ei.value) == "cyclic bindings: rho -> rho"
+
+    def test_field_bound_to_a_function_of_another_bound_field_closes(self, ctx):
+        got = e("v_x", ctx).subs({JetVariable("v"): e("s0", ctx), RHO: e("eps^2", ctx)})
+        assert got == e("2*eps*eps_x*D(s0, rho) + eps_x*D(s0, eps)", ctx)
+
     def test_empty_bindings_identity(self, ctx):
         expr = e("rho + eps", ctx)
         assert expr.subs({}) is expr

@@ -982,3 +982,122 @@ def test_printers_match_sorting_reference(a):
     for e in (a, -a):
         assert to_text(e) == _reference_text(e)
         assert to_latex(e) == _reference_latex(e)
+
+
+# -- dicts and ready-made views ------------------------------------------------
+#
+# Arithmetic leaves an expression holding the kernel's dicts, and a part is
+# sorted into its canonical view when something first reads its order.
+# `_wrap` with a view, a pickle round trip and a packed minor hand the view
+# in ready-made.  Either way it must be the same expression.
+
+
+def _from_dicts(e: Expression) -> Expression:
+    """e rebuilt by arithmetic on fresh dicts: no view read yet."""
+    return Expression(e.num_poly(), e.den_poly())
+
+
+def _from_views(e: Expression) -> Expression:
+    """e rebuilt from its canonical views, as unpickling and packed minors build it."""
+    num_t, den_t = expr_mod._freeze(e.num_poly()), expr_mod._freeze(e.den_poly())
+    return expr_mod._wrap(dict(num_t), dict(den_t), num_t, den_t)
+
+
+def _assert_same(a: Expression, b: Expression) -> None:
+    # Equality and hashing first, before either side's views are read.
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert to_text(a) == to_text(b) and to_latex(a) == to_latex(b)
+    assert (a._num, a._den) == (b._num, b._den)
+
+
+def _assert_unmoved_by_mutation(e: Expression) -> None:
+    text, copy = to_text(e), _from_dicts(e)
+    for poly in (e.num_poly(), e.den_poly()):
+        poly[(RHO.id, 1)] = 7
+        poly.clear()
+    assert e == copy and to_text(e) == text
+    assert ONE_EXPR.den_is_one and to_text(ONE_EXPR) == "1"
+
+
+ONE_EXPR = Expression.number(1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(a=exprs)
+def test_arithmetic_and_ready_made_views_agree(a):
+    import pickle
+
+    views, dicts = _from_views(a), _from_dicts(a)
+    _assert_same(dicts, views)
+    _assert_same(_from_dicts(a), pickle.loads(pickle.dumps(_from_dicts(a))))
+    # Negation of an expression whose views were read, and of one whose were not.
+    read = _from_dicts(a)
+    read._num, read._den
+    _assert_same(-_from_dicts(a), -read)
+    _assert_same(-views, -_from_dicts(a))
+    _assert_same(a.denominator(), _from_views(a).denominator())
+    for e in (a, views, -read):
+        _assert_unmoved_by_mutation(e)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(spec=packed_matrices())
+def test_packed_minors_agree_with_arithmetic(spec):
+    atoms = [RHO, EPS, RHO_X, EPS_X]
+    mat = [[_packed_entry_value(e, atoms) for e in row] for row in spec]
+    subsets = _all_subsets(len(mat))
+    for sub, minor in zip(subsets, principal_minors(mat, subsets)):
+        _assert_same(_cofactor_det([[mat[i][j] for j in sub] for i in sub]), minor)
+        _assert_unmoved_by_mutation(minor)
+
+
+def _first_collection_hit(e: Expression, variables) -> str:
+    """The reference name: the first denominator term, in canonical order, that holds a variable,
+    and of its variables the first in canonical atom order."""
+    terms = sorted((_pairs(m) for m in e.den_poly()), key=_REF_KEY)
+    for pairs in terms:
+        hit = [a for a, _ in pairs if a in variables]
+        if hit:
+            return min(hit, key=lambda a: a.atom_key).text()
+    raise AssertionError("no denominator term holds a collection variable")
+
+
+_DEN_ATOMS = [RHO, EPS, RHO_X, EPS_X, V_X, S0]
+_den_terms = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool), st.lists(st.integers(0, 2), min_size=6, max_size=6)),
+    min_size=2, max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(terms=_den_terms, variables=st.lists(st.sampled_from(_DEN_ATOMS[:5]), unique=True, min_size=1, max_size=3),
+       data=st.data())
+def test_collect_error_names_the_first_hit_in_canonical_order(terms, variables, data):
+    den = ZERO
+    for c, exps in terms:
+        term = Expression.number(c)
+        for a, k in zip(_DEN_ATOMS, exps):
+            term = term * Expression.atom(a) ** k
+        den = den + term
+    e = Expression.jet(RHO_T) / den if not den.is_zero else ZERO
+    if not e.atoms() & set(variables) or e.den_is_one:
+        return
+    CASES["collect error"] += 1
+    want = f"denominator involves collection variable {_first_collection_hit(e, variables)}"
+    # The same expression with its denominator dict in a drawn order.
+    order = data.draw(st.permutations(list(e.den_poly().items())))
+    shuffled = expr_mod._wrap(e.num_poly(), dict(order))
+    for x in (e, shuffled):
+        with pytest.raises(expr_mod.CollectError) as ei:
+            x.collect(variables)
+        assert str(ei.value) == want
+
+
+def test_collect_error_suite():
+    CASES["collect error"] = 0
+    test_collect_error_names_the_first_hit_in_canonical_order()
+    assert CASES["collect error"] >= 100, CASES["collect error"]
