@@ -123,9 +123,6 @@ class ModelSpec(_ModelFields):
         # `_replace` copies through `_make`, which would skip `__new__`.
         return cls(*iterable)
 
-    def field_jet(self, name: str) -> JetVariable:
-        return JetVariable(name, 0, 0)
-
     def unknown(self, name: str) -> FuncSym:
         for u in self.unknowns:
             if u.name == name:

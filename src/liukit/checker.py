@@ -20,7 +20,7 @@ three parts:
   The loop draws each jet as `uniform` does and evaluates the targets
   through the statements of `expr.float_body`, so every value rounds as the
   term-by-term sum over the printed normal form does, bit for bit as
-  `expr.compile_floats` gives it; a target without jets is folded from its
+  `Expression.evaluate` gives it; a target without jets is folded from its
   exact value.  Each declared condition must lie in a closed interval
   around zero.  A scenario expected to pass that does not names the first
   target below -tol at the first violating point, that point and the
@@ -186,6 +186,9 @@ def run_scenario(
     n = samples if samples is not None else scenario.samples
     sd = seed if seed is not None else scenario.seed
     tl = tol if tol is not None else scenario.tol
+    problem = sampling_error(n, tl)
+    if problem is not None:
+        raise CheckError(f"scenario {scenario.name!r}: {problem}")
 
     def prepare(e: Expression) -> Expression:
         return solution.bind(e).subs(lets)
@@ -310,7 +313,7 @@ def _sampler(
     Each atom is drawn as lo + (hi - lo)*random(), which is `uniform(lo,
     hi)` on CPython, in atom order, and the targets run through the
     statements of `expr.float_body`, so every value is the one that
-    `compile_floats` gives at the same point.  A point at which a target
+    `Expression.evaluate` gives at the same point.  A point at which a target
     raises EvaluationError or overflows is drawn again.  A target without
     atoms is folded from its exact value, 0.0 + float(value), which is what
     those statements compute; one whose value overflows a float stays in

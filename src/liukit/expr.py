@@ -63,7 +63,7 @@ from .jet import _ATOM_IDS, ATOMS, Frozen, JetVariable, intern_atom
 __all__ = [
     "Atom", "BindingError", "CoefficientRangeError", "CollectError", "EvaluationError",
     "ExprError", "Expression", "FuncSym", "ONE", "ParseContext", "ParseError",
-    "Substitution", "ZERO", "as_expression", "compile_floats", "compile_source",
+    "Substitution", "ZERO", "as_expression", "compile_source",
     "float_body", "parse", "poly_gcd", "principal_minors", "to_latex", "to_text",
 ]
 
@@ -529,11 +529,11 @@ class Expression:
     views, built on first read.
     """
 
-    __slots__ = ("_n", "_d", "_nt", "_dt", "_hash", "_floats")
+    __slots__ = ("_n", "_d", "_nt", "_dt", "_hash")
 
     def __init__(self, num: Poly, den: Poly):
         self._n, self._d = _normalize(num, den)
-        self._nt = self._dt = self._hash = self._floats = None
+        self._nt = self._dt = self._hash = None
 
     @property
     def _num(self) -> tuple:
@@ -706,16 +706,14 @@ class Expression:
 
     # -- structure ------------------------------------------------------
 
-    def collect(self, variables: Sequence[JetVariable]) -> dict[tuple[int, ...], "Expression"]:
+    def collect(self, variables: Sequence[Atom]) -> dict[tuple[int, ...], "Expression"]:
         """Coefficients with respect to monomials in `variables`.
 
         The result maps an exponent multi-index (aligned with `variables`) to
         the coefficient expression, which is free of the listed variables.
         The denominator must not involve them.
         """
-        return self._collect(tuple(variables))
-
-    def _collect(self, variables: Sequence[Atom]) -> dict[tuple[int, ...], "Expression"]:
+        variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise CollectError("duplicate collection variable")
         vset = {a.id: i for i, a in enumerate(variables)}
@@ -742,9 +740,6 @@ class Expression:
             rm = tuple(rest)
             b[rm] = b.get(rm, 0) + c
         return {k: Expression(v, self._d) for k, v in sorted(buckets.items())}
-
-    def coefficient(self, variables: Sequence[Atom], exps: tuple[int, ...]) -> "Expression":
-        return self._collect(variables).get(tuple(exps), ZERO)
 
     def degree_in(self, variables: Iterable[Atom]) -> int:
         vset = {a.id for a in variables}
@@ -775,29 +770,29 @@ class Expression:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, env: Mapping) -> float:
-        """Float value at a point, through `compile_floats`, which runs the
-        same statements (`float_body`) as scenario sampling; a vanishing
-        denominator, an overflow or a non-finite value raises EvaluationError,
-        so samplers can skip the point.  A coefficient outside the float range
-        raises CoefficientRangeError, since no point can help it."""
-        floats = self._floats
-        if floats is None:
-            # Compiled once per expression; samplers evaluate it at many points.
-            atoms = _atoms_met(self)
-            floats = self._floats = (atoms, compile_floats([self], atoms))
-        atoms, fn = floats
+        """Float value at a point, through the statements of `float_body`,
+        which scenario sampling also compiles, so both round alike; a
+        vanishing denominator, an overflow or a non-finite value raises
+        EvaluationError.  A coefficient outside the float range raises
+        CoefficientRangeError, since no point can help it."""
+        atoms = sorted(self.atoms(), key=lambda a: a.atom_key)
         try:
-            vals = [float(env[a]) for a in atoms]
+            # repr reads back as the same float; inf and nan are names of compile_source.
+            lines = [f"x{k} = {float(env[a])!r}" for k, a in enumerate(atoms)]
         except KeyError as exc:
             raise EvaluationError(f"no value supplied for {exc.args[0].text()}") from None
-        return fn(vals)[0]
+        lines += float_body([("r", self)], atoms)
+        try:
+            return compile_source("\n".join(lines), "<liukit evaluate>")["r"]
+        except OverflowError as exc:
+            raise EvaluationError(_FLOAT_NAMES["_OVERFLOW"] % exc) from None
 
 
 def _wrap(num: Poly, den: Poly, num_t: tuple | None = None, den_t: tuple | None = None) -> Expression:
     """Build an Expression from already normalized parts, and their canonical views when known."""
     e = Expression.__new__(Expression)
     e._n, e._d, e._nt, e._dt = num, den, num_t, den_t
-    e._hash = e._floats = None
+    e._hash = None
     return e
 
 
@@ -1109,45 +1104,11 @@ def float_body(targets: Sequence[tuple[str, Expression]], atoms: Sequence[Atom])
     return body
 
 
-def compile_floats(targets: Sequence[Expression], atoms: Sequence[Atom]):
-    """One float function for `targets`: f(values) -> [value of each target].
-
-    `values` holds one float per atom of `atoms`.  The function runs the
-    statements of `float_body`, which `checker.run_scenario` also compiles
-    into each scenario's whole sampling loop, so a sampled value and
-    `Expression.evaluate` round alike.  Sampling does not call it: the loop
-    is the scenario's one compile.  An overflow is raised here as
-    EvaluationError; the first target whose coefficients have no float
-    value raises CoefficientRangeError when the targets before it have been
-    evaluated.
-    """
-    names = [f"r{k}" for k in range(len(targets))]
-    body = float_body(list(zip(names, targets)), atoms)
-    if atoms:
-        body.insert(0, ", ".join(f"x{k}" for k in range(len(atoms))) + ", = v")
-    # Not reached after a CoefficientRangeError.
-    body.append("return [" + ", ".join(names) + "]")
-    src = "def f(v):\n    try:\n" + "".join(f"        {line}\n" for line in body)
-    src += "    except OverflowError as exc:\n        raise _E(_OVERFLOW % exc) from None\n"
-    return compile_source(src, "<liukit floats>")["f"]
-
-
 def compile_source(src: str, filename: str) -> dict:
     """Run generated source that uses the names of `float_body`, `inf` and `nan`; its definitions are in the result."""
     names = dict(_FLOAT_NAMES)
     exec(compile(src, filename, "exec"), names)
     return names
-
-
-def _atoms_met(e: Expression) -> tuple:
-    """The atoms of e in the order evaluation meets them, denominator first."""
-    nrank = _ranks()
-    seen: dict = {}
-    for part in (e._den, e._num):
-        for m, _ in part:
-            for _, i, _ in _canonical_atoms(m, nrank):
-                seen.setdefault(i, None)
-    return tuple(ATOMS[i] for i in seen)
 
 
 # -- substitution machinery ----------------------------------------------

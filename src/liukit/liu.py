@@ -104,9 +104,6 @@ class ConstraintSelection(NamedTuple):
     mode: str
     entries: tuple[tuple[int, int], ...]  # (row index, extension order)
 
-    def orders_of(self, i: int) -> tuple[int, ...]:
-        return tuple(k for ii, k in self.entries if ii == i)
-
 
 def select_constraints(
     model: ModelSpec, mode: str = "pruned", max_order: int | None = None
@@ -225,7 +222,7 @@ def _by_degree(
     denominator involves `atoms`.
     """
     parts: dict[int, list[tuple[tuple[int, ...], Expression]]] = {}
-    for idx, coeff in expr._collect(tuple(atoms)).items():
+    for idx, coeff in expr.collect(atoms).items():
         parts.setdefault(sum(idx), []).append((idx, coeff))
     return parts
 
@@ -369,9 +366,6 @@ class LiuReport(NamedTuple):
             if (ii, kk) == (i, k):
                 return v
         raise KeyError((i, k))
-
-    def equality_exprs(self) -> tuple[Expression, ...]:
-        return tuple(e.expr for e in self.restrictions.equalities)
 
 
 def model_hash(model: ModelSpec) -> str:

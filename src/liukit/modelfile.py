@@ -290,14 +290,11 @@ class _SolutionFields(NamedTuple):
 class CandidateSolution(_SolutionFields, Frozen):
     # Not slotted: the cached substitutions below live in the instance `__dict__`.
 
-    def binding_map(self) -> dict[FuncSym, Expression]:
-        return {k: v for k, v in self.bindings}
-
     # Built once per candidate and shared by every part of a check, so each
     # derivative atom of a bound symbol is derived once.
     @cached_property
     def binding_substitution(self) -> Substitution:
-        return Substitution(self.binding_map())
+        return Substitution(dict(self.bindings))
 
     @cached_property
     def condition_substitution(self) -> Substitution:
@@ -323,12 +320,6 @@ class CandidateSolution(_SolutionFields, Frozen):
         if out is None:
             out = self._bound[e] = e.subs(self.binding_substitution).subs(self.condition_substitution)
         return out
-
-    def condition(self, name: str) -> Condition:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _condition_substitutions(conditions: Sequence[Condition]) -> dict[Atom, Expression]:

@@ -145,8 +145,8 @@ def test_criterion_5_reduced_production_identity_and_sampling():
     report = derive(model)
     solution = load_builtin_solution("grade2", model)
 
-    bound = report.restrictions.residual.subs(solution.binding_map())
-    flux_rule = solution.condition("entropyflux")
+    bound = report.restrictions.residual.subs(solution.binding_substitution)
+    flux_rule = next(c for c in solution.conditions if c.name == "entropyflux")
     atom = next(iter(flux_rule.lhs.atoms()))
     bound = bound.subs({atom: flux_rule.rhs})
     from liukit.expr import ParseContext

@@ -106,7 +106,6 @@ class TestModelValidation:
         m = _tiny_model()
         assert m.fields == ("rho", "v")
         assert m.unknown("T").name == "T"
-        assert m.field_jet("rho") == RHO
         with pytest.raises(ModelError):
             m.unknown("nope")
 

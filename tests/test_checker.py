@@ -38,7 +38,8 @@ from liukit.expr import (
     ParseContext,
     Substitution,
     ZERO,
-    compile_floats,
+    compile_source,
+    float_body,
     parse,
     principal_minors,
 )
@@ -703,7 +704,7 @@ def _reference_run_scenario(model, report, solution, scenario, samples=None, see
             raise CheckError(f"scenario {scenario.name!r} ranges unknown variable {j.text()}")
     default = lambda j: DEFAULT_FIELD_RANGE if j.t_order == 0 and j.x_order == 0 else DEFAULT_GRADIENT_RANGE
     bounds = [ranges.get(a, default(a)) for a in atoms]
-    values = compile_floats(targets, atoms)
+    values = _float_function(targets, atoms)
     intervals = []
     for c in solution.conditions:
         lim = max(tl, 1e-9 if c.kind == "eq" else 1e-12)
@@ -721,7 +722,7 @@ def _reference_run_scenario(model, report, solution, scenario, samples=None, see
         point = [rng.uniform(lo, hi) for lo, hi in bounds]
         try:
             out = values(point)
-        except EvaluationError:
+        except (EvaluationError, OverflowError):
             resamples += 1
             continue
         except CoefficientRangeError as exc:
@@ -755,6 +756,15 @@ def _reference_run_scenario(model, report, solution, scenario, samples=None, see
         scenario.name, scenario.expect, produced, resamples,
         min_res if produced else nan, worst_minor, violations, as_expected, failure,
     )
+
+
+def _float_function(targets, atoms):
+    """f(point) -> [value of each target]: the statements of `float_body`, compiled once."""
+    names = [f"r{k}" for k in range(len(targets))]
+    lines = ["def f(v):", *(f"    x{k} = v[{k}]" for k in range(len(atoms)))]
+    lines += [f"    {line}" for line in float_body(list(zip(names, targets)), atoms)]
+    lines.append(f"    return [{', '.join(names)}]")
+    return compile_source("\n".join(lines), "<reference floats>")["f"]
 
 
 def _bits(x):
@@ -949,8 +959,6 @@ def test_constant_residual_is_folded_from_its_exact_value():
 
 @pytest.mark.parametrize("change, failure, points, resamples", [
     (dict(ranges=((JetVariable("eps", 0, 1), -inf, inf),)), "too many singular sample points", 0, 400),
-    (dict(tol=nan), "condition 'heatcoupling' fails at sample 1 (seed 1): its value is 0 "
-                    "at eps = 0.701546, eps_x = 0.694867, v_x = 0.527549", 1, 0),
 ])
 def test_non_finite_numbers_built_in_code_reach_the_sampler(
     change, failure, points, resamples, korteweg_model, korteweg_report, korteweg_solution
@@ -958,6 +966,23 @@ def test_non_finite_numbers_built_in_code_reach_the_sampler(
     sc = _scenario(korteweg_solution, "fourier")._replace(**change)
     res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, sc, samples=8, seed=1)
     assert (res.failure, res.points, res.resamples) == (f"scenario 'fourier': {failure}", points, resamples)
+
+
+@pytest.mark.parametrize("change, override, problem", [
+    (dict(samples=0), {}, "samples must be at least 1, got 0"),
+    (dict(samples=-2), {}, "samples must be at least 1, got -2"),
+    ({}, dict(samples=0), "samples must be at least 1, got 0"),
+    (dict(tol=nan), {}, "tol must be finite and nonnegative, got nan"),
+    ({}, dict(tol=-1.0), "tol must be finite and nonnegative, got -1.0"),
+])
+def test_unusable_samples_or_tol_is_an_error(
+    change, override, problem, grade2_model, grade2_report, grade2_solution
+):
+    # No samples would pass any scenario, and a NaN tolerance fails every condition test.
+    sc = _scenario(grade2_solution, "fourier")._replace(**change)
+    with pytest.raises(CheckError) as ei:
+        run_scenario(grade2_model, grade2_report, grade2_solution, sc, **override)
+    assert str(ei.value) == f"scenario 'fourier': {problem}"
 
 
 def test_each_scenario_compiles_once(monkeypatch, korteweg_model, korteweg_report, korteweg_solution):

@@ -232,9 +232,9 @@ class TestStructure:
 
     def test_coefficient(self, ctx):
         expr = e("3*rho_x^2*eps + rho_x*v_x", ctx)
-        assert expr.coefficient([RHO_X], (2,)) == e("3*eps", ctx)
-        assert expr.coefficient([RHO_X, V_X], (1, 1)) == ONE
-        assert expr.coefficient([RHO_X], (5,)).is_zero
+        assert expr.collect([RHO_X]).get((2,), ZERO) == e("3*eps", ctx)
+        assert expr.collect([RHO_X, V_X]).get((1, 1), ZERO) == ONE
+        assert expr.collect([RHO_X]).get((5,), ZERO).is_zero
 
     def test_degree_in(self, ctx):
         expr = e("rho_x^3*eps_x + rho_x*eps_x^2 + rho", ctx)

@@ -17,8 +17,8 @@ cases also go through sympy when it is installed.  A deterministic guard
 keeps the number of normalizations per substitution independent of the
 expression size.
 
-A float suite checks `compile_floats` and `Expression.evaluate` bit for bit
-against a term-by-term reference interpreter, errors included.
+A float suite checks `Expression.evaluate` bit for bit against a
+term-by-term reference interpreter, errors included.
 
 Further suites, also outside that set, check `principal_minors` against a
 cofactor expansion over expressions (and sympy), the canonical monomial
@@ -54,7 +54,6 @@ from liukit.expr import (
     ParseContext,
     Substitution,
     ZERO,
-    compile_floats,
     parse,
     principal_minors,
     to_latex,
@@ -582,27 +581,22 @@ def _reference_floats(e: Expression, env) -> float:
     return out
 
 
-def _same_floats(targets, env, atoms=None):
-    """compile_floats and evaluate against the reference: equal bits or the same error."""
-    atoms = list(env) if atoms is None else atoms
-    want, error = [], None
+def _same_floats(targets, env):
+    """`evaluate` against the reference, target by target: equal bits or the same error.
+
+    Returns the error of the first target that raises one, or None.
+    """
+    first = None
     for t in targets:
         try:
-            want.append(_reference_floats(t, env))
+            want = _reference_floats(t, env)
         except (EvaluationError, CoefficientRangeError) as exc:
-            error = type(exc)
-            break
-    fn = compile_floats(targets, atoms)
-    if error is None:
-        assert [v.hex() for v in fn([env[a] for a in atoms])] == [v.hex() for v in want]
-    else:
-        with pytest.raises(error):
-            fn([env[a] for a in atoms])
-        with pytest.raises(error):
-            targets[len(want)].evaluate(env)
-    for t, w in zip(targets, want):
-        assert t.evaluate(env).hex() == w.hex()
-    return error
+            with pytest.raises(type(exc)):
+                t.evaluate(env)
+            first = first or type(exc)
+        else:
+            assert t.evaluate(env).hex() == want.hex()
+    return first
 
 
 _ATOM_OF = [next(iter(a.atoms())) for a in _ATOMS]
@@ -622,12 +616,10 @@ _point_values = st.sampled_from([0.0, 1.0, -2.0, 1e150]) | st.integers(-4000, 40
 @given(
     targets=st.lists(_float_exprs, min_size=1, max_size=3),
     values=st.lists(_point_values, min_size=len(_ATOMS), max_size=len(_ATOMS)),
-    order=st.permutations(range(len(_ATOMS))),
 )
-def check_compiled_floats(targets, values, order):
+def check_compiled_floats(targets, values):
     CASES["floats"] += 1
-    env = dict(zip(_ATOM_OF, values))
-    if _same_floats(targets, env, [_ATOM_OF[k] for k in order]) is not None:
+    if _same_floats(targets, dict(zip(_ATOM_OF, values))) is not None:
         CASES["floats_error"] += 1
 
 
@@ -775,7 +767,7 @@ def test_multiplier_solve_matches_sympy(name, mode):
     selection = select_constraints(model, mode)
     ineq = constrained_inequality(model, dec, selection)
     jets = sorted((a for a in ineq.jets() if a.t_order), key=JetVariable.sort_key)
-    buckets = ineq._collect(jets)
+    buckets = ineq.collect(jets)
     assert all(sum(idx) <= 1 for idx in buckets)
     eqs = [_to_sympy(sympy, c) for idx, c in buckets.items() if sum(idx) == 1]
     lams = [_to_sympy(sympy, Expression.sym(multiplier_symbol(i, k))) for i, k in selection.entries]

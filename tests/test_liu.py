@@ -107,7 +107,7 @@ class TestSelection:
 
     def test_second_order_entry_is_the_mass_law(self, korteweg_model, korteweg_report):
         assert korteweg_report.decoupled.rows[0].law_name == "mass"
-        assert korteweg_report.selection.orders_of(1) == (0, 1, 2)
+        assert [k for i, k in korteweg_report.selection.entries if i == 1] == [0, 1, 2]
 
     def test_all_mode_takes_the_full_grid(self, korteweg_model):
         sel = select_constraints(korteweg_model, mode="all")
@@ -307,8 +307,8 @@ class TestMultiplierSolve:
         for i, k in sel.entries:
             level = [multiplier_symbol(ii, kk) for ii, kk in sel.entries if kk == k]
             own = tuple(int(lam == multiplier_symbol(i, k)) for lam in level)
-            eq = ineq.coefficient([JetVariable(model.fields[i - 1], 1, k)], (1,))
-            buckets = eq._collect(level)
+            eq = ineq.collect([JetVariable(model.fields[i - 1], 1, k)])[(1,)]
+            buckets = eq.collect(level)
             assert buckets[own] == -dec.rows[i - 1].pivot
             assert all(sum(idx) == 0 or idx == own for idx in buckets)
 
@@ -528,10 +528,3 @@ syms = [a for a in ATOMS if isinstance(a, FuncSym)]
 assert syms == sorted(syms, key=lambda a: a.atom_key, reverse=True)
 sys.stdout.write(stable_json(report_json_dict(derive(load_builtin("korteweg")))))
 """
-
-
-class TestReportEqualityExprs:
-    def test_equality_exprs_view(self, grade2_report):
-        exprs = grade2_report.equality_exprs()
-        assert len(exprs) == len(grade2_report.restrictions.equalities)
-        assert all(isinstance(x, Expression) for x in exprs)

@@ -19,7 +19,7 @@ from liukit.jet import JetVariable
 from liukit.liu import model_hash
 from liukit.modelfile import load_model, parse_solution
 from liukit.models import builtin_names, load_builtin, load_builtin_solution
-from liukit.expr import ParseContext, parse
+from liukit.expr import ZERO, ParseContext, parse
 
 RHO_X = JetVariable("rho", 0, 1)
 EPS_X = JetVariable("eps", 0, 1)
@@ -40,9 +40,9 @@ def _solution_ctx(model, solution) -> ParseContext:
 
 
 def _bound_residual(report, solution, *condition_names):
-    bound = report.restrictions.residual.subs(solution.binding_map())
+    bound = report.restrictions.residual.subs(solution.binding_substitution)
     for name in condition_names:
-        cond = solution.condition(name)
+        cond = next(c for c in solution.conditions if c.name == name)
         atom = next(iter(cond.lhs.atoms()))
         bound = bound.subs({atom: cond.rhs})
     return bound
@@ -169,19 +169,18 @@ class TestKortewegResidualIdentity:
     ):
         bound = _bound_residual(korteweg_report, korteweg_solution)
         grads = (RHO_X, EPS_X, V_X)
-        a = bound.coefficient(grads, (2, 0, 0))
-        b = bound.coefficient(grads, (1, 1, 0))
-        c = bound.coefficient(grads, (0, 2, 0))
+        coeffs = bound.collect(grads)
+        a, b, c = (coeffs.get(exps, ZERO) for exps in ((2, 0, 0), (1, 1, 0), (0, 2, 0)))
         disc = b * b - a * c * 4
         assert not disc.is_zero
-        coupling = korteweg_solution.condition("heatcoupling")
+        coupling = next(c for c in korteweg_solution.conditions if c.name == "heatcoupling")
         atom = next(iter(coupling.lhs.atoms()))
         assert disc.subs({atom: coupling.rhs}).is_zero
 
     def test_pure_shear_coefficient(self, korteweg_model, korteweg_report, korteweg_solution):
         bound = _bound_residual(korteweg_report, korteweg_solution)
         ctx = _solution_ctx(korteweg_model, korteweg_solution)
-        shear = bound.coefficient((RHO_X, EPS_X, V_X), (0, 0, 2))
+        shear = bound.collect((RHO_X, EPS_X, V_X)).get((0, 0, 2), ZERO)
         assert (shear - parse("tau1*D(s0, eps)", ctx)).is_zero
 
 
@@ -202,3 +201,13 @@ def test_builtins_are_read_without_importlib_resources():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == ["0", "False"]
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    want = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert want and capsys.readouterr().out.splitlines() == want
