@@ -69,6 +69,10 @@ def _cmd_derive(args) -> int:
         raise CliUsage("--order only applies together with --all-extensions")
     if args.order is not None and args.order < 0:
         raise CliUsage(f"--order must be nonnegative, got {args.order}")
+    order = model.space.order
+    if args.verify and args.order is not None and args.order < order:
+        # A lower cap drops constraints on purpose, so the two sets may differ.
+        raise CliUsage(f"--verify needs --order of at least the state-space order {order}, got {args.order}")
     report = derive(model, mode=mode, max_order=args.order)
     if args.verify:
         other = derive(model, mode="all" if mode == "pruned" else "pruned")

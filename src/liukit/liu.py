@@ -369,8 +369,18 @@ class LiuReport(NamedTuple):
 
 
 def model_hash(model: ModelSpec) -> str:
-    # Imported here: hashlib loads OpenSSL, and only derive reports hash a model.
-    import hashlib
+    # The interpreter's built-in SHA-256 (`_sha2` from 3.12, `_sha256`
+    # before), tried first as random.py does: hashlib maps OpenSSL's
+    # libcrypto, about 2.5 MB of resident memory for one hash of a 1-2 KB
+    # blob.  The digest is the same either way.  Imported here, because only
+    # derive reports hash a model.
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     parts = [
         "fields:" + ",".join(model.fields),
@@ -396,7 +406,7 @@ def model_hash(model: ModelSpec) -> str:
     for u in model.unknowns:
         parts.append("unknown:" + u.name + "(" + ",".join(d.text() for d in u.deps) + ")")
     blob = "\n".join(parts).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def derive(

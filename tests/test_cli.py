@@ -142,6 +142,25 @@ class TestDerive:
         assert out == ""
         assert "--order must be nonnegative, got -1" in err
 
+    def test_verify_below_the_state_space_order_is_a_usage_error(self, capsys):
+        # A cap below the order drops constraints the pruned set keeps, so
+        # the two sets differ by the user's choice, not by an engine fault.
+        code, out, err = _run(
+            ["derive", "--builtin", "korteweg", "--all-extensions", "--order", "1", "--verify"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --verify needs --order of at least the state-space order 2, got 1\n"
+
+    def test_verify_at_the_state_space_order_keeps_its_output(self, capsys):
+        argv = ["derive", "--builtin", "korteweg", "--all-extensions", "--order", "2"]
+        code, plain, _ = _run(argv, capsys)
+        assert code == 0
+        code, verified, err = _run(argv + ["--verify"], capsys)
+        assert code == 0
+        assert err == ""
+        assert verified == plain
+
     def test_builtin_and_path_conflict(self, tmp_path, capsys):
         path = tmp_path / "local.model"
         path.write_text(LOCAL_MODEL)
