@@ -8,24 +8,24 @@ three parts:
   when it does not, declared equality conditions are substituted (closing
   over derivatives) and the equality passes conditionally if the result is
   zero.
-* numeric scenarios: seeded sampling of the residual production, the
-  semidefiniteness minors and the even forms over declared or default
-  ranges, after scenario "let" bindings give values to the remaining free
-  functions.  `run_scenario` is one straight path: prepare the targets (the
-  minors built from the prepared entries of the quadratic form), check that
-  only jets are left, compile the whole sampling loop into one generated
-  function (the scenario's only compile), run it, and judge.  The bindings
-  and the condition substitution are applied once per candidate
-  (`CandidateSolution.bind`); each scenario applies only its "let" values.
-  The loop draws each jet as `uniform` does and evaluates the targets
-  through the statements of `expr.float_body`, so every value rounds as the
-  term-by-term sum over the printed normal form does, bit for bit as
-  `Expression.evaluate` gives it; a target without jets is folded from its
-  exact value.  Each declared condition must lie in a closed interval
-  around zero.  A scenario expected to pass that does not names the first
-  target below -tol at the first violating point, that point and the
-  target's worst value.  A minimum that is not finite is written as null
-  in the JSON record.
+* numeric scenarios: seeded sampling over declared or default ranges, after
+  scenario "let" bindings give values to the remaining free functions.
+  `run_scenario` is one straight path: list the conditions, each with the
+  closed interval around zero its value must lie in, and the judged
+  restrictions, each with its label (the residual production, then the
+  minors built from the prepared entries of the quadratic form and the
+  even forms that do not vanish); check that only jets are left; compile
+  the whole sampling loop, with one running minimum per judged
+  restriction, into one generated function (the scenario's only compile);
+  run it; and judge.  The bindings and the condition substitution are
+  applied once per candidate (`CandidateSolution.bind`); each scenario
+  applies only its "let" values.  The loop draws each jet as `uniform`
+  does and evaluates the targets through the statements of
+  `expr.float_body`, bit for bit as `Expression.evaluate` gives them; a
+  target without jets is folded from its exact value.  A scenario expected
+  to pass that does not names the first judged restriction below -tol at
+  the first violating point, that point and its worst value.  A minimum
+  that is not finite is written as null in the JSON record.
 * equilibrium concavity: the bound entropy, as a quadratic form in the
   gradient state variables, must be negative semidefinite so that uniform
   states maximize it; the decision uses the declared sign conditions.
@@ -193,16 +193,17 @@ def run_scenario(
     def prepare(e: Expression) -> Expression:
         return solution.bind(e).subs(lets)
 
-    # The sampled forms, each with the label a failure names it by.  The
+    # The judged restrictions, each with the label a failure names it by: the
+    # residual, then the minors and the even forms that do not vanish.  The
     # minors are built from the n(n+1)/2 prepared entries, not the 2^n - 1
     # expanded minors: a determinant commutes with substitution and the
     # normal form is canonical, so each equals prepare(det).
     restr = report.restrictions
-    forms: list[tuple[Expression, str]] = []
+    judged = [(prepare(restr.residual), "residual production")]
     if restr.quadratic is not None:
         q = restr.quadratic
         subsets = [sub for sub, _ in q.minors]
-        forms += zip(
+        judged += zip(
             principal_minors(q.matrix(prepare), subsets),
             [f"minor over ({', '.join(q.variables[i].text() for i in sub)})" for sub in subsets],
         )
@@ -212,15 +213,15 @@ def run_scenario(
              for idx, c in f.entries),
             ZERO,
         )
-        forms.append((form, f"even form of degree {f.degree} over ({', '.join(v.text() for v in f.variables)})"))
-    forms = [(d, label) for d, label in forms if not d.is_zero]
-    residual = prepare(restr.residual)
-    conds = [c.subs(lets) for c in solution.bound_conditions]
-    # Conditions first, then the residual, then the forms: a point fails on
-    # the first target that cannot be evaluated there.
-    targets = conds + [residual] + [d for d, _ in forms]
+        judged.append((form, f"even form of degree {f.degree} over ({', '.join(v.text() for v in f.variables)})"))
+    judged[1:] = [(d, label) for d, label in judged[1:] if not d.is_zero]
+    # Each condition with the closed interval its value must lie in: tol, floored.
+    conds = []
+    for c, e in zip(solution.conditions, solution.bound_conditions):
+        lim = max(tl, 1e-9 if c.kind == "eq" else 1e-12)
+        conds.append((e.subs(lets), -inf if c.kind == "le" else -lim, inf if c.kind == "ge" else lim))
 
-    atoms = sorted({a for t in targets for a in t.atoms()}, key=lambda a: a.atom_key)
+    atoms = sorted({a for t, *_ in conds + judged for a in t.atoms()}, key=lambda a: a.atom_key)
     unbound = [a.text() for a in atoms if not isinstance(a, JetVariable)]
     if unbound:
         them = "it with a let line" if len(unbound) == 1 else "them with let lines"
@@ -239,16 +240,8 @@ def run_scenario(
                 " a state variable nor a higher derivative"
             )
     bounds = [ranges.get(a, _default_range(a)) for a in atoms]
-    # The closed interval each condition's value must lie in: the tolerance, floored.
-    intervals = []
-    for c in solution.conditions:
-        lim = max(tl, 1e-9 if c.kind == "eq" else 1e-12)
-        intervals.append((-inf if c.kind == "le" else -lim, inf if c.kind == "ge" else lim))
-
-    sample = _sampler(targets, atoms, bounds, intervals, n, n * _MAX_RESAMPLE_FACTOR, -tl)
-    stop, produced, resamples, violations, min_res, worst, form_mins, witness = sample(
-        random.Random(sd).random
-    )
+    sample = _sampler(conds, judged, atoms, bounds, n, n * _MAX_RESAMPLE_FACTOR, -tl)
+    stop, produced, resamples, violations, mins, witness = sample(random.Random(sd).random)
 
     def at(point: Sequence[float]) -> str:
         where = ", ".join(f"{a.text()} = {x:.6g}" for a, x in zip(atoms, point))
@@ -276,39 +269,39 @@ def run_scenario(
             # The witness: the first target below -tol at the first violating sample.
             index, point, values = witness
             k = next(k for k, v in enumerate(values) if v < -tl)
-            label, lowest = ("residual production", min_res) if k == 0 else (forms[k - 1][1], form_mins[k - 1])
             failure = (
                 f"scenario {scenario.name!r}: a restriction is negative at {violations} of "
-                f"{produced} samples; first at sample {index} (seed {sd}): {label} = "
-                f"{values[k]:.6g}" + at(point) + f"; its worst value is {lowest:.6g}"
+                f"{produced} samples; first at sample {index} (seed {sd}): {judged[k][1]} = "
+                f"{values[k]:.6g}" + at(point) + f"; its worst value is {mins[k]:.6g}"
             )
     return ScenarioResult(
         scenario.name, scenario.expect, produced, resamples,
-        min_res if produced else nan, worst if forms else None, violations, as_expected, failure,
+        mins[0] if produced else nan, min(mins[1:], default=None), violations, as_expected, failure,
     )
 
 
 def _sampler(
-    targets: Sequence[Expression],
+    conds: Sequence[tuple[Expression, float, float]],
+    judged: Sequence[tuple[Expression, str]],
     atoms: Sequence[JetVariable],
     bounds: Sequence[tuple[float, float]],
-    intervals: Sequence[tuple[float, float]],
     n: int,
     cap: int,
     ntl: float,
 ):
     """Compile a scenario's whole sampling loop into one function, sample(random).
 
-    `targets` are the conditions (one per interval), the residual and the
-    forms; `n` points are wanted, at most `cap` are drawn, and a value
-    below `ntl` (-tol) violates.  Every number is written into the source
-    as its repr.  The function returns (stop, produced, resamples,
-    violations, min residual, worst form, minimum of each form, witness).
+    `conds` are (target, lo, hi): each condition with the closed interval
+    its value must lie in.  `judged` are (target, label), the residual
+    first: the restrictions a value below `ntl` (-tol) violates, each with
+    one running minimum.  `n` points are wanted and at most `cap` are
+    drawn.  Every number is written into the source as its repr.  The
+    function returns (stop, produced, resamples, violations, mins, witness).
     `stop` is None when n points were produced, (index, point, value) of
     the first condition outside its interval at the last point, or the
     failure text when the cap or a coefficient without a float value ends
-    the loop.  The witness is (index, point, values of the residual and the
-    forms) at the first violating point.
+    the loop.  The witness is (index, point, judged values) at the first
+    violating point.
 
     Each atom is drawn as lo + (hi - lo)*random(), which is `uniform(lo,
     hi)` on CPython, in atom order, and the targets run through the
@@ -319,7 +312,9 @@ def _sampler(
     those statements compute; one whose value overflows a float stays in
     the loop.  A condition that always holds is not tested.
     """
-    ncond = len(intervals)
+    # Conditions first, then the judged restrictions: a point fails on the
+    # first target that cannot be evaluated there.
+    targets = [t for t, _, _ in conds] + [t for t, _ in judged]
     names = [f"r{k}" for k in range(len(targets))]
     folded: dict[int, float] = {}
     for k, t in enumerate(targets):
@@ -330,12 +325,12 @@ def _sampler(
                 pass
     body = float_body([(names[k], t) for k, t in enumerate(targets) if k not in folded], atoms)
 
-    nforms = len(targets) - ncond - 1
-    mins = "".join(f"mf{j}, " for j in range(nforms))
+    values = names[len(conds):]
+    mins = [f"m{j}" for j in range(len(judged))]
     xs = "".join(f"x{k}, " for k in range(len(atoms)))
-    state = f"produced, resamples, violations, mr, wm, ({mins}), witness"
+    state = f"produced, resamples, violations, [{', '.join(mins)}], witness"
     judge = []
-    for k, (lo, hi) in enumerate(intervals):
+    for k, (_, lo, hi) in enumerate(conds):
         if k in folded and lo <= folded[k] <= hi:
             continue
         # A finite value always lies within an infinite side of an interval.
@@ -344,21 +339,18 @@ def _sampler(
         )
         if test != names[k]:
             judge.append(f"if not {test}: return ({k}, ({xs}), {names[k]}), {state}")
-    res, fs = names[ncond], names[ncond + 1:]
-    judge.append(f"if {res} < mr: mr = {res}")
-    for j, f in enumerate(fs):
-        judge += [f"if {f} < wm: wm = {f}", f"if {f} < mf{j}: mf{j} = {f}"]
+    judge += [f"if {v} < {m}: {m} = {v}" for v, m in zip(values, mins)]
     judge += [
-        "if " + " or ".join(f"{v} < {ntl!r}" for v in [res, *fs]) + ":",
+        "if " + " or ".join(f"{v} < {ntl!r}" for v in values) + ":",
         "    violations += 1",
         "    if witness is None:",
-        f"        witness = produced, ({xs}), ({res}, {''.join(f + ', ' for f in fs)})",
+        f"        witness = produced, ({xs}), [{', '.join(values)}]",
     ]
     lines = [
         "def sample(r):",
         *(f"    {names[k]} = {v!r}" for k, v in folded.items()),
         "    produced = resamples = violations = 0",
-        "    mr = wm = " + "".join(f"mf{j} = " for j in range(nforms)) + "inf",
+        f"    {' = '.join(mins)} = inf",
         "    witness = None",
         "    try:",
         f"        while produced < {n!r}:",

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 from .jet import Frozen, JetVariable, StateSpace
 from .expr import Atom, Expression, FuncSym, ONE, ParseContext, ParseError, Substitution, ZERO, parse
-from .balance import BalanceLaw, EntropyDeclaration, ModelSpec
+from .balance import BalanceLaw, EntropyDeclaration, ModelError, ModelSpec
 
 
 class FileFormatError(ValueError):
@@ -298,7 +298,7 @@ class CandidateSolution(_SolutionFields, Frozen):
 
     @cached_property
     def condition_substitution(self) -> Substitution:
-        """Equality conditions whose left side is a single atom, as bindings."""
+        """Equality conditions whose left side is a function-symbol atom, as bindings."""
         return Substitution(_condition_substitutions(self.conditions))
 
     @cached_property
@@ -325,11 +325,12 @@ class CandidateSolution(_SolutionFields, Frozen):
 def _condition_substitutions(conditions: Sequence[Condition]) -> dict[Atom, Expression]:
     subs: dict[Atom, Expression] = {}
     for c in conditions:
-        if c.kind != "eq":
-            continue
         atoms = c.lhs.atoms()
-        if len(atoms) == 1 and c.lhs == Expression.atom(next(iter(atoms))):
-            subs[next(iter(atoms))] = c.rhs
+        if c.kind == "eq" and len(atoms) == 1:
+            (a,) = atoms
+            # A jet is the state the candidate is judged on: never rewritten.
+            if isinstance(a, FuncSym) and c.lhs == Expression.atom(a):
+                subs[a] = c.rhs
     return subs
 
 
@@ -371,7 +372,7 @@ def parse_solution(text: str, model: ModelSpec) -> CandidateSolution:
                 key = key.strip()
                 try:
                     target = model.unknown(key)
-                except Exception:
+                except ModelError:
                     raise FileFormatError(
                         f"line {lineno}: {key!r} is not a constitutive unknown of the model"
                     )
@@ -389,7 +390,7 @@ def parse_solution(text: str, model: ModelSpec) -> CandidateSolution:
         elif kind == "scenario":
             if label is None:
                 raise FileFormatError(f"line {s_lineno}: scenario sections need a name")
-            scenarios.append(_parse_scenario(label, lines, ctx, fieldset))
+            scenarios.append(_parse_scenario(label, lines, ctx, model))
         else:
             raise FileFormatError(f"line {s_lineno}: unknown section [{kind}] in a solution file")
 
@@ -417,13 +418,18 @@ def _parse_condition(name: str, stmt: str, ctx: ParseContext, lineno: int) -> Co
     if "=" in stmt:
         lhs_text, rhs_text = stmt.split("=", 1)
         lhs = _parse_expr(lhs_text, ctx, lineno)
-        _atom_of(lhs, lineno)  # equality conditions rewrite a single symbol
+        # Equality conditions rewrite a single function symbol, never the state.
+        if isinstance(atom := _atom_of(lhs, lineno), JetVariable):
+            raise FileFormatError(
+                f"line {lineno}: equality condition {name!r} rewrites the jet {atom.text()};"
+                " its left side must be a function symbol"
+            )
         return Condition(name, "eq", lhs, _parse_expr(rhs_text, ctx, lineno))
     raise FileFormatError(f"line {lineno}: condition needs '=', '>= 0' or '<= 0'")
 
 
 def _parse_scenario(
-    name: str, lines: list[tuple[int, str]], ctx: ParseContext, fields: set[str]
+    name: str, lines: list[tuple[int, str]], ctx: ParseContext, model: ModelSpec
 ) -> NumericScenario:
     samples = DEFAULT_SAMPLES
     seed = 0
@@ -442,7 +448,7 @@ def _parse_scenario(
     for lineno, line in lines:
         rm = _RANGE_RE.match(line)
         if rm:
-            j = parse_jet_name(rm.group(1), fields, lineno)
+            j = parse_jet_name(rm.group(1), set(model.fields), lineno)
             once(f"range for {j.text()}", lineno)
             try:
                 lo, hi = float(rm.group(2)), float(rm.group(3))
@@ -458,6 +464,12 @@ def _parse_scenario(
         lm = _LET_RE.match(line)
         if lm:
             atom = _atom_of(_parse_expr(lm.group(1), ctx, lineno), lineno)
+            if isinstance(atom, FuncSym) and any(u.name == atom.name for u in model.unknowns):
+                # The bindings replace every unknown before a scenario's lets apply.
+                raise FileFormatError(
+                    f"line {lineno}: let for {atom.text()} rewrites the constitutive unknown"
+                    f" {atom.name!r}, which its binding replaces first"
+                )
             once(f"let for {atom.text()}", lineno)
             lets.append((atom, _parse_expr(lm.group(2), ctx, lineno)))
             continue

@@ -409,6 +409,20 @@ class TestMaxEntropyAtEquilibrium:
         assert res.outcome == "refuted"
         assert "wrong sign" in res.detail
 
+    def test_equality_condition_never_rewrites_a_jet(self, korteweg_model, korteweg_solution):
+        # Built in code, the condition passes no parser; rewriting rho_x as 0
+        # would leave the entropy without the gradient term maxent refutes.
+        conditions = tuple(
+            Condition(c.name, "ge", c.lhs, c.rhs) if c.name == "maxent" else c
+            for c in korteweg_solution.conditions
+        )
+        sol = korteweg_solution._replace(
+            conditions=conditions + (Condition("flat", "eq", Expression.jet(RHO_X), ZERO),)
+        )
+        assert RHO_X not in sol.condition_substitution.bind
+        res = max_entropy_at_equilibrium(korteweg_model, sol)
+        assert res == ("refuted", "minor over (rho_x) has the wrong sign: s1 with the declared conditions")
+
     def test_missing_sign_condition_is_undetermined(self, grade2_model, grade2_solution):
         kept = tuple(c for c in grade2_solution.conditions if c.name != "maxent")
         sol = grade2_solution._replace(conditions=kept)

@@ -327,6 +327,57 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == f"error: line {lineno}: duplicate key 'samples' in [scenario fourier]\n"
 
+    def test_equality_condition_on_a_jet_is_an_input_error(self, tmp_path, capsys):
+        from liukit.models import _read
+
+        # Rewritten as 0, rho_x would empty the gradient form that maxent
+        # refutes, and the check would pass.
+        text = _read("korteweg.solution")
+        text = text[: text.index("[scenario fourier]")].replace("maxent: s1 <= 0", "maxent: s1 >= 0")
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text)
+        code, out, _ = _run(["check", str(mp), str(sp)], capsys)
+        assert code == 4
+        assert (
+            "equilibrium concavity: refuted (minor over (rho_x) has the wrong sign:"
+            " s1 with the declared conditions)\n"
+        ) in out
+        sp.write_text(text.replace("[conditions]\n", "[conditions]\nflat: rho_x = 0\n"))
+        lineno = sp.read_text().splitlines().index("flat: rho_x = 0") + 1
+        code, out, err = _run(["check", str(mp), str(sp)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: line {lineno}: equality condition 'flat' rewrites the jet rho_x;"
+            " its left side must be a function symbol\n"
+        )
+
+    @pytest.mark.parametrize("let, atom", [("let T = 0", "T"), ("let D(T, rho) = 5", "D(T, rho)")])
+    def test_let_on_a_constitutive_unknown_is_an_input_error(self, tmp_path, capsys, let, atom):
+        from liukit.models import _read
+
+        # The bindings replace T before a scenario's lets apply, so the let
+        # would change nothing.
+        text = _read("korteweg.solution").replace("let q3 = 0\n", f"let q3 = 0\n{let}\n", 1)
+        lineno = text.splitlines().index(let) + 1
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text)
+        code, out, err = _run(["check", str(mp), str(sp)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: line {lineno}: let for {atom} rewrites the constitutive unknown 'T',"
+            " which its binding replaces first\n"
+        )
+
+    @pytest.mark.parametrize("name", ["grade2", "korteweg"])
+    def test_all_extensions_checks_the_same_restrictions(self, capsys, name):
+        # The pruned and the full constraint sets emit the same restrictions.
+        argv = ["check", "--builtin", name, "--format", "json"]
+        pruned = _run(argv, capsys)
+        assert pruned[0] == 0
+        assert _run(argv + ["--all-extensions"], capsys) == pruned
+
     def test_non_finite_range_bound_is_an_input_error(self, tmp_path, capsys):
         from liukit.models import _read
 
