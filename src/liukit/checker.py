@@ -13,8 +13,8 @@ three parts:
   `run_scenario` is one straight path: list the conditions, each with the
   closed interval around zero its value must lie in, and the judged
   restrictions, each with its label (the residual production, then the
-  minors built from the prepared entries of the quadratic form and the
-  even forms that do not vanish); check that only jets are left; compile
+  minors of the quadratic form with prepared entries, expanded here, and
+  the even forms that do not vanish); check that only jets are left; compile
   the whole sampling loop, with one running minimum per judged
   restriction, into one generated function (the scenario's only compile);
   run it; and judge.  The bindings and the condition substitution are
@@ -45,7 +45,6 @@ from .expr import (
     ZERO,
     compile_source,
     float_body,
-    principal_minors,
     to_text,
 )
 from .balance import ModelSpec
@@ -195,18 +194,18 @@ def run_scenario(
 
     # The judged restrictions, each with the label a failure names it by: the
     # residual, then the minors and the even forms that do not vanish.  The
-    # minors are built from the n(n+1)/2 prepared entries, not the 2^n - 1
-    # expanded minors: a determinant commutes with substitution and the
-    # normal form is canonical, so each equals prepare(det).
+    # minors are those of the form with its n(n+1)/2 entries prepared: a
+    # determinant commutes with substitution and the normal form is
+    # canonical, so each equals prepare(det).  A zero entry keeps its index,
+    # so the subsets and labels are the report's.
     restr = report.restrictions
     judged = [(prepare(restr.residual), "residual production")]
     if restr.quadratic is not None:
         q = restr.quadratic
-        subsets = [sub for sub, _ in q.minors]
-        judged += zip(
-            principal_minors(q.matrix(prepare), subsets),
-            [f"minor over ({', '.join(q.variables[i].text() for i in sub)})" for sub in subsets],
-        )
+        judged += [
+            (d, f"minor over ({', '.join(q.variables[i].text() for i in sub)})")
+            for sub, d in q._replace(entries=tuple((i, j, prepare(e)) for i, j, e in q.entries)).minors
+        ]
     for f in restr.even_forms:
         form = sum(
             (prepare(c) * prod(Expression.jet(v) ** e for v, e in zip(f.variables, idx))

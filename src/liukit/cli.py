@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 input could not be parsed, 2 the input parsed but
-failed validation, 3 an engine invariant failed, 4 a candidate check failed.
+Exit codes: 0 success, 1 input could not be read or parsed or --out could not
+be written, 2 the input parsed but failed validation, 3 an engine invariant
+failed, 4 a candidate check failed.
 """
 from __future__ import annotations
 
@@ -208,7 +209,8 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except OSError as exc:
-        # A missing file, a directory, a permission: any file that cannot be read.
+        # A missing file, a directory, a permission: any input that cannot be
+        # read, or an --out that cannot be written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -26,13 +26,13 @@ The pipeline:
                   must be positive semidefinite, and the jet-free remainder
                   is the residual production, constrained to be nonnegative.
                   One degree split (`_by_degree`) serves both bands, and
-                  `quadratic_form` builds the form with its minors; the
-                  checker's concavity test uses the same two.
+                  `quadratic_form` builds the form (minors are expanded on
+                  read); the checker's concavity test uses the same two.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
 from .expr import Atom, Expression, FuncSym, ZERO, _jet_latex, principal_minors, to_latex, to_text
@@ -256,17 +256,20 @@ class Equality(NamedTuple):
 class QuadraticForm(NamedTuple):
     variables: tuple[JetVariable, ...]
     entries: tuple[tuple[int, int, Expression], ...]  # i <= j, coefficient M_ij
-    minors: tuple[tuple[tuple[int, ...], Expression], ...]  # index subset, determinant
 
-    def matrix(
-        self, prepare: Callable[[Expression], Expression] = lambda e: e
-    ) -> list[list[Expression]]:
-        """The symmetric matrix, each entry passed once through `prepare`."""
-        n = len(self.variables)
-        m = [[ZERO] * n for _ in range(n)]
+    @property
+    def minors(self) -> tuple[tuple[tuple[int, ...], Expression], ...]:
+        """(index subset, determinant) of each principal minor, expanded on every read.
+
+        The subsets run over the indices the entries name, zero or not, in
+        report order: smaller subsets first, then lexicographically.
+        """
+        support = sorted({k for i, j, _ in self.entries for k in (i, j)})
+        subsets = [s for k in range(1, len(support) + 1) for s in combinations(support, k)]
+        m = [[ZERO] * len(self.variables) for _ in self.variables]
         for i, j, e in self.entries:
-            m[i][j] = m[j][i] = prepare(e)
-        return m
+            m[i][j] = m[j][i] = e
+        return tuple(zip(subsets, principal_minors(m, subsets)))
 
 
 class EvenForm(NamedTuple):
@@ -303,22 +306,16 @@ def quadratic_form(
     variables: Sequence[JetVariable],
     items: Iterable[tuple[tuple[int, ...], Expression]],
 ) -> QuadraticForm:
-    """The symmetric form of degree-2 coefficients, with its principal minors.
+    """The symmetric form of degree-2 coefficients; its minors are expanded where read.
 
     `items` pairs exponent vectors over `variables` with their coefficients;
-    a cross coefficient is split evenly between M_ij and M_ji.  The minors
-    run over the nonempty subsets of the variables the form involves, in
-    report order: smaller subsets first, then lexicographically.
+    a cross coefficient is split evenly between M_ij and M_ji.
     """
     entries: list[tuple[int, int, Expression]] = []
-    support: set[int] = set()
     for idx, coeff in items:
         pos = [i for i, e in enumerate(idx) if e]
-        support.update(pos)
         entries.append((pos[0], pos[-1], coeff if len(pos) == 1 else coeff / 2))
-    form = QuadraticForm(tuple(variables), tuple(entries), ())
-    subsets = [s for k in range(1, len(support) + 1) for s in combinations(sorted(support), k)]
-    return form._replace(minors=tuple(zip(subsets, principal_minors(form.matrix(), subsets))))
+    return QuadraticForm(tuple(variables), tuple(entries))
 
 
 def emit_restrictions(
@@ -452,7 +449,10 @@ def report_json_dict(report: LiuReport) -> dict:
     m = report.model
     cls = report.classification
     r = report.restrictions
-    out = {
+    q = r.quadratic
+    # The minors first: their expansion peaks before the other strings exist.
+    minors = q.minors if q is not None else ()
+    return {
         "model": m.name,
         "hash": model_hash(m),
         "mode": report.mode,
@@ -490,7 +490,13 @@ def report_json_dict(report: LiuReport) -> dict:
         "equalities": [
             {"label": e.label, "expr": to_text(e.expr)} for e in r.equalities
         ],
-        "quadraticForm": None,
+        "quadraticForm": None if q is None else {
+            "variables": [v.text() for v in q.variables],
+            "entries": [{"i": i, "j": j, "value": to_text(e)} for i, j, e in q.entries],
+            "minors": [
+                {"vars": [q.variables[i].text() for i in sub], "det": to_text(d)} for sub, d in minors
+            ],
+        },
         "evenForms": [
             {
                 "degree": f.degree,
@@ -505,22 +511,6 @@ def report_json_dict(report: LiuReport) -> dict:
         "sideConditions": [to_text(c) for c in report.nonzero],
         "diagnostics": dict(sorted(report.diagnostics.items())),
     }
-    if r.quadratic is not None:
-        q = r.quadratic
-        out["quadraticForm"] = {
-            "variables": [v.text() for v in q.variables],
-            "entries": [
-                {"i": i, "j": j, "value": to_text(e)} for i, j, e in q.entries
-            ],
-            "minors": [
-                {
-                    "vars": [q.variables[i].text() for i in sub],
-                    "det": to_text(d),
-                }
-                for sub, d in q.minors
-            ],
-        }
-    return out
 
 
 def report_text(report: LiuReport) -> str:
@@ -613,16 +603,13 @@ def same_restrictions(a: Restrictions, b: Restrictions) -> bool:
     restrictions unchanged: the pruned-away extensions only carry multipliers
     that solve to zero.
     """
-    if {e.expr for e in a.equalities} != {e.expr for e in b.equalities}:
-        return False
-    if (a.quadratic is None) != (b.quadratic is None):
-        return False
-    if a.quadratic is not None and b.quadratic is not None:
-        qa, qb = a.quadratic, b.quadratic
-        if qa.variables != qb.variables or set(qa.entries) != set(qb.entries):
-            return False
-    ea = {(f.degree, f.variables, frozenset(f.entries)) for f in a.even_forms}
-    eb = {(f.degree, f.variables, frozenset(f.entries)) for f in b.even_forms}
-    if ea != eb:
-        return False
-    return a.residual == b.residual
+    def key(r: Restrictions) -> tuple:
+        q = r.quadratic
+        return (
+            {e.expr for e in r.equalities},
+            None if q is None else (q.variables, frozenset(q.entries)),
+            {(f.degree, f.variables, frozenset(f.entries)) for f in r.even_forms},
+            r.residual,
+        )
+
+    return key(a) == key(b)

@@ -110,11 +110,16 @@ def parse_jet_name(name: str, fields: set[str], lineno: int) -> JetVariable:
     return JetVariable(base, 0, len(suffix))
 
 
-def _parse_expr(text: str, ctx: ParseContext, lineno: int) -> Expression:
+def _at(lineno: int, call, *args):
+    """call(*args), with its ParseError raised as an error of line `lineno`."""
     try:
-        return parse(text, ctx)
+        return call(*args)
     except ParseError as exc:
         raise FileFormatError(f"line {lineno}: {exc}") from exc
+
+
+def _parse_expr(text: str, ctx: ParseContext, lineno: int) -> Expression:
+    return _at(lineno, parse, text, ctx)
 
 
 def _entry_expr(kv: dict, key: str, ctx: ParseContext, default: Expression = ZERO) -> Expression:
@@ -127,16 +132,17 @@ def _split_list(value: str) -> list[str]:
 
 
 def _parse_decl(
-    line: str, lineno: int, fields: set[str]
-) -> tuple[str, tuple[JetVariable, ...]]:
+    line: str, lineno: int, fields: set[str], ctx: ParseContext, taken: dict[str, str]
+) -> FuncSym:
+    """Declare in `ctx` the symbol of `line`; `taken` maps names it may not declare to why."""
     m = _DECL_RE.match(line)
     if not m:
         raise FileFormatError(f"line {lineno}: malformed declaration {line!r}")
     name = m.group(1)
-    if m.group(2) is None or not m.group(2).strip():
-        return name, ()
-    deps = tuple(parse_jet_name(d, fields, lineno) for d in _split_list(m.group(2)))
-    return name, deps
+    deps = tuple(parse_jet_name(d, fields, lineno) for d in _split_list(m.group(2) or ""))
+    if name in taken:
+        raise FileFormatError(f"line {lineno}: {taken[name]}")
+    return _at(lineno, ctx.declare_sym, name, deps)
 
 
 def parse_model(text: str, name: str = "model") -> ModelSpec:
@@ -172,7 +178,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
             )
     ctx = ParseContext()
     for fname in field_names:
-        ctx.declare_field(fname)
+        _at(fkv["fields"][0], ctx.declare_field, fname)
     fieldset = set(field_names)
 
     _, s_line, s_lines = sole("state")
@@ -189,14 +195,16 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
     space = StateSpace(order, members)
 
     unknowns: list[FuncSym] = []
+    taken: dict[str, str] = {}
     _, _, u_lines = sole("unknowns")
     for lineno, line in u_lines:
-        uname, deps = _parse_decl(line, lineno, fieldset)
-        if not deps:
+        u = _parse_decl(line, lineno, fieldset, ctx, taken)
+        if not u.deps:
             raise FileFormatError(
-                f"line {lineno}: constitutive unknown {uname!r} needs state dependencies"
+                f"line {lineno}: constitutive unknown {u.name!r} needs state dependencies"
             )
-        unknowns.append(ctx.declare_sym(uname, deps))
+        taken[u.name] = f"constitutive unknown {u.name!r} is declared twice"
+        unknowns.append(u)
 
     laws: list[BalanceLaw] = []
     for label, lineno, lines in by_kind.get("balance", []):
@@ -356,13 +364,16 @@ def parse_solution(text: str, model: ModelSpec) -> CandidateSolution:
     conditions: list[Condition] = []
     scenarios: list[NumericScenario] = []
     seen = {"ansatz": 0, "bindings": 0, "conditions": 0}
+    # The ansatz and an unknown of the same name would be one symbol.
+    taken = {u.name: f"ansatz {u.name!r} is a constitutive unknown of the model" for u in model.unknowns}
 
     for kind, label, s_lineno, lines in sections:
         if kind == "ansatz":
             seen["ansatz"] += 1
             for lineno, line in lines:
-                aname, deps = _parse_decl(line, lineno, fieldset)
-                ansatz.append(ctx.declare_sym(aname, deps))
+                a = _parse_decl(line, lineno, fieldset, ctx, taken)
+                taken[a.name] = f"ansatz {a.name!r} is declared twice"
+                ansatz.append(a)
         elif kind == "bindings":
             seen["bindings"] += 1
             for lineno, line in lines:

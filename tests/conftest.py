@@ -8,9 +8,11 @@ fixtures for timing-sensitive assertions.
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
+from liukit import expr
 from liukit.liu import derive
 from liukit.models import load_builtin, load_builtin_solution
 
@@ -72,3 +74,22 @@ def korteweg_report_all(korteweg_model):
 @pytest.fixture(scope="session")
 def korteweg_solution(korteweg_model):
     return load_builtin_solution("korteweg", korteweg_model)
+
+
+@pytest.fixture
+def minor_calls(monkeypatch):
+    """The `subsets` argument of each call of `expr.principal_minors`.
+
+    The function is spied on under every name a loaded liukit module holds it by.
+    """
+    calls: list = []
+    real = expr.principal_minors
+
+    def spy(mat, subsets):
+        calls.append(subsets)
+        return real(mat, subsets)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("liukit.") and getattr(module, "principal_minors", None) is real:
+            monkeypatch.setattr(module, "principal_minors", spy)
+    return calls

@@ -6,6 +6,7 @@ import json
 import os
 import random
 from functools import lru_cache
+from itertools import combinations
 from math import copysign, inf, nan, prod
 
 import pytest
@@ -633,8 +634,9 @@ def test_check_output_bytes_are_pinned(command, capsys):
 
 
 def _entry_minors(quadratic, prepare):
-    """The minors as `run_scenario` builds them: from the prepared entries."""
-    return principal_minors(quadratic.matrix(prepare), [sub for sub, _ in quadratic.minors])
+    """The minors as `run_scenario` reads them: those of the form with prepared entries."""
+    prepared = quadratic._replace(entries=tuple((i, j, prepare(e)) for i, j, e in quadratic.entries))
+    return [d for _, d in prepared.minors]
 
 
 def _prepare(solution: CandidateSolution, scenario: NumericScenario):
@@ -670,6 +672,43 @@ def test_prepared_minors_equal_prepared_dets_when_nonzero(name, request):
     assert not any(d.is_zero for d in got)
 
 
+@pytest.mark.parametrize("name, calls", [("grade2", 3), ("korteweg", 4)])
+def test_check_expands_minors_once_per_scenario_and_for_concavity(name, calls, request, minor_calls):
+    # The derivation the command runs first expands none.
+    solution = request.getfixturevalue(f"{name}_solution")
+    minor_calls.clear()
+    assert main(["check", "--builtin", name]) == 0
+    assert len(minor_calls) == len(solution.scenarios) + 1 == calls
+
+
+def test_prepared_row_that_vanishes_keeps_the_report_subsets_and_labels(grade2_model, grade2_report):
+    # Row v_xx prepares to zero.  Its index stays in the support, so the
+    # minors keep the report's subsets, and a failure names the report's jets.
+    jets = (JetVariable("rho", 0, 2), JetVariable("v", 0, 2), JetVariable("eps", 0, 2))
+    ctx = ParseContext(grade2_model.ctx.fields, {**grade2_model.ctx.syms, "a": ()})
+    a = ctx.sym("a")
+    e = lambda t: parse(t, ctx)
+    items = [((2, 0, 0), e("1")), ((1, 1, 0), e("2*a")), ((0, 2, 0), e("a")), ((0, 1, 1), e("2*a")), ((0, 0, 2), e("rho - 2"))]
+    q = quadratic_form(jets, items)
+    zero = Substitution({a: ZERO})
+    prepared = q._replace(entries=tuple((i, j, d.subs(zero)) for i, j, d in q.entries))
+    assert [sub for sub, _ in prepared.minors] == [sub for sub, _ in q.minors] == [
+        (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
+    ]
+    assert [d for _, d in prepared.minors] == [d.subs(zero) for _, d in q.minors] == [
+        e(t) for t in ("1", "0", "rho - 2", "0", "rho - 2", "0", "0")
+    ]
+    report = grade2_report._replace(restrictions=Restrictions((), q, (), ZERO))
+    res = run_scenario(
+        grade2_model, report, CandidateSolution((), (), (), ()),
+        NumericScenario("row", 8, 11, 1e-9, "pass", (), ((a, ZERO),)),
+    )
+    assert res.failure == (
+        "scenario 'row': a restriction is negative at 8 of 8 samples; first at sample 1 (seed 11): "
+        "minor over (eps_xx) = -0.821431 at rho = 1.17857; its worst value is -1.22301"
+    )
+
+
 # -- the compiled sampling loop against the per-point loop ---------------------
 
 def _reference_run_scenario(model, report, solution, scenario, samples=None, seed=None, tol=None):
@@ -692,8 +731,13 @@ def _reference_run_scenario(model, report, solution, scenario, samples=None, see
     restr = report.restrictions
     forms = []
     if restr.quadratic is not None:
+        # Its own matrix and subsets, independent of `QuadraticForm.minors`.
         q = restr.quadratic
-        forms += principal_minors(q.matrix(prepare), [sub for sub, _ in q.minors])
+        mat = [[ZERO] * len(q.variables) for _ in q.variables]
+        for i, j, e in q.entries:
+            mat[i][j] = mat[j][i] = prepare(e)
+        support = sorted({k for i, j, _ in q.entries for k in (i, j)})
+        forms += principal_minors(mat, [s for k in range(1, len(support) + 1) for s in combinations(support, k)])
     for f in restr.even_forms:
         forms.append(sum(
             (prepare(c) * prod(Expression.jet(v) ** e for v, e in zip(f.variables, idx))

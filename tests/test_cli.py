@@ -50,6 +50,9 @@ s = a
 Js = 0
 """
 
+# The first constitutive unknown of korteweg.model, as declared there.
+UNKNOWN_T = "T(rho, eps, rho_x, v_x, eps_x, rho_xx)"
+
 SINGULAR_MODEL = """\
 [fields]
 fields = a, b
@@ -111,6 +114,17 @@ class TestDerive:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["model"] == "grade2"
+
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+        code, out, err = _run(["derive", "--builtin", "grade2", "--out", str(tmp_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt, calls", [("text", 1), ("json", 1), ("latex", 0)])
+    def test_minors_are_expanded_only_where_printed(self, capsys, minor_calls, fmt, calls):
+        # The LaTeX report prints the entries of the form, not its minors.
+        code, _, _ = _run(["derive", "--builtin", "korteweg", "--format", fmt], capsys)
+        assert code == 0 and len(minor_calls) == calls
 
     def test_model_file_path(self, tmp_path, capsys):
         path = tmp_path / "local.model"
@@ -223,6 +237,25 @@ class TestDerive:
         code, out, err = _run(["derive", str(path)], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: line {lineno}: unknown section [scenario] in a model file\n"
+
+    @pytest.mark.parametrize(
+        "old, new, offset, message",
+        [
+            (UNKNOWN_T, f"{UNKNOWN_T}\n{UNKNOWN_T}", 1, "constitutive unknown 'T' is declared twice"),
+            (UNKNOWN_T, f"{UNKNOWN_T}\nT(rho)", 1, "constitutive unknown 'T' is declared twice"),
+            (UNKNOWN_T, f"{UNKNOWN_T}\nrho(eps)", 1, "'rho' is already a field"),
+            ("fields = rho, v, eps", "fields = rho, v, eps, D", 0, "identifier 'D' is reserved for derivatives"),
+        ],
+        ids=["repeated", "redeclared", "field", "reserved"],
+    )
+    def test_declaration_errors_name_their_line(self, tmp_path, capsys, old, new, offset, message):
+        text = load_builtin("korteweg").source_text
+        lineno = text.splitlines().index(old) + 1 + offset
+        path = tmp_path / "k.model"
+        path.write_text(text.replace(old, new, 1))
+        code, out, err = _run(["derive", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: line {lineno}: {message}\n"
 
     def test_singular_jacobian(self, tmp_path, capsys):
         path = tmp_path / "singular.model"
@@ -351,6 +384,30 @@ class TestCheck:
             f"error: line {lineno}: equality condition 'flat' rewrites the jet rho_x;"
             " its left side must be a function symbol\n"
         )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (UNKNOWN_T, "ansatz 'T' is a constitutive unknown of the model"),
+            ("T(rho)", "ansatz 'T' is a constitutive unknown of the model"),
+            ("s1(rho)", "ansatz 's1' is declared twice"),
+            ("rho(eps)", "'rho' is already a field"),
+            ("D(rho)", "identifier 'D' is reserved for derivatives"),
+        ],
+        ids=["unknown", "unknown-redeclared", "repeated", "field", "reserved"],
+    )
+    def test_ansatz_declaration_errors_name_their_line(self, tmp_path, capsys, line, message):
+        from liukit.models import _read
+
+        # Without the check, an ansatz T and the unknown T are one symbol.
+        text = _read("korteweg.solution").replace("s1(rho)\n", f"s1(rho)\n{line}\n", 1)
+        lineno = text.splitlines().index("s1(rho)") + 2
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text)
+        code, out, err = _run(["check", str(mp), str(sp)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: line {lineno}: {message}\n"
 
     @pytest.mark.parametrize("let, atom", [("let T = 0", "T"), ("let D(T, rho) = 5", "D(T, rho)")])
     def test_let_on_a_constitutive_unknown_is_an_input_error(self, tmp_path, capsys, let, atom):

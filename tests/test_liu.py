@@ -17,6 +17,7 @@ from liukit.jet import JetVariable, StateSpace
 from liukit.liu import (
     EngineError,
     EvenForm,
+    QuadraticForm,
     constrained_inequality,
     decouple,
     derive,
@@ -391,6 +392,41 @@ class TestSameRestrictions:
         assert not same_restrictions(
             grade2_report.restrictions, korteweg_report.restrictions
         )
+
+    def test_forms_compare_by_their_entry_sets(self, korteweg_report):
+        r = korteweg_report.restrictions
+        q = r.quadratic
+        assert same_restrictions(r, r._replace(quadratic=q._replace(entries=q.entries[::-1])))
+        assert not same_restrictions(r, r._replace(quadratic=q._replace(entries=q.entries[1:])))
+        assert not same_restrictions(r, r._replace(quadratic=None))
+        assert not same_restrictions(r._replace(quadratic=None), r)
+
+
+class TestQuadraticForm:
+    """A form is its entries: its minors are expanded where they are read."""
+
+    def test_holds_only_its_entries(self):
+        assert QuadraticForm._fields == ("variables", "entries")
+        assert not hasattr(QuadraticForm, "matrix")
+
+    @pytest.mark.parametrize("name", ["grade2", "korteweg", "korteweg-eps2", "korteweg-o3"])
+    def test_derive_expands_no_minor(self, name, minor_calls):
+        report = derive(_model_named(name))
+        assert report.restrictions.quadratic is not None
+        assert minor_calls == []
+
+    def test_minors_run_over_the_named_indices_in_report_order(self):
+        c = lambda t: parse(t, ParseContext())
+        jets = tuple(JetVariable("u", 0, k) for k in range(1, 4))
+        q = QuadraticForm(jets, ((0, 0, c("2")), (0, 2, c("1")), (2, 2, c("3"))))
+        assert q.minors == (((0,), c("2")), ((2,), c("3")), ((0, 2), c("5")))
+        # A zero entry names its index too: the subsets run over it.
+        zero_row = q._replace(entries=q.entries + ((1, 1, ZERO),))
+        assert [sub for sub, _ in zero_row.minors] == [
+            (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)
+        ]
+        assert [d for _, d in zero_row.minors] == [c(t) for t in ("2", "0", "3", "0", "5", "0", "0")]
+        assert QuadraticForm(jets, ()).minors == ()
 
 
 class TestModelHash:

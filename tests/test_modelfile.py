@@ -228,6 +228,21 @@ class TestModelErrors:
             "line 18: unknown section [entropi] in a model file",
         )
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("Js(u)", "Js(u)\ns(u)", "line 12: constitutive unknown 's' is declared twice"),
+            ("Js(u)", "Js(u)\nJs", "line 12: constitutive unknown 'Js' is declared twice"),
+            ("Js(u)", "Js(u)\nu(u)", "line 12: 'u' is already a field"),
+            ("Js(u)", "Js(u)\nD(u)", "line 12: identifier 'D' is reserved for derivatives"),
+            ("fields = u", "fields = u, D", "line 3: identifier 'D' is reserved for derivatives"),
+        ],
+        ids=["repeated", "repeated-without-dependencies", "field", "reserved", "reserved-field"],
+    )
+    def test_declaration_errors(self, old, new, message):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            parse_model(MODEL_TEXT.replace(old, new, 1), "bad")
+
 
 @pytest.mark.parametrize(
     "path",
@@ -398,6 +413,21 @@ class TestSolutionErrors:
     def test_same_entry_in_two_scenarios_is_not_a_repeat(self):
         sol = parse_solution(SOLUTION_TEXT.replace("[scenario defaults]", "[scenario defaults]\nseed = 9"), _model())
         assert [s.seed for s in sol.scenarios] == [9, 9]
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("k\n", "k\na(u)\n", "line 4: ansatz 'a' is declared twice"),
+            ("k\n", "k\ns(u)\n", "line 4: ansatz 's' is a constitutive unknown of the model"),
+            ("k\n", "k\nJs\n", "line 4: ansatz 'Js' is a constitutive unknown of the model"),
+            ("k\n", "k\nu\n", "line 4: 'u' is already a field"),
+            ("k\n", "k\nD\n", "line 4: identifier 'D' is reserved for derivatives"),
+        ],
+        ids=["repeated", "unknown", "unknown-redeclared", "field", "reserved"],
+    )
+    def test_ansatz_declaration_errors(self, old, new, message):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            parse_solution(SOLUTION_TEXT.replace(old, new, 1), _model())
 
     def test_duplicate_bindings_section(self):
         self._raises(
