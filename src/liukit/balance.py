@@ -133,8 +133,9 @@ class ModelSpec(_ModelFields):
 def _validate_model(m: ModelSpec) -> None:
     if not m.fields:
         raise ModelError("a model needs at least one field")
-    if len(set(m.fields)) != len(m.fields):
-        raise ModelError("duplicate field name")
+    repeated = [f for i, f in enumerate(m.fields) if f in m.fields[:i]]
+    if repeated:
+        raise ModelError(f"duplicate field name {repeated[0]!r}")
     if len(m.laws) != len(m.fields):
         raise ModelError(
             f"{len(m.laws)} balance laws for {len(m.fields)} fields; "

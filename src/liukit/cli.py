@@ -160,7 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("model", nargs="?", help="model file path")
     c.add_argument("solution", nargs="?", help="solution file path")
     c.add_argument("--builtin", choices=builtin_names(), help="use a built-in model and solution")
-    c.add_argument("--all-extensions", action="store_true")
+    c.add_argument(
+        "--all-extensions",
+        action="store_true",
+        help="check against the restrictions derived with every gradient extension instead of the pruned set",
+    )
     c.add_argument(
         "--sample",
         "--samples",

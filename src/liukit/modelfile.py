@@ -7,8 +7,14 @@ nothing.  Model files declare the fields, the gradient state space, the
 balance laws, the entropy and the constitutive unknowns.  Solution files
 declare ansatz functions, bind every unknown, state named conditions and
 define numeric sampling scenarios; they parse into the `CandidateSolution`
-record defined here.  An entry or section that a format does not know is
-an error, not ignored.
+record defined here.
+
+`_grouped` reads both formats through one table each, which says how often
+a section kind appears: `one` (no name, exactly once), `optional` (no name,
+at most once) or `named` (`[kind NAME]`, each name once).  Every entry but a
+scenario's `range` and `let` lines is read by `_key_values`, as `key = value`
+or, under `[conditions]`, `name: statement`.  An unknown section or entry, a
+missing or unexpected name and a repeated section or key are line errors.
 
 Model sections::
 
@@ -65,31 +71,61 @@ def _logical_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _sections(text: str) -> list[tuple[str, str | None, int, list[tuple[int, str]]]]:
-    sections: list[tuple[str, str | None, int, list[tuple[int, str]]]] = []
-    current: list[tuple[int, str]] | None = None
+_MODEL_SECTIONS = {"fields": "one", "state": "one", "unknowns": "one", "balance": "named", "entropy": "one"}
+_SOLUTION_SECTIONS = {"ansatz": "optional", "bindings": "optional", "conditions": "optional", "scenario": "named"}
+
+
+def _grouped(text: str, kinds: dict[str, str], what: str) -> dict:
+    """The sections of a `what` file, checked against the table `kinds`.
+
+    A `named` kind maps to a list of (name, header line, entries) in file
+    order; any other kind to its (header line, entries), which is (0, []) for
+    an absent `optional` section.
+    """
+    groups: dict = {kind: [] if how == "named" else (0, []) for kind, how in kinds.items()}
+    first: dict[str, int] = {}
+    entries: list[tuple[int, str]] | None = None
     for lineno, line in _logical_lines(text):
-        if line.startswith("["):
-            m = _HEADER_RE.match(line)
-            if not m:
-                raise FileFormatError(f"line {lineno}: malformed section header {line!r}")
-            current = []
-            sections.append((m.group(1), m.group(2), lineno, current))
-        else:
-            if current is None:
+        if not line.startswith("["):
+            if entries is None:
                 raise FileFormatError(f"line {lineno}: content before any section header")
-            current.append((lineno, line))
-    return sections
+            entries.append((lineno, line))
+            continue
+        m = _HEADER_RE.match(line)
+        if not m:
+            raise FileFormatError(f"line {lineno}: malformed section header {line!r}")
+        kind, label = m.groups()
+        how = kinds.get(kind)
+        if how is None:
+            raise FileFormatError(f"line {lineno}: unknown section [{kind}] in a {what} file")
+        if (how == "named") != (label is not None):
+            need = f"{kind} sections need a name" if label is None else f"[{kind}] takes no name, got {label!r}"
+            raise FileFormatError(f"line {lineno}: {need}")
+        header = kind if label is None else f"{kind} {label}"
+        if header in first:
+            raise FileFormatError(f"line {lineno}: second [{header}] section, after line {first[header]}")
+        first[header] = lineno
+        entries = []
+        if how == "named":
+            groups[kind].append((label, lineno, entries))
+        else:
+            groups[kind] = (lineno, entries)
+    for kind, how in kinds.items():
+        if how == "one" and kind not in first:
+            raise FileFormatError(f"expected exactly one [{kind}] section, found 0")
+    return groups
 
 
 def _key_values(
-    lines: list[tuple[int, str]], where: str, known: tuple[str, ...] | None = None
+    lines: list[tuple[int, str]], where: str, known: tuple[str, ...] | None = None, sep: str = "="
 ) -> dict[str, tuple[int, str]]:
+    """The `key = value` (or `key: value`, by `sep`) entries of [where] by key, in file order."""
     out: dict[str, tuple[int, str]] = {}
     for lineno, line in lines:
-        if "=" not in line:
-            raise FileFormatError(f"line {lineno}: expected 'key = value' in [{where}]")
-        key, value = line.split("=", 1)
+        key, found, value = line.partition(sep)
+        if not found:
+            shape = "key = value" if sep == "=" else "name: statement"
+            raise FileFormatError(f"line {lineno}: expected '{shape}' in [{where}]")
         key = key.strip()
         if known is not None and key not in known:
             raise FileFormatError(f"line {lineno}: unknown entry {key!r} in [{where}]")
@@ -97,6 +133,16 @@ def _key_values(
             raise FileFormatError(f"line {lineno}: duplicate key {key!r} in [{where}]")
         out[key] = (lineno, value.strip())
     return out
+
+
+def _names(entry: tuple[int, str], what: str) -> list[str]:
+    """The comma-separated names of entry (line, value), each at most once."""
+    lineno, value = entry
+    names = [part.strip() for part in value.split(",") if part.strip()]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise FileFormatError(f"line {lineno}: {what} {name!r} is declared twice")
+    return names
 
 
 def parse_jet_name(name: str, fields: set[str], lineno: int) -> JetVariable:
@@ -127,10 +173,6 @@ def _entry_expr(kv: dict, key: str, ctx: ParseContext, default: Expression = ZER
     return _parse_expr(kv[key][1], ctx, kv[key][0]) if key in kv else default
 
 
-def _split_list(value: str) -> list[str]:
-    return [part.strip() for part in value.split(",") if part.strip()]
-
-
 def _parse_decl(
     line: str, lineno: int, fields: set[str], ctx: ParseContext, taken: dict[str, str]
 ) -> FuncSym:
@@ -139,65 +181,42 @@ def _parse_decl(
     if not m:
         raise FileFormatError(f"line {lineno}: malformed declaration {line!r}")
     name = m.group(1)
-    deps = tuple(parse_jet_name(d, fields, lineno) for d in _split_list(m.group(2) or ""))
+    deps = tuple(parse_jet_name(d, fields, lineno) for d in _names((lineno, m.group(2) or ""), "dependency"))
     if name in taken:
         raise FileFormatError(f"line {lineno}: {taken[name]}")
     return _at(lineno, ctx.declare_sym, name, deps)
 
 
 def parse_model(text: str, name: str = "model") -> ModelSpec:
-    sections = _sections(text)
-    by_kind: dict[str, list] = {}
-    for kind, label, lineno, lines in sections:
-        if kind not in ("fields", "state", "unknowns", "balance", "entropy"):
-            raise FileFormatError(f"line {lineno}: unknown section [{kind}] in a model file")
-        by_kind.setdefault(kind, []).append((label, lineno, lines))
-
-    def sole(kind: str) -> tuple[str | None, int, list[tuple[int, str]]]:
-        entries = by_kind.get(kind, [])
-        if len(entries) != 1:
-            raise FileFormatError(f"expected exactly one [{kind}] section, found {len(entries)}")
-        return entries[0]
-
-    _, f_line, f_lines = sole("fields")
+    groups = _grouped(text, _MODEL_SECTIONS, "model")
+    f_line, f_lines = groups["fields"]
     fkv = _key_values(f_lines, "fields", ("fields", "velocity"))
     if "fields" not in fkv:
         raise FileFormatError(f"line {f_line}: [fields] needs a 'fields' entry")
-    field_names = _split_list(fkv["fields"][1])
+    field_names = _names(fkv["fields"], "field")
+    ctx = ParseContext()
     for fname in field_names:
         if not _NAME_RE.match(fname):
             raise FileFormatError(
                 f"line {fkv['fields'][0]}: field name {fname!r} must be a plain identifier"
             )
-    velocity = None
-    if "velocity" in fkv:
-        velocity = fkv["velocity"][1]
-        if velocity not in field_names:
-            raise FileFormatError(
-                f"line {fkv['velocity'][0]}: velocity {velocity!r} is not a field"
-            )
-    ctx = ParseContext()
-    for fname in field_names:
         _at(fkv["fields"][0], ctx.declare_field, fname)
+    velocity = fkv.get("velocity", (0, None))[1]
+    if velocity is not None and velocity not in field_names:
+        raise FileFormatError(f"line {fkv['velocity'][0]}: velocity {velocity!r} is not a field")
     fieldset = set(field_names)
 
-    _, s_line, s_lines = sole("state")
+    s_line, s_lines = groups["state"]
     skv = _key_values(s_lines, "state", ("order", "vars"))
     if "order" not in skv or "vars" not in skv:
         raise FileFormatError(f"line {s_line}: [state] needs 'order' and 'vars'")
-    try:
-        order = int(skv["order"][1])
-    except ValueError:
-        raise FileFormatError(f"line {skv['order'][0]}: order must be an integer")
-    members = [
-        parse_jet_name(v, fieldset, skv["vars"][0]) for v in _split_list(skv["vars"][1])
-    ]
+    order = _number(skv, "order", int, None)
+    members = [parse_jet_name(v, fieldset, skv["vars"][0]) for v in _names(skv["vars"], "state variable")]
     space = StateSpace(order, members)
 
     unknowns: list[FuncSym] = []
     taken: dict[str, str] = {}
-    _, _, u_lines = sole("unknowns")
-    for lineno, line in u_lines:
+    for lineno, line in groups["unknowns"][1]:
         u = _parse_decl(line, lineno, fieldset, ctx, taken)
         if not u.deps:
             raise FileFormatError(
@@ -207,9 +226,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         unknowns.append(u)
 
     laws: list[BalanceLaw] = []
-    for label, lineno, lines in by_kind.get("balance", []):
-        if label is None:
-            raise FileFormatError(f"line {lineno}: balance sections need a name")
+    for label, lineno, lines in groups["balance"]:
         kv = _key_values(lines, f"balance {label}", ("density", "flux", "production"))
         if "density" not in kv:
             raise FileFormatError(f"line {lineno}: [balance {label}] needs a density")
@@ -218,7 +235,7 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         production = _entry_expr(kv, "production", ctx)
         laws.append(BalanceLaw(label, density, flux, production))
 
-    _, e_line, e_lines = sole("entropy")
+    e_line, e_lines = groups["entropy"]
     ekv = _key_values(e_lines, "entropy", ("form", "weight", "density", "flux"))
     form = ekv.get("form", (e_line, "divergence"))[1]
     if "density" not in ekv:
@@ -356,63 +373,33 @@ _LET_RE = re.compile(r"^let\s+(.+?)\s*=\s*(.+)$")
 
 
 def parse_solution(text: str, model: ModelSpec) -> CandidateSolution:
-    sections = _sections(text)
+    groups = _grouped(text, _SOLUTION_SECTIONS, "solution")
     ctx = ParseContext(fields=model.ctx.fields, syms=dict(model.ctx.syms))
     fieldset = set(model.fields)
-    ansatz: list[FuncSym] = []
-    bindings: list[tuple[FuncSym, Expression]] = []
-    conditions: list[Condition] = []
-    scenarios: list[NumericScenario] = []
-    seen = {"ansatz": 0, "bindings": 0, "conditions": 0}
     # The ansatz and an unknown of the same name would be one symbol.
     taken = {u.name: f"ansatz {u.name!r} is a constitutive unknown of the model" for u in model.unknowns}
-
-    for kind, label, s_lineno, lines in sections:
-        if kind == "ansatz":
-            seen["ansatz"] += 1
-            for lineno, line in lines:
-                a = _parse_decl(line, lineno, fieldset, ctx, taken)
-                taken[a.name] = f"ansatz {a.name!r} is declared twice"
-                ansatz.append(a)
-        elif kind == "bindings":
-            seen["bindings"] += 1
-            for lineno, line in lines:
-                if "=" not in line:
-                    raise FileFormatError(f"line {lineno}: expected 'unknown = expression'")
-                key, value = line.split("=", 1)
-                key = key.strip()
-                try:
-                    target = model.unknown(key)
-                except ModelError:
-                    raise FileFormatError(
-                        f"line {lineno}: {key!r} is not a constitutive unknown of the model"
-                    )
-                bindings.append((target, _parse_expr(value, ctx, lineno)))
-        elif kind == "conditions":
-            seen["conditions"] += 1
-            for lineno, line in lines:
-                if ":" not in line:
-                    raise FileFormatError(f"line {lineno}: expected 'name: statement'")
-                cname, stmt = line.split(":", 1)
-                cname = cname.strip()
-                if not _NAME_RE.match(cname):
-                    raise FileFormatError(f"line {lineno}: bad condition name {cname!r}")
-                conditions.append(_parse_condition(cname, stmt.strip(), ctx, lineno))
-        elif kind == "scenario":
-            if label is None:
-                raise FileFormatError(f"line {s_lineno}: scenario sections need a name")
-            scenarios.append(_parse_scenario(label, lines, ctx, model))
-        else:
-            raise FileFormatError(f"line {s_lineno}: unknown section [{kind}] in a solution file")
-
-    for key, count in seen.items():
-        if count > 1:
-            raise FileFormatError(f"more than one [{key}] section")
+    ansatz: list[FuncSym] = []
+    for lineno, line in groups["ansatz"][1]:
+        a = _parse_decl(line, lineno, fieldset, ctx, taken)
+        taken[a.name] = f"ansatz {a.name!r} is declared twice"
+        ansatz.append(a)
+    bindings: list[tuple[FuncSym, Expression]] = []
+    for key, (lineno, value) in _key_values(groups["bindings"][1], "bindings").items():
+        try:
+            target = model.unknown(key)
+        except ModelError:
+            raise FileFormatError(f"line {lineno}: {key!r} is not a constitutive unknown of the model")
+        bindings.append((target, _parse_expr(value, ctx, lineno)))
+    conditions: list[Condition] = []
+    for cname, (lineno, stmt) in _key_values(groups["conditions"][1], "conditions", sep=":").items():
+        if not _NAME_RE.match(cname):
+            raise FileFormatError(f"line {lineno}: bad condition name {cname!r}")
+        conditions.append(_parse_condition(cname, stmt, ctx, lineno))
     return CandidateSolution(
         ansatz=tuple(ansatz),
         bindings=tuple(bindings),
         conditions=tuple(conditions),
-        scenarios=tuple(scenarios),
+        scenarios=tuple(_parse_scenario(label, lines, ctx, model) for label, _, lines in groups["scenario"]),
     )
 
 
@@ -442,25 +429,15 @@ def _parse_condition(name: str, stmt: str, ctx: ParseContext, lineno: int) -> Co
 def _parse_scenario(
     name: str, lines: list[tuple[int, str]], ctx: ParseContext, model: ModelSpec
 ) -> NumericScenario:
-    samples = DEFAULT_SAMPLES
-    seed = 0
-    tol = DEFAULT_TOL
-    expect = "pass"
-    ranges: list[tuple[JetVariable, float, float]] = []
-    lets: list[tuple[object, Expression]] = []
-    seen: set[str] = set()
-
-    def once(what: str, lineno: int) -> None:
-        # A repeated entry would silently override the first one.
-        if what in seen:
-            raise FileFormatError(f"line {lineno}: duplicate {what} in [scenario {name}]")
-        seen.add(what)
-
+    where = f"scenario {name}"
+    ranges: dict[JetVariable, tuple[float, float]] = {}
+    lets: dict[Atom, Expression] = {}
+    entries: list[tuple[int, str]] = []
     for lineno, line in lines:
-        rm = _RANGE_RE.match(line)
-        if rm:
+        if rm := _RANGE_RE.match(line):
             j = parse_jet_name(rm.group(1), set(model.fields), lineno)
-            once(f"range for {j.text()}", lineno)
+            if j in ranges:
+                raise FileFormatError(f"line {lineno}: duplicate range for {j.text()} in [{where}]")
             try:
                 lo, hi = float(rm.group(2)), float(rm.group(3))
             except ValueError:
@@ -470,10 +447,8 @@ def _parse_scenario(
                 raise FileFormatError(f"line {lineno}: range bounds for {j.text()} must be finite")
             if hi < lo:
                 raise FileFormatError(f"line {lineno}: empty range for {j.text()}")
-            ranges.append((j, lo, hi))
-            continue
-        lm = _LET_RE.match(line)
-        if lm:
+            ranges[j] = (lo, hi)
+        elif lm := _LET_RE.match(line):
             atom = _atom_of(_parse_expr(lm.group(1), ctx, lineno), lineno)
             if isinstance(atom, FuncSym) and any(u.name == atom.name for u in model.unknowns):
                 # The bindings replace every unknown before a scenario's lets apply.
@@ -481,42 +456,42 @@ def _parse_scenario(
                     f"line {lineno}: let for {atom.text()} rewrites the constitutive unknown"
                     f" {atom.name!r}, which its binding replaces first"
                 )
-            once(f"let for {atom.text()}", lineno)
-            lets.append((atom, _parse_expr(lm.group(2), ctx, lineno)))
-            continue
-        if "=" not in line:
-            raise FileFormatError(f"line {lineno}: malformed scenario line {line!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
-        once(f"key {key!r}", lineno)
-        try:
-            if key == "samples":
-                samples = int(value)
-            elif key == "seed":
-                seed = int(value)
-            elif key == "tol":
-                tol = float(value)
-        except ValueError:
-            raise FileFormatError(f"line {lineno}: bad number for {key!r}")
-        if key in ("samples", "seed", "tol"):
-            problem = sampling_error(samples, tol)
-            if problem is not None:
-                raise FileFormatError(f"line {lineno}: {problem}")
-        elif key == "expect":
-            if value not in ("pass", "violate"):
-                raise FileFormatError(f"line {lineno}: expect must be 'pass' or 'violate'")
-            expect = value
+            if atom in lets:
+                raise FileFormatError(f"line {lineno}: duplicate let for {atom.text()} in [{where}]")
+            lets[atom] = _parse_expr(lm.group(2), ctx, lineno)
         else:
-            raise FileFormatError(f"line {lineno}: unknown scenario entry {key!r}")
+            entries.append((lineno, line))
+    kv = _key_values(entries, where, ("samples", "seed", "tol", "expect"))
+    samples = _number(kv, "samples", int, DEFAULT_SAMPLES)
+    seed = _number(kv, "seed", int, 0)
+    tol = _number(kv, "tol", float, DEFAULT_TOL)
+    for key, problem in (("samples", sampling_error(samples, None)), ("tol", sampling_error(None, tol))):
+        if problem is not None:
+            raise FileFormatError(f"line {kv[key][0]}: {problem}")
+    lineno, expect = kv.get("expect", (0, "pass"))
+    if expect not in ("pass", "violate"):
+        raise FileFormatError(f"line {lineno}: expect must be 'pass' or 'violate'")
     return NumericScenario(
         name=name,
         samples=samples,
         seed=seed,
         tol=tol,
         expect=expect,
-        ranges=tuple(ranges),
-        lets=tuple(lets),
+        ranges=tuple((j, lo, hi) for j, (lo, hi) in ranges.items()),
+        lets=tuple(lets.items()),
     )
+
+
+def _number(kv: dict, key: str, kind: type, default):
+    """Entry `key` read as a `kind`, or `default` when the section omits it."""
+    if key not in kv:
+        return default
+    lineno, value = kv[key]
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise FileFormatError(f"line {lineno}: {key} must be {noun}") from None
 
 
 def _read_text(path: str) -> str:

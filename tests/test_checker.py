@@ -103,7 +103,7 @@ class TestValidateSolution:
     def test_unknown_binding_target(self, grade2_model, grade2_solution):
         bad = grade2_solution._replace(
             bindings=grade2_solution.bindings
-            + ((grade2_model.ctx.declare_sym("extra", ()), ZERO),),
+            + ((FuncSym("extra", ()), ZERO),),
         )
         with pytest.raises(CheckError) as ei:
             validate_solution(grade2_model, bad)

@@ -209,7 +209,7 @@ class TestDerive:
 
     def test_unparsable_model(self, tmp_path, capsys):
         path = tmp_path / "broken.model"
-        path.write_text("[fields]\nfields = u\n[state]\norder = zero\nvars = u\n")
+        path.write_text(LOCAL_MODEL.replace("order = 0", "order = zero"))
         code, _, err = _run(["derive", str(path)], capsys)
         assert code == 1
         assert "order must be an integer" in err
@@ -547,6 +547,60 @@ class TestCheck:
             "error: scenario 'fourier' ranges rho_xxx, which is neither sampled,"
             " a state variable nor a higher derivative\n"
         )
+
+
+# Each case edits one shipped korteweg file once.  In a message, {first} and
+# {last} are the first and last lines of the edited file equal to `marker`.
+_SECTION_AND_NAME_CASES = [
+    ("model", "[entropy]", "[entropi]", "[entropi]", "unknown section [entropi] in a model file"),
+    ("model", "[balance mass]", "[balance]", "[balance]", "balance sections need a name"),
+    ("model", "[fields]", "[fields x]", "[fields x]", "[fields] takes no name, got 'x'"),
+    ("model", "flux = Js", "flux = Js\n[entropy]\ndensity = s", "[entropy]", "second [entropy] section, after line {first}"),
+    ("model", "flux = Js", "flux = Js\n[balance mass]\ndensity = rho", "[balance mass]",
+     "second [balance mass] section, after line {first}"),
+    ("model", "order = 2", "order = 2\norder = 2", "order = 2", "duplicate key 'order' in [state]"),
+    ("model", "fields = rho, v, eps", "fields = rho, v, eps, rho", "fields = rho, v, eps, rho", "field 'rho' is declared twice"),
+    ("model", "vars = rho, eps, rho_x,", "vars = rho, eps, rho_x, rho_x,", "vars = rho, eps, rho_x, rho_x, v_x, eps_x, rho_xx",
+     "state variable 'rho_x' is declared twice"),
+    ("model", UNKNOWN_T, f"{UNKNOWN_T}\n{UNKNOWN_T}", UNKNOWN_T, "constitutive unknown 'T' is declared twice"),
+    ("model", UNKNOWN_T, "T(rho, eps, rho_x, v_x, eps_x, rho_xx, rho)", "T(rho, eps, rho_x, v_x, eps_x, rho_xx, rho)",
+     "dependency 'rho' is declared twice"),
+    ("solution", "[ansatz]", "[stuff]", "[stuff]", "unknown section [stuff] in a solution file"),
+    ("solution", "[scenario fourier]", "[scenario]", "[scenario]", "scenario sections need a name"),
+    ("solution", "[ansatz]", "[ansatz extra]", "[ansatz extra]", "[ansatz] takes no name, got 'extra'"),
+    ("solution", "[scenario coupled]", "[bindings]\ns = s0\n\n[scenario coupled]", "[bindings]",
+     "second [bindings] section, after line {first}"),
+    ("solution", "[scenario coupled]", "[scenario fourier]", "[scenario fourier]",
+     "second [scenario fourier] section, after line {first}"),
+    ("solution", "\ns1(rho)\n", "\ns1(rho)\ns1(rho)\n", "s1(rho)", "ansatz 's1' is declared twice"),
+    ("solution", "q1(rho, eps)", "q1(rho, eps, rho)", "q1(rho, eps, rho)", "dependency 'rho' is declared twice"),
+    ("solution", "q = q1*eps_x", "q = q1*eps_x + 0\nq = q1*eps_x", "q = q1*eps_x + q2*rho_x + q3*v_x",
+     "duplicate key 'q' in [bindings]"),
+    ("solution", "maxent: s1 <= 0", "maxent: s1 <= 0\nmaxent: s1 <= 0", "maxent: s1 <= 0", "duplicate key 'maxent' in [conditions]"),
+    ("solution", "seed = 4242", "seed = 4242\nseed = 4242", "seed = 4242", "duplicate key 'seed' in [scenario fourier]"),
+    ("solution", "let s1 = -1", "let s1 = -1\nlet s1 = -2", "let s1 = -2", "duplicate let for s1 in [scenario fourier]"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, old, new, marker, message",
+    _SECTION_AND_NAME_CASES,
+    ids=[f"{t}-{i}" for i, (t, *_) in enumerate(_SECTION_AND_NAME_CASES)],
+)
+def test_section_and_name_errors_name_their_line(tmp_path, capsys, target, old, new, marker, message):
+    from liukit.models import _read
+
+    texts = {"model": _read("korteweg.model"), "solution": _read("korteweg.solution")}
+    texts[target] = texts[target].replace(old, new, 1)
+    lines = [i + 1 for i, line in enumerate(texts[target].splitlines()) if line == marker]
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"k.{name}"
+        paths[name].write_text(text)
+    argv = ["derive", str(paths["model"])] if target == "model" else ["check", *map(str, paths.values())]
+    code, out, err = _run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: line {lines[-1]}: {message.format(first=lines[0])}\n"
 
 
 def _cli(*argv: str) -> subprocess.CompletedProcess:

@@ -140,7 +140,7 @@ class TestModelErrors:
         )
 
     def test_duplicate_section(self):
-        _raises(MODEL_TEXT + "\n[entropy]\ndensity = s\n", "expected exactly one [entropy]")
+        _raises(MODEL_TEXT + "\n[entropy]\ndensity = s\n", "line 23: second [entropy] section, after line 18")
 
     def test_fields_entry_required(self):
         _raises(MODEL_TEXT.replace("fields = u", "velocity = u"), "needs a 'fields' entry")
@@ -305,7 +305,7 @@ class TestSolutionErrors:
         self._raises(lambda t: t + "\n[stuff]\nx = 1\n", "unknown section [stuff]")
 
     def test_binding_needs_equals(self):
-        self._raises(lambda t: t.replace("s = a", "s a"), "expected 'unknown = expression'")
+        self._raises(lambda t: t.replace("s = a", "s a"), "line 6: expected 'key = value' in [bindings]")
 
     def test_binding_unknown_target(self):
         self._raises(
@@ -373,7 +373,7 @@ class TestSolutionErrors:
         )
 
     def test_bad_scenario_number(self):
-        self._raises(lambda t: t.replace("samples = 12", "samples = many"), "bad number for 'samples'")
+        self._raises(lambda t: t.replace("samples = 12", "samples = many"), "line 15: samples must be an integer")
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_scenario_samples_must_be_positive(self, value):
@@ -393,7 +393,7 @@ class TestSolutionErrors:
         self._raises(lambda t: t.replace("expect = violate", "expect = maybe"), "expect must be 'pass' or 'violate'")
 
     def test_unknown_scenario_entry(self):
-        self._raises(lambda t: t.replace("seed = 9", "sneed = 9"), "unknown scenario entry 'sneed'")
+        self._raises(lambda t: t.replace("seed = 9", "sneed = 9"), "line 16: unknown entry 'sneed' in [scenario basic]")
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -432,5 +432,5 @@ class TestSolutionErrors:
     def test_duplicate_bindings_section(self):
         self._raises(
             lambda t: t + "\n[bindings]\ns = a\n",
-            "more than one [bindings] section",
+            "line 27: second [bindings] section, after line 5",
         )

@@ -120,3 +120,7 @@ class TestModelSpecValidation:
             korteweg_model._replace(laws=korteweg_model.laws[:1])
         with pytest.raises(ModelError, match="duplicate field"):
             ModelSpec._make((korteweg_model.name, ("rho", "rho", "v"), *korteweg_model[2:]))
+
+    def test_repeated_field_is_named(self, korteweg_model):
+        with pytest.raises(ModelError, match="^duplicate field name 'eps'$"):
+            korteweg_model._replace(fields=("rho", "eps", "v", "eps"))
