@@ -15,7 +15,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .jet import JetVariable, StateSpace
-from .expr import Expression, FuncSym, ParseContext, ZERO
+from .expr import Expression, FuncSym, ZERO
 
 
 class ModelError(ValueError):
@@ -104,8 +104,6 @@ class _ModelFields(NamedTuple):
     laws: tuple[BalanceLaw, ...]
     entropy: EntropyDeclaration
     unknowns: tuple[FuncSym, ...]
-    ctx: ParseContext
-    source_text: str = ""
 
 
 class ModelSpec(_ModelFields):

@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
 from .expr import Atom, Expression, FuncSym, ZERO, _jet_latex, principal_minors, to_latex, to_text
-from .balance import ModelSpec, entropy_production
+from .balance import ModelError, ModelSpec, entropy_production
 
 
 class EngineError(RuntimeError):
@@ -76,9 +76,7 @@ def decouple(model: ModelSpec) -> DecoupledSystem:
                 p = i
                 break
         if p is None:
-            raise EngineError(
-                f"time Jacobian is singular: no law evolves field {model.fields[j]!r}"
-            )
+            raise ModelError(f"time Jacobian is singular: no law evolves field {model.fields[j]!r}")
         if p != j:
             a[p], a[j] = a[j], a[p]
             resid[p], resid[j] = resid[j], resid[p]

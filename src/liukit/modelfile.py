@@ -253,8 +253,6 @@ def parse_model(text: str, name: str = "model") -> ModelSpec:
         laws=tuple(laws),
         entropy=entropy,
         unknowns=tuple(unknowns),
-        ctx=ctx,
-        source_text=text,
     )
 
 
@@ -374,7 +372,7 @@ _LET_RE = re.compile(r"^let\s+(.+?)\s*=\s*(.+)$")
 
 def parse_solution(text: str, model: ModelSpec) -> CandidateSolution:
     groups = _grouped(text, _SOLUTION_SECTIONS, "solution")
-    ctx = ParseContext(fields=model.ctx.fields, syms=dict(model.ctx.syms))
+    ctx = ParseContext(model.fields, {u.name: u.deps for u in model.unknowns})
     fieldset = set(model.fields)
     # The ansatz and an unknown of the same name would be one symbol.
     taken = {u.name: f"ansatz {u.name!r} is a constitutive unknown of the model" for u in model.unknowns}

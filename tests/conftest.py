@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from liukit import expr
+from liukit.expr import FuncSym, ParseContext
 from liukit.liu import derive
 from liukit.models import load_builtin, load_builtin_solution
 
@@ -39,6 +40,14 @@ def pytest_terminal_summary(terminalreporter):
     for n in sorted(_criterion_results):
         status, label = _criterion_results[n]
         terminalreporter.write_line(f"criterion {n} {status}: {label}")
+
+
+def model_ctx(model, *extra: FuncSym) -> ParseContext:
+    """A fresh parser namespace: the fields and unknowns of `model`, then the `extra` symbols."""
+    ctx = ParseContext(model.fields, {u.name: u.deps for u in model.unknowns})
+    for s in extra:
+        ctx.declare_sym(s.name, s.deps)
+    return ctx
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from liukit.jet import JetVariable
 from liukit.liu import decouple, derive, select_constraints
 from liukit.models import load_builtin, load_builtin_solution
 
+from conftest import model_ctx
 from test_expr_properties import run_all_suites
 
 J = JetVariable
@@ -72,7 +73,7 @@ def test_criterion_2_first_order_fluid_golden_derivation():
     ))
     assert cls.higher == frozenset(_jets("rho_xx", "v_xx", "eps_xx", "gamma_xx"))
 
-    e = lambda t: parse(t, model.ctx)
+    e = lambda t: parse(t, model_ctx(model))
     expected_multipliers = {
         (1, 0): e("rho*D(s, rho)"),
         (2, 0): e("-rho_x*D(s, v_x)/rho"),
@@ -149,16 +150,11 @@ def test_criterion_5_reduced_production_identity_and_sampling():
     flux_rule = next(c for c in solution.conditions if c.name == "entropyflux")
     atom = next(iter(flux_rule.lhs.atoms()))
     bound = bound.subs({atom: flux_rule.rhs})
-    from liukit.expr import ParseContext
-
-    ctx = ParseContext(fields=model.ctx.fields, syms=dict(model.ctx.syms))
-    for a in solution.ansatz:
-        ctx.declare_sym(a.name, a.deps)
     want = parse(
         "(q1*eps_x + q2*rho_x + q3*v_x)"
         "*(D(s0, rho, eps)*rho_x + D(s0, eps, eps)*eps_x)"
         " + tau1*D(s0, eps)*v_x^2",
-        ctx,
+        model_ctx(model, *solution.ansatz),
     )
     assert (bound - want).is_zero
 

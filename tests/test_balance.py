@@ -14,6 +14,8 @@ from liukit.balance import (
 from liukit.expr import Expression, ParseContext, ZERO, parse
 from liukit.jet import JetVariable, StateSpace
 
+from conftest import model_ctx
+
 RHO = JetVariable("rho")
 V = JetVariable("v")
 
@@ -36,7 +38,7 @@ def _tiny_model(entropy_form: str = "material") -> ModelSpec:
     )
     entropy = EntropyDeclaration(entropy_form, e("s"), e("Js"), e("rho"))
     unknowns = (ctx.sym("T"), ctx.sym("s"), ctx.sym("Js"))
-    return ModelSpec("tiny", ("rho", "v"), "v", space, laws, entropy, unknowns, ctx)
+    return ModelSpec("tiny", ("rho", "v"), "v", space, laws, entropy, unknowns)
 
 
 class TestBalanceLaw:
@@ -118,7 +120,7 @@ class TestModelValidation:
             ModelSpec(
                 "bad", ("rho", "v"), "v", space,
                 (BalanceLaw("mass", e("rho"), e("rho*v")),),
-                entropy, (ctx.sym("T"), ctx.sym("s"), ctx.sym("Js")), ctx,
+                entropy, (ctx.sym("T"), ctx.sym("s"), ctx.sym("Js")),
             )
         assert "square" in str(ei.value)
 
@@ -133,7 +135,7 @@ class TestModelValidation:
         entropy = EntropyDeclaration("material", e("s"), e("Js"), e("rho"))
         unknowns = (ctx.sym("T"), ctx.sym("s"), ctx.sym("Js"))
         with pytest.raises(ModelError):
-            ModelSpec("bad", ("rho", "v"), "w", space, laws, entropy, unknowns, ctx)
+            ModelSpec("bad", ("rho", "v"), "w", space, laws, entropy, unknowns)
 
     def test_material_form_needs_velocity(self):
         ctx = _ctx()
@@ -146,7 +148,7 @@ class TestModelValidation:
         entropy = EntropyDeclaration("material", e("s"), e("Js"), e("rho"))
         unknowns = (ctx.sym("T"), ctx.sym("s"), ctx.sym("Js"))
         with pytest.raises(ModelError):
-            ModelSpec("bad", ("rho", "v"), None, space, laws, entropy, unknowns, ctx)
+            ModelSpec("bad", ("rho", "v"), None, space, laws, entropy, unknowns)
 
     def test_unknown_entropy_form_rejected(self):
         with pytest.raises(ModelError):
@@ -163,7 +165,7 @@ class TestModelValidation:
         entropy = EntropyDeclaration("material", e("s"), e("Js"), e("rho"))
         unknowns = (ctx.sym("T"), ctx.sym("s"), ctx.sym("Js"))
         with pytest.raises(ModelError) as ei:
-            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns, ctx)
+            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns)
         assert "density" in str(ei.value)
 
     def test_flux_jets_must_be_known(self):
@@ -177,7 +179,7 @@ class TestModelValidation:
         entropy = EntropyDeclaration("material", e("s"), e("Js"), e("rho"))
         unknowns = (ctx.sym("T"), ctx.sym("s"), ctx.sym("Js"))
         with pytest.raises(ModelError) as ei:
-            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns, ctx)
+            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns)
         assert "rho_x" in str(ei.value)
 
     def test_flux_symbols_must_be_unknowns(self):
@@ -191,7 +193,7 @@ class TestModelValidation:
         entropy = EntropyDeclaration("material", e("s"), e("Js"), e("rho"))
         unknowns = (ctx.sym("s"), ctx.sym("Js"))  # T missing
         with pytest.raises(ModelError) as ei:
-            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns, ctx)
+            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns)
         assert "T" in str(ei.value)
 
     def test_unknown_deps_must_be_state_vars(self):
@@ -209,7 +211,7 @@ class TestModelValidation:
         with pytest.raises(ModelError) as ei:
             ModelSpec(
                 "bad", ("rho", "v"), "v", space, laws, entropy,
-                (T, ctx.sym("s"), ctx.sym("Js")), ctx,
+                (T, ctx.sym("s"), ctx.sym("Js")),
             )
         assert "depends on v" in str(ei.value)
 
@@ -224,7 +226,7 @@ class TestModelValidation:
         entropy = EntropyDeclaration("material", e("s + v"), e("Js"), e("rho"))
         unknowns = (ctx.sym("T"), ctx.sym("s"), ctx.sym("Js"))
         with pytest.raises(ModelError) as ei:
-            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns, ctx)
+            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns)
         assert "entropy density" in str(ei.value)
 
     def test_state_vars_must_name_fields(self):
@@ -238,20 +240,20 @@ class TestModelValidation:
         entropy = EntropyDeclaration("material", e("s"), e("Js"), e("rho"))
         unknowns = (ctx.sym("T"), ctx.sym("s"), ctx.sym("Js"))
         with pytest.raises(ModelError):
-            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns, ctx)
+            ModelSpec("bad", ("rho", "v"), "v", space, laws, entropy, unknowns)
 
 
 class TestEntropyProduction:
     def test_material_form(self):
         m = _tiny_model("material")
-        e = lambda t: parse(t, m.ctx)
+        e = lambda t: parse(t, model_ctx(m))
         got = entropy_production(m)
         want = e("rho*(D(s, rho)*rho_t + v*D(s, rho)*rho_x) + D(Js, rho)*rho_x")
         assert (got - want).is_zero
 
     def test_divergence_form(self):
         m = _tiny_model("divergence")
-        e = lambda t: parse(t, m.ctx)
+        e = lambda t: parse(t, model_ctx(m))
         got = entropy_production(m)
         want = e("D(s, rho)*rho_t + D(Js, rho)*rho_x")
         assert (got - want).is_zero

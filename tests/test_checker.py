@@ -47,6 +47,8 @@ from liukit.expr import (
 from liukit.jet import JetVariable, StateSpace
 from liukit.liu import EvenForm, Restrictions, derive, quadratic_form
 
+from conftest import model_ctx
+
 RHO_X = JetVariable("rho", 0, 1)
 
 
@@ -55,14 +57,6 @@ def _replace_binding(solution: CandidateSolution, name: str, value) -> Candidate
         (sym, value if sym.name == name else expr) for sym, expr in solution.bindings
     )
     return solution._replace(bindings=bindings)
-
-
-def _solution_ctx(model, solution) -> ParseContext:
-    """Parsing context covering the model symbols plus the solution ansatz."""
-    ctx = ParseContext(fields=model.ctx.fields, syms=dict(model.ctx.syms))
-    for a in solution.ansatz:
-        ctx.declare_sym(a.name, a.deps)
-    return ctx
 
 
 def _let_atom(scenario: NumericScenario, name: str):
@@ -91,7 +85,7 @@ def _local_setup():
         "local", ("u",), None, StateSpace(0, (u,)),
         (BalanceLaw("mass", e("u"), e("1/2*u^2")),),
         EntropyDeclaration("divergence", e("s"), e("Js"), e("1")),
-        (ctx.sym("s"), ctx.sym("Js")), ctx,
+        (ctx.sym("s"), ctx.sym("Js")),
     )
     return model, ctx, e
 
@@ -277,7 +271,7 @@ class TestRunScenario:
         sc = _scenario(grade2_solution, "fourier")
         q1 = _let_atom(sc, "q1")
         lets = tuple((a, v) for a, v in sc.lets if a != q1) + (
-            (q1, parse("1/(rho_x - 1)", grade2_model.ctx)),
+            (q1, parse("1/(rho_x - 1)", model_ctx(grade2_model))),
         )
         stuck = sc._replace(lets=lets, ranges=((RHO_X, 1.0, 1.0),))
         res = run_scenario(grade2_model, grade2_report, grade2_solution, stuck)
@@ -311,7 +305,7 @@ class TestRunScenario:
         # this case samples a nonzero minor through a whole scenario.
         jets = (JetVariable("rho", 0, 2), JetVariable("eps", 0, 2))
         empty = CandidateSolution((), (), (), ())
-        e = lambda t: parse(t, grade2_model.ctx)
+        e = lambda t: parse(t, model_ctx(grade2_model))
 
         def with_form(m11: str, m12: str, m22: str):
             # The cross coefficient is 2*M12: quadratic_form halves it.
@@ -344,7 +338,7 @@ class TestNonFiniteSamples:
     EPS = JetVariable("eps")
 
     def _run(self, report, residual: str, ranges=()):
-        restr = Restrictions((), None, (), parse(residual, report.model.ctx))
+        restr = Restrictions((), None, (), parse(residual, model_ctx(report.model)))
         return run_scenario(
             report.model,
             report._replace(restrictions=restr),
@@ -375,7 +369,7 @@ class TestNonFiniteSamples:
         sc = _scenario(korteweg_solution, "fourier")
         s1 = _let_atom(sc, "s1")
         lets = tuple((a, v) for a, v in sc.lets if a != s1) + (
-            (s1, parse("rho^1000*eps^1000 - rho^1001*eps^1000", korteweg_model.ctx)),
+            (s1, parse("rho^1000*eps^1000 - rho^1001*eps^1000", model_ctx(korteweg_model))),
         )
         bad = sc._replace(lets=lets, ranges=((self.RHO, 1.9, 2.0), (self.EPS, 1.9, 2.0)))
         res = run_scenario(korteweg_model, korteweg_report, korteweg_solution, bad)
@@ -432,14 +426,14 @@ class TestMaxEntropyAtEquilibrium:
         assert "not decided" in res.detail
 
     def test_gradient_linear_entropy_refuted(self, grade2_model, grade2_solution):
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         sol = _replace_binding(grade2_solution, "s", e("s0 + s1*rho_x"))
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res.outcome == "refuted"
         assert "not stationary" in res.detail
 
     def test_cubic_gradient_entropy_undetermined(self, grade2_model, grade2_solution):
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         sol = _replace_binding(grade2_solution, "s", e("s0 + s1*rho_x^3"))
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res.outcome == "undetermined"
@@ -458,7 +452,7 @@ class TestMaxEntropyAtEquilibrium:
         self, grade2_model, grade2_solution, entropy, jet
     ):
         # The verdict does not depend on which gradient name sorts first.
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         sol = _replace_binding(grade2_solution, "s", e(entropy))
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res == (
@@ -467,7 +461,7 @@ class TestMaxEntropyAtEquilibrium:
         )
 
     def test_lowest_degree_above_two_is_named(self, grade2_model, grade2_solution):
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         sol = _replace_binding(grade2_solution, "s", e("s0 + s1*rho_x^4 + s1*eps_x^3"))
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res == (
@@ -478,7 +472,7 @@ class TestMaxEntropyAtEquilibrium:
     def test_minors_are_decided_smallest_first(self, grade2_model, grade2_solution):
         # The 2x2 minor over (eps_x, gamma_x) is undecided, but the 1x1 minor
         # over rho_x has the wrong sign and comes first in report order.
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         entropy = e("s0 + s1*eps_x^2 + s1*gamma_x^2 + k*eps_x*gamma_x - s1*rho_x^2")
         sol = _replace_binding(grade2_solution, "s", entropy)
         res = max_entropy_at_equilibrium(grade2_model, sol)
@@ -488,7 +482,7 @@ class TestMaxEntropyAtEquilibrium:
         )
 
     def test_constant_minor_of_the_wrong_sign_refutes(self, grade2_model, grade2_solution):
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         sol = _replace_binding(grade2_solution, "s", e("s0 + rho_x^2"))
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res == (
@@ -498,7 +492,7 @@ class TestMaxEntropyAtEquilibrium:
 
     def test_identically_zero_minor_is_decided(self, grade2_model, grade2_solution):
         # The 1x1 minors are -1; the 2x2 minor over (eps_x, rho_x) is 1 - 1 = 0.
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         sol = _replace_binding(grade2_solution, "s", e("s0 - (rho_x + eps_x)^2"))
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res == ("confirmed", "gradient quadratic form is negative semidefinite")
@@ -506,7 +500,7 @@ class TestMaxEntropyAtEquilibrium:
     def test_sign_condition_with_a_nonconstant_ratio_is_skipped(self, grade2_model, grade2_solution):
         # k/s1 is not constant, so maxent cannot decide the minor k; the
         # second condition does.
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         sol = _replace_binding(grade2_solution, "s", e("s0 + k*rho_x^2"))
         maxent = Condition("maxent", "le", e("s1"), ZERO)
         kneg = Condition("kneg", "le", e("k"), ZERO)
@@ -516,14 +510,14 @@ class TestMaxEntropyAtEquilibrium:
         assert res.outcome == "undetermined"
 
     def test_gradient_free_entropy_confirmed(self, grade2_model, grade2_solution):
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         sol = _replace_binding(grade2_solution, "s", e("s0"))
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res.outcome == "confirmed"
         assert "no gradient dependence" in res.detail
 
     def test_nonpolynomial_entropy_undetermined(self, grade2_model, grade2_solution):
-        e = lambda t: parse(t, _solution_ctx(grade2_model, grade2_solution))
+        e = lambda t: parse(t, model_ctx(grade2_model, *grade2_solution.ansatz))
         sol = _replace_binding(grade2_solution, "s", e("s0/(1 + rho_x)"))
         res = max_entropy_at_equilibrium(grade2_model, sol)
         assert res.outcome == "undetermined"
@@ -665,7 +659,7 @@ def test_prepared_minors_equal_prepared_dets_when_nonzero(name, request):
     model = request.getfixturevalue(f"{name}_model")
     quadratic = request.getfixturevalue(f"{name}_report").restrictions.quadratic
     atoms = sorted({a for _, _, e in quadratic.entries for a in e.syms()}, key=lambda a: a.text())
-    values = [parse(_ENTRY_VALUES[k % len(_ENTRY_VALUES)], model.ctx) for k in range(len(atoms))]
+    values = [parse(_ENTRY_VALUES[k % len(_ENTRY_VALUES)], model_ctx(model)) for k in range(len(atoms))]
     sub = Substitution(dict(zip(atoms, values)))
     got = _entry_minors(quadratic, lambda e: e.subs(sub))
     assert got == [d.subs(sub) for _, d in quadratic.minors]
@@ -685,7 +679,7 @@ def test_prepared_row_that_vanishes_keeps_the_report_subsets_and_labels(grade2_m
     # Row v_xx prepares to zero.  Its index stays in the support, so the
     # minors keep the report's subsets, and a failure names the report's jets.
     jets = (JetVariable("rho", 0, 2), JetVariable("v", 0, 2), JetVariable("eps", 0, 2))
-    ctx = ParseContext(grade2_model.ctx.fields, {**grade2_model.ctx.syms, "a": ()})
+    ctx = model_ctx(grade2_model, FuncSym("a", ()))
     a = ctx.sym("a")
     e = lambda t: parse(t, ctx)
     items = [((2, 0, 0), e("1")), ((1, 1, 0), e("2*a")), ((0, 2, 0), e("a")), ((0, 1, 1), e("2*a")), ((0, 0, 2), e("rho - 2"))]
@@ -835,7 +829,7 @@ def _sampling_setup():
     from liukit.models import load_builtin
 
     model = load_builtin("grade2")
-    ctx = ParseContext(fields=model.ctx.fields, syms=dict(model.ctx.syms))
+    ctx = model_ctx(model)
     rho, eps = JetVariable("rho"), JetVariable("eps")
     ansatz = (ctx.declare_sym("f", (rho, eps)), ctx.declare_sym("g", (rho,)), ctx.declare_sym("h", (rho,)))
     return model, derive(model), ctx, ansatz
@@ -993,7 +987,7 @@ def test_compiled_sampling_loop_fixed_cases(case, expected):
 def test_failed_pass_scenario_names_the_target_and_its_witness(grade2_model, grade2_report):
     # The residual is zero; the 2x2 minor rho^2 - 4 is negative for rho < 2.
     jets = (JetVariable("rho", 0, 2), JetVariable("eps", 0, 2))
-    e = lambda t: parse(t, grade2_model.ctx)
+    e = lambda t: parse(t, model_ctx(grade2_model))
     items = [((2, 0), e("rho")), ((1, 1), e("4")), ((0, 2), e("rho"))]
     report = grade2_report._replace(restrictions=Restrictions((), quadratic_form(jets, items), (), ZERO))
     res = run_scenario(

@@ -11,7 +11,7 @@ import pytest
 
 from liukit.cli import main
 from liukit.fdb import chain_terms
-from liukit.models import load_builtin
+from liukit.models import _read, load_builtin
 
 LOCAL_MODEL = """\
 [fields]
@@ -222,7 +222,7 @@ class TestDerive:
         assert "square" in err
 
     def test_unknown_model_entry_is_an_input_error(self, tmp_path, capsys):
-        text = load_builtin("korteweg").source_text
+        text = _read("korteweg.model")
         lineno = text.splitlines().index("weight = rho") + 1
         path = tmp_path / "typo.model"
         path.write_text(text.replace("weight = rho", "wieght = rho"))
@@ -249,7 +249,7 @@ class TestDerive:
         ids=["repeated", "redeclared", "field", "reserved"],
     )
     def test_declaration_errors_name_their_line(self, tmp_path, capsys, old, new, offset, message):
-        text = load_builtin("korteweg").source_text
+        text = _read("korteweg.model")
         lineno = text.splitlines().index(old) + 1 + offset
         path = tmp_path / "k.model"
         path.write_text(text.replace(old, new, 1))
@@ -257,12 +257,21 @@ class TestDerive:
         assert (code, out) == (1, "")
         assert err == f"error: line {lineno}: {message}\n"
 
-    def test_singular_jacobian(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (_read("grade2.model").replace("density = rho*gamma", "density = rho*0"), "gamma"),
+            (SINGULAR_MODEL, "b"),
+        ],
+        ids=["unevolved", "dependent"],
+    )
+    def test_singular_jacobian(self, tmp_path, capsys, text, field):
+        # No density depends on a field, or the densities depend on each other.
         path = tmp_path / "singular.model"
-        path.write_text(SINGULAR_MODEL)
-        code, _, err = _run(["derive", str(path)], capsys)
-        assert code == 3
-        assert "time Jacobian is singular" in err
+        path.write_text(text)
+        code, out, err = _run(["derive", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: time Jacobian is singular: no law evolves field {field!r}\n"
 
 
 class TestCheck:

@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
+from liukit.balance import BalanceLaw, EntropyDeclaration, ModelSpec
 from liukit.checker import DEFAULT_SAMPLES, DEFAULT_TOL
-from liukit.expr import ZERO, parse
-from liukit.jet import JetVariable
+from liukit.expr import Expression, FuncSym, ONE, ZERO, parse
+from liukit.jet import JetVariable, StateSpace
 from liukit.modelfile import (
     FileFormatError,
     load_model,
@@ -16,6 +18,8 @@ from liukit.modelfile import (
     parse_model,
     parse_solution,
 )
+
+from conftest import model_ctx
 
 U = JetVariable("u")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -94,26 +98,25 @@ class TestModelParsing:
         assert m.space.order == 0
         assert tuple(m.space.members) == (U,)
         assert [u.name for u in m.unknowns] == ["s", "Js"]
-        assert m.source_text == MODEL_TEXT
 
     def test_comments_and_continuations(self):
         m = _model()
         law = m.laws[0]
         assert law.name == "mass"
-        assert (law.flux - parse("1/2*u^2", m.ctx)).is_zero
+        assert (law.flux - parse("1/2*u^2", model_ctx(m))).is_zero
         assert law.production == ZERO
 
     def test_entropy_defaults(self):
         m = _model()
         assert m.entropy.form == "divergence"
-        assert m.entropy.weight == parse("1", m.ctx)
+        assert m.entropy.weight == parse("1", model_ctx(m))
 
     def test_production_entry(self):
         text = MODEL_TEXT.replace(
             "flux = u^2/2\n  + u - u", "flux = u^2/2\nproduction = u^2"
         )
         m = parse_model(text, "local")
-        assert (m.laws[0].production - parse("u^2", m.ctx)).is_zero
+        assert (m.laws[0].production - parse("u^2", model_ctx(m))).is_zero
 
     def test_jet_name_parsing(self):
         assert parse_jet_name("u_xx", {"u"}, 1) == JetVariable("u", 0, 2)
@@ -294,6 +297,19 @@ class TestSolutionParsing:
         sol = parse_solution(SOLUTION_TEXT, m)
         assert sol.bindings[0][0] == m.unknown("s")
         assert sol.bindings[1][0] == m.unknown("Js")
+
+    def test_model_built_in_code(self):
+        # The solution's namespace comes from the model's fields and unknowns.
+        u = Expression.atom(U)
+        s, js = FuncSym("s", (U,)), FuncSym("Js", (U,))
+        built = ModelSpec(
+            "local", ("u",), None, StateSpace(0, (U,)),
+            (BalanceLaw("mass", u, Expression.number(Fraction(1, 2)) * u * u),),
+            EntropyDeclaration("divergence", Expression.atom(s), Expression.atom(js), ONE),
+            (s, js),
+        )
+        assert built == _model()
+        assert parse_solution(SOLUTION_TEXT, built) == parse_solution(SOLUTION_TEXT, _model())
 
 
 class TestSolutionErrors:

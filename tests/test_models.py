@@ -18,8 +18,10 @@ import liukit
 from liukit.jet import JetVariable
 from liukit.liu import model_hash
 from liukit.modelfile import load_model, parse_solution
-from liukit.models import builtin_names, load_builtin, load_builtin_solution
-from liukit.expr import ZERO, ParseContext, parse
+from liukit.models import _read, builtin_names, load_builtin, load_builtin_solution
+from liukit.expr import ZERO, parse
+
+from conftest import model_ctx
 
 RHO_X = JetVariable("rho", 0, 1)
 EPS_X = JetVariable("eps", 0, 1)
@@ -30,13 +32,6 @@ PRODUCTION_FORM = (
     "*(D(s0, rho, eps)*rho_x + D(s0, eps, eps)*eps_x)"
     " + tau1*D(s0, eps)*v_x^2"
 )
-
-
-def _solution_ctx(model, solution) -> ParseContext:
-    ctx = ParseContext(fields=model.ctx.fields, syms=dict(model.ctx.syms))
-    for a in solution.ansatz:
-        ctx.declare_sym(a.name, a.deps)
-    return ctx
 
 
 def _bound_residual(report, solution, *condition_names):
@@ -85,7 +80,7 @@ class TestGrade2Shape:
 
     def test_entropy_declaration(self, grade2_model):
         assert grade2_model.entropy.form == "material"
-        assert grade2_model.entropy.weight == parse("rho", grade2_model.ctx)
+        assert grade2_model.entropy.weight == parse("rho", model_ctx(grade2_model))
 
     def test_solution_inventory(self, grade2_solution):
         assert {a.name for a in grade2_solution.ansatz} == {
@@ -126,7 +121,7 @@ class TestRoundTrip:
     def test_model_survives_reload(self, name, tmp_path):
         model = load_builtin(name)
         path = tmp_path / f"{name}.model"
-        path.write_text(model.source_text, encoding="utf-8")
+        path.write_text(_read(f"{name}.model"), encoding="utf-8")
         again = load_model(str(path))
         assert again.name == name
         assert model_hash(again) == model_hash(model)
@@ -147,12 +142,12 @@ class TestGrade2ResidualIdentity:
         self, grade2_model, grade2_report, grade2_solution
     ):
         bound = _bound_residual(grade2_report, grade2_solution, "entropyflux")
-        ctx = _solution_ctx(grade2_model, grade2_solution)
+        ctx = model_ctx(grade2_model, *grade2_solution.ansatz)
         assert (bound - parse(PRODUCTION_FORM, ctx)).is_zero
 
     def test_flux_condition_is_needed(self, grade2_model, grade2_report, grade2_solution):
         bound = _bound_residual(grade2_report, grade2_solution)
-        ctx = _solution_ctx(grade2_model, grade2_solution)
+        ctx = model_ctx(grade2_model, *grade2_solution.ansatz)
         assert not (bound - parse(PRODUCTION_FORM, ctx)).is_zero
 
 
@@ -161,7 +156,7 @@ class TestKortewegResidualIdentity:
         self, korteweg_model, korteweg_report, korteweg_solution
     ):
         bound = _bound_residual(korteweg_report, korteweg_solution)
-        ctx = _solution_ctx(korteweg_model, korteweg_solution)
+        ctx = model_ctx(korteweg_model, *korteweg_solution.ansatz)
         assert (bound - parse(PRODUCTION_FORM, ctx)).is_zero
 
     def test_cross_coupling_makes_the_density_energy_block_a_square(
@@ -179,7 +174,7 @@ class TestKortewegResidualIdentity:
 
     def test_pure_shear_coefficient(self, korteweg_model, korteweg_report, korteweg_solution):
         bound = _bound_residual(korteweg_report, korteweg_solution)
-        ctx = _solution_ctx(korteweg_model, korteweg_solution)
+        ctx = model_ctx(korteweg_model, *korteweg_solution.ansatz)
         shear = bound.collect((RHO_X, EPS_X, V_X)).get((0, 0, 2), ZERO)
         assert (shear - parse("tau1*D(s0, eps)", ctx)).is_zero
 

@@ -7,6 +7,7 @@ equality and hash, immutability, repr and copying behave as they always did.
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 
 import pytest
@@ -15,7 +16,11 @@ from liukit.balance import BalanceLaw, ModelError, ModelSpec
 from liukit.checker import CandidateSolution, ConcavityResult
 from liukit.expr import Expression, FuncSym, ZERO
 from liukit.jet import JetVariable, StateSpace
-from liukit.liu import ConstraintSelection, DecoupledRow, Equality
+from liukit.liu import ConstraintSelection, DecoupledRow, Equality, derive
+from liukit.modelfile import load_model
+from liukit.models import load_builtin
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 RHO = JetVariable("rho")
 EPS_X = JetVariable("eps", 0, 1)
@@ -124,3 +129,19 @@ class TestModelSpecValidation:
     def test_repeated_field_is_named(self, korteweg_model):
         with pytest.raises(ModelError, match="^duplicate field name 'eps'$"):
             korteweg_model._replace(fields=("rho", "eps", "v", "eps"))
+
+    def test_a_model_is_its_declarations(self):
+        assert ModelSpec._fields == ("name", "fields", "velocity", "space", "laws", "entropy", "unknowns")
+
+
+def _load(source: str) -> ModelSpec:
+    if source.endswith(".model"):
+        return load_model(os.path.join(ROOT, "bench", "fixtures", source))
+    return load_builtin(source)
+
+
+@pytest.mark.parametrize("source", ["grade2", "korteweg", "korteweg-eps2.model", "korteweg-o3.model"])
+def test_two_parses_give_equal_models_and_reports(source):
+    a, b = _load(source), _load(source)
+    assert a == b and hash(a) == hash(b)
+    assert derive(a) == derive(b)
