@@ -1119,15 +1119,16 @@ def _name(a: Atom) -> str:
     return a.field if isinstance(a, JetVariable) else a.name
 
 
-def _closing_order(graph: Mapping[str, Sequence[str]], roots: Iterable[str], done: set[str]) -> Iterator[str]:
-    """The names reachable from roots and not yet done, each after the names it uses.
+def _closing_order(graph: Mapping[str, Sequence[str]]) -> Iterator[str]:
+    """Every name of the graph, each after the names it uses.
 
-    Depth first on an explicit stack, neighbours in the order the graph
-    lists them, so a chain of any length nests no call.  A name joins
-    `done` as it is yielded.  A name met again while it is still on the
-    path raises the cycle, named from the first root down.
+    Depth first from each name in sorted order, on an explicit stack,
+    neighbours in the order the graph lists them, so a chain of any length
+    nests no call.  A name met again while it is still on the path raises
+    the cycle, named from the first root down.
     """
-    for r in roots:
+    done: set[str] = set()
+    for r in sorted(graph):
         if r in done:
             continue
         path, todo = {r: None}, [iter(graph[r])]  # path: the names on the stack, in order
@@ -1147,13 +1148,15 @@ def _closing_order(graph: Mapping[str, Sequence[str]], roots: Iterable[str], don
 
 
 class Substitution:
-    """A validated, acyclic binding set and the replacements it has resolved, each closed.
+    """A validated, acyclic binding set, every bound atom of it closed.
 
     `keys` indexes the bound atoms by the name their bindings go by (a jet's
     field, a symbol's name), and the binding graph joins each name to the
     bound names its replacements use.  One walk of that graph checks it for
-    cycles, and the same walk closes, before an atom's own replacement, the
-    replacements its name uses.  A binding that nothing uses is never closed.
+    cycles and closes each name's bound atoms after those of the names it
+    uses, so each closing is one pass over closed replacements.  Every
+    binding is closed, used or not.  The jets of a bound field and the
+    derivatives of a bound symbol are derived, and closed, when first met.
 
     `Expression.subs` builds one per call from a mapping; a caller that
     substitutes the same bindings into many expressions can build it once
@@ -1165,15 +1168,15 @@ class Substitution:
         self.keys: dict[str, list] = {}
         for k in self.bind:
             self.keys.setdefault(_name(k), []).append(k)
-        self.graph = {
+        self.cache: dict = {}  # atom id -> replacement, or None when unbound
+        self.powers: dict = {}
+        graph = {
             n: sorted({m for k in ks for m in self._uses(k) if m in self.keys})
             for n, ks in self.keys.items()
         }
-        for _ in _closing_order(self.graph, sorted(self.graph), set()):
-            pass
-        self.ready: set[str] = set()  # names whose bound atoms are closed
-        self.cache: dict = {}  # atom id -> replacement, or None when unbound
-        self.powers: dict = {}
+        for n in _closing_order(graph):
+            for k in self.keys[n]:
+                self.resolve(k)
 
     def _uses(self, k: Atom) -> Iterator[str]:
         """The names that resolving the replacement of k can meet.
@@ -1191,19 +1194,12 @@ class Substitution:
         i = a.id
         if i in self.cache:
             return self.cache[i]
-        self._ready(_name(a))
         out = self._resolve(a)
         if out is not None:
             # Closed once, by one pass that meets only closed replacements.
             out = _subs_pass(out, self)
         self.cache[i] = out
         return out
-
-    def _ready(self, n: str) -> None:
-        """Close the replacements of the names that the bindings of name n use, those they use first."""
-        for m in _closing_order(self.graph, self.graph.get(n, ()), self.ready):
-            for k in self.keys[m]:
-                self.resolve(k)
 
     def power(self, i: int, e: int, den: bool) -> Poly:
         """Numerator (or denominator) of the replacement of atom i, to the e-th power."""

@@ -146,10 +146,10 @@ def _names(entry: tuple[int, str], what: str) -> list[str]:
 
 
 def parse_jet_name(name: str, fields: set[str], lineno: int) -> JetVariable:
-    base, _, suffix = name.partition("_")
+    base, sep, suffix = name.partition("_")
     if base not in fields:
         raise FileFormatError(f"line {lineno}: {base!r} is not a declared field")
-    if suffix and set(suffix) != {"x"}:
+    if sep and set(suffix) != {"x"}:
         raise FileFormatError(
             f"line {lineno}: state variables carry only spatial suffixes, got {name!r}"
         )

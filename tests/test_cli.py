@@ -588,6 +588,13 @@ _SECTION_AND_NAME_CASES = [
     ("solution", "maxent: s1 <= 0", "maxent: s1 <= 0\nmaxent: s1 <= 0", "maxent: s1 <= 0", "duplicate key 'maxent' in [conditions]"),
     ("solution", "seed = 4242", "seed = 4242\nseed = 4242", "seed = 4242", "duplicate key 'seed' in [scenario fourier]"),
     ("solution", "let s1 = -1", "let s1 = -1\nlet s1 = -2", "let s1 = -2", "duplicate let for s1 in [scenario fourier]"),
+    # A jet name ending in `_` is not the field itself.
+    ("model", "rho_xx\n\n[unknowns]", "rho_xx, rho_\n\n[unknowns]", "vars = rho, eps, rho_x, v_x, eps_x, rho_xx, rho_",
+     "state variables carry only spatial suffixes, got 'rho_'"),
+    ("model", UNKNOWN_T, "T(rho_, eps, rho_x, v_x, eps_x, rho_xx)", "T(rho_, eps, rho_x, v_x, eps_x, rho_xx)",
+     "state variables carry only spatial suffixes, got 'rho_'"),
+    ("solution", "[scenario coupled]", "[scenario coupled]\nrange rho_ = 3 .. 4", "range rho_ = 3 .. 4",
+     "state variables carry only spatial suffixes, got 'rho_'"),
 ]
 
 
@@ -768,19 +775,16 @@ class TestParserShape:
         assert ei.value.code == 2
 
     def test_closed_pipe_is_quiet(self):
-        import subprocess
-        import sys as _sys
-
-        proc = subprocess.Popen(
-            [_sys.executable, "-m", "liukit.cli", "derive", "--builtin", "grade2"],
+        with subprocess.Popen(
+            [sys.executable, "-m", "liukit.cli", "derive", "--builtin", "grade2"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        proc.stdout.readline()
-        proc.stdout.close()
-        proc.wait(timeout=60)
-        assert proc.returncode == 0
-        assert b"Traceback" not in proc.stderr.read()
+        ) as proc:
+            proc.stdout.readline()
+            proc.stdout.close()
+            proc.wait(timeout=60)
+            assert proc.returncode == 0
+            assert b"Traceback" not in proc.stderr.read()
 
 
 # SHA-256 of the CLI's stdout for derive in every format: both built-ins and

@@ -270,11 +270,15 @@ class TestSubstitution:
         chain = {syms[k]: Expression.sym(syms[k + 1]) + ONE for k in range(400)}
         assert Expression.sym(syms[0]).subs(chain) == Expression.sym(syms[400]) + 400
 
-    def test_unused_binding_is_not_closed(self, ctx):
-        # q1 = 1/s0 has no value once s0 = 0, but nothing here uses q1.
+    def test_unused_binding_is_closed(self, ctx):
+        # q1 = 1/s0 has no value once s0 = 0: the set is rejected when it is
+        # built, although nothing here uses q1.
         q1, s0, c0 = ctx.sym("q1"), ctx.sym("s0"), ctx.sym("c0")
         bindings = {q1: ONE / Expression.sym(s0), s0: ZERO, c0: e("eps", ctx)}
-        assert e("c0 + 1", ctx).subs(bindings) == e("eps + 1", ctx)
+        with pytest.raises(ExprError, match="^division by a zero expression$"):
+            Substitution(bindings)
+        with pytest.raises(ExprError, match="^division by a zero expression$"):
+            e("c0 + 1", ctx).subs(bindings)
 
     def test_cyclic_bindings_rejected(self, ctx):
         q1, s0 = ctx.sym("q1"), ctx.sym("s0")

@@ -355,13 +355,19 @@ def _targets(hit: tuple):
 def check_substitution(case, seed):
     a, bind = case
     CASES["subs"] += 1
+    reversed_bind = dict(reversed(bind.items()))  # the same bindings, inserted in reverse
     try:
         want = _reference_subs(a, bind)
     except ExprError as exc:
         with pytest.raises(type(exc)):
             a.subs(bind)
+        with pytest.raises(ExprError):
+            a.subs(reversed_bind)
         return
     got = a.subs(bind)
+    assert got == want
+    assert to_text(got) == to_text(want)
+    got = a.subs(reversed_bind)
     assert got == want
     assert to_text(got) == to_text(want)
     point = _Point(seed)
