@@ -41,6 +41,7 @@ from .expr import (
     CollectError,
     Expression,
     ExprError,
+    FuncSym,
     Substitution,
     ZERO,
     compile_source,
@@ -384,7 +385,7 @@ def _decide_sign(expr: Expression, conditions: Sequence[Condition]) -> str:
         if c.kind not in ("ge", "le"):
             continue
         try:
-            ratio = (expr / c.lhs).as_fraction()
+            ratio = (expr / c.as_zero()).as_fraction()
         except ExprError:
             ratio = None
         if ratio is None or ratio == 0:
@@ -459,7 +460,7 @@ def max_entropy_at_equilibrium(
 def validate_solution(model: ModelSpec, solution: CandidateSolution) -> None:
     unames = {u.name: u for u in model.unknowns}
     bound = set()
-    for sym, _expr in solution.bindings:
+    for sym, expr in solution.bindings:
         if sym.name not in unames:
             raise CheckError(f"binding target {sym.name!r} is not a model unknown")
         if sym.orders != (0,) * len(sym.orders):
@@ -470,6 +471,17 @@ def validate_solution(model: ModelSpec, solution: CandidateSolution) -> None:
             )
         if sym.name in bound:
             raise CheckError(f"{sym.name!r} is bound twice")
+        # A closure is a function of its unknown's dependencies: every jet of
+        # the binding, and every jet a function symbol in it depends on.
+        for a in sorted(expr.atoms(), key=lambda a: a.atom_key):
+            symbol = isinstance(a, FuncSym)
+            outside = [d for d in (a.deps if symbol else (a,)) if d not in sym.deps]
+            if outside:
+                through = f" through {a.text()}" if symbol else ""
+                raise CheckError(
+                    f"binding for {sym.name!r} depends on {outside[0].text()}{through},"
+                    " outside its declared dependencies"
+                )
         bound.add(sym.name)
     missing = sorted(set(unames) - bound)
     if missing:

@@ -38,6 +38,10 @@ minor) hands it in.  So printing, serialization and leading-term lookups
 are deterministic and do not depend on the ids, and an intermediate result
 that is never printed is never sorted.
 
+Parsing.  One regular-expression pass yields (kind, text, offset) tokens,
+which a recursive descent reads; the `line:col` of a ParseError is worked
+out from the offset only when the error is raised.
+
 Packed monomials.  `principal_minors` expands its determinants over
 monomials packed into one int: the degree on top, then one field per atom,
 the first canonical atom most significant, each field as wide as the
@@ -56,7 +60,7 @@ import re
 from bisect import bisect
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .jet import _ATOM_IDS, ATOMS, Frozen, JetVariable, intern_atom
 
@@ -676,7 +680,8 @@ class Expression:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash((frozenset(self._n.items()), frozenset(self._d.items())))
+            c = self.as_fraction()  # a constant hashes as the number it equals
+            h = self._hash = hash((frozenset(self._n.items()), frozenset(self._d.items())) if c is None else c)
         return h
 
     def __repr__(self) -> str:
@@ -1327,212 +1332,167 @@ class ParseContext:
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>\d+(?:\.\d+)?)"
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?)"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9]*(?:_[A-Za-z0-9]+)?)"
     r"|(?P<op>[-+*/^(),])"
+    r"|(?P<stray>.)"
+    r"|(?P<end>\Z))",
+    re.DOTALL,
 )
 
 
-class _Tok(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    out = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"{line}:{col}: unexpected character {text[i]!r}")
-        tok = m.group(0)
-        kind = m.lastgroup
-        if kind != "ws":
-            out.append(_Tok(kind, tok, line, col))
-        nl = tok.count("\n")
-        if nl:
-            line += nl
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        i = m.end()
-    out.append(_Tok("eof", "", line, col))
-    return out
-
-
-_SUFFIX_RE = re.compile(r"^t*x*$")
-
-
-def _split_jet(text: str, tok: _Tok) -> tuple[str, int, int]:
-    if "_" not in text:
-        return text, 0, 0
-    name, suffix = text.split("_", 1)
-    if not _SUFFIX_RE.match(suffix) or not suffix:
-        raise ParseError(f"{tok.line}:{tok.col}: invalid jet suffix in {text!r}")
-    return name, suffix.count("t"), suffix.count("x")
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Tok], ctx: ParseContext):
-        self.toks = tokens
-        self.pos = 0
+    """Recursive descent over (kind, text, offset) tokens."""
+
+    def __init__(self, text: str, ctx: ParseContext):
+        self.text = text
         self.ctx = ctx
+        self.pos = 0
+        self.toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text)]
+        for tok in self.toks:
+            if tok[0] == "stray":
+                self.fail(tok, f"unexpected character {tok[1]!r}")
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def fail(self, tok: tuple[str, str, int], msg: str):
+        offset = tok[2]
+        line = self.text.count("\n", 0, offset) + 1
+        col = offset - self.text.rfind("\n", 0, offset)
+        raise ParseError(f"{line}:{col}: {msg}")
 
-    def take(self) -> _Tok:
-        t = self.toks[self.pos]
+    def peek(self) -> str:
+        return self.toks[self.pos][1]
+
+    def take(self, text: str | None = None) -> tuple[str, str, int]:
+        """The next token, which must read `text` when that is given."""
+        tok = self.toks[self.pos]
+        if text is not None and tok[1] != text:
+            self.fail(tok, f"expected {text!r}, found {tok[1] or 'end of input'!r}")
         self.pos += 1
-        return t
-
-    def expect(self, text: str) -> _Tok:
-        t = self.take()
-        if t.text != text:
-            raise ParseError(f"{t.line}:{t.col}: expected {text!r}, found {t.text or 'end of input'!r}")
-        return t
-
-    def fail(self, t: _Tok, msg: str):
-        raise ParseError(f"{t.line}:{t.col}: {msg}")
+        return tok
 
     def parse(self) -> Expression:
         e = self.sum()
-        t = self.peek()
-        if t.kind != "eof":
-            self.fail(t, f"unexpected {t.text!r}")
+        tok = self.toks[self.pos]
+        if tok[0] != "end":
+            self.fail(tok, f"unexpected {tok[1]!r}")
         return e
 
     def sum(self) -> Expression:
         e = self.product()
-        while self.peek().text in ("+", "-"):
-            op = self.take().text
+        while self.peek() in ("+", "-"):
+            op = self.take()[1]
             rhs = self.product()
             e = e + rhs if op == "+" else e - rhs
         return e
 
     def product(self) -> Expression:
         e = self.unary()
-        while self.peek().text in ("*", "/"):
-            op = self.take().text
+        while self.peek() in ("*", "/"):
+            op = self.take()[1]
             rhs = self.unary()
-            try:
-                e = e * rhs if op == "*" else e / rhs
-            except ExprError as exc:
-                raise ParseError(str(exc)) from exc
+            e = e * rhs if op == "*" else e / rhs
         return e
 
     def unary(self) -> Expression:
-        if self.peek().text == "-":
+        """A signed factor: a primary, raised to an integer power if `^` follows."""
+        op = self.peek()
+        if op in ("+", "-"):
             self.take()
-            return -self.unary()
-        if self.peek().text == "+":
+            e = self.unary()
+            return -e if op == "-" else e
+        e = self.primary()
+        if self.peek() == "^":
             self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Expression:
-        base = self.primary()
-        if self.peek().text == "^":
-            self.take()
-            n = self.exponent()
-            try:
-                return base ** n
-            except ExprError as exc:
-                raise ParseError(str(exc)) from exc
-        return base
+            e = e ** self.exponent()
+        return e
 
     def exponent(self) -> int:
-        neg = False
-        if self.peek().text == "-":
-            self.take()
-            neg = True
-        elif self.peek().text == "(":
+        if self.peek() == "(":
             self.take()
             n = self.exponent()
-            self.expect(")")
+            self.take(")")
             return n
-        t = self.take()
-        if t.kind != "num" or "." in t.text:
-            self.fail(t, "exponent must be an integer")
-        n = int(t.text)
-        return -n if neg else n
+        sign = 1
+        if self.peek() == "-":
+            self.take()
+            sign = -1
+        tok = self.take()
+        if tok[0] != "num" or "." in tok[1]:
+            self.fail(tok, "exponent must be an integer")
+        return sign * int(tok[1])
 
-    def jetvar(self) -> JetVariable:
-        t = self.take()
-        if t.kind != "ident":
-            self.fail(t, "expected a variable name")
-        name, to, xo = _split_jet(t.text, t)
+    def jet(self, tok: tuple[str, str, int]) -> JetVariable:
+        """The jet variable `tok` names: a bare jet, a call argument or a D(...) variable."""
+        if tok[0] != "ident":
+            self.fail(tok, "expected a variable name")
+        name, _, suffix = tok[1].partition("_")
+        t, x = suffix.count("t"), suffix.count("x")
+        if suffix != "t" * t + "x" * x:
+            self.fail(tok, f"invalid jet suffix in {tok[1]!r}")
         if name not in self.ctx.fields:
-            self.fail(t, f"undeclared field {name!r}")
-        return JetVariable(name, to, xo)
+            self.fail(tok, f"undeclared field {name!r}")
+        return JetVariable(name, t, x)
+
+    def jets(self) -> Iterator[tuple[tuple[str, str, int], JetVariable]]:
+        """Each `, jet` up to the closing parenthesis, with the jet's token."""
+        while self.peek() == ",":
+            self.take()
+            tok = self.take()
+            yield tok, self.jet(tok)
+        self.take(")")
 
     def primary(self) -> Expression:
-        t = self.take()
-        if t.kind == "num":
-            return Expression.number(Fraction(t.text))
-        if t.text == "(":
+        kind, text, _ = tok = self.take()
+        if kind == "num":
+            return Expression.number(Fraction(text))
+        if text == "(":
             e = self.sum()
-            self.expect(")")
+            self.take(")")
             return e
-        if t.kind != "ident":
-            self.fail(t, f"unexpected {t.text or 'end of input'!r}")
-        if t.text == "D":
-            return self.derivative(t)
-        name, to, xo = _split_jet(t.text, t)
-        if to or xo:
-            if name not in self.ctx.fields:
-                self.fail(t, f"undeclared field {name!r}")
-            return Expression.jet(JetVariable(name, to, xo))
-        if self.peek().text == "(":
-            if name not in self.ctx.syms:
-                self.fail(t, f"undeclared function symbol {name!r}")
+        if kind != "ident":
+            self.fail(tok, f"unexpected {text or 'end of input'!r}")
+        if text == "D":
+            return self.derivative(tok)
+        if "_" not in text and self.peek() == "(":
+            if text not in self.ctx.syms:
+                self.fail(tok, f"undeclared function symbol {text!r}")
             self.take()
-            args = [self.jetvar()]
-            while self.peek().text == ",":
-                self.take()
-                args.append(self.jetvar())
-            self.expect(")")
-            declared = self.ctx.syms[name]
-            if tuple(sorted(args, key=JetVariable.sort_key)) != declared or len(args) != len(declared):
-                self.fail(t, f"arguments of {name!r} do not match its declared dependencies")
-            return Expression.sym(self.ctx.sym(name))
-        if name in self.ctx.fields:
-            return Expression.jet(JetVariable(name, 0, 0))
-        if name in self.ctx.syms:
-            return Expression.sym(self.ctx.sym(name))
-        self.fail(t, f"undeclared identifier {name!r}")
+            args = [self.jet(self.take()), *(v for _, v in self.jets())]
+            if tuple(sorted(args, key=JetVariable.sort_key)) != self.ctx.syms[text]:
+                self.fail(tok, f"arguments of {text!r} do not match its declared dependencies")
+            return Expression.sym(self.ctx.sym(text))
+        if "_" in text or text in self.ctx.fields:
+            return Expression.jet(self.jet(tok))
+        if text in self.ctx.syms:
+            return Expression.sym(self.ctx.sym(text))
+        self.fail(tok, f"undeclared identifier {text!r}")
 
-    def derivative(self, t0: _Tok) -> Expression:
-        self.expect("(")
-        t = self.take()
-        if t.kind != "ident" or t.text not in self.ctx.syms:
-            self.fail(t, f"D(...) needs a declared function symbol, found {t.text!r}")
-        s = self.ctx.sym(t.text)
-        count = 0
-        while self.peek().text == ",":
-            self.take()
-            vt = self.peek()
-            v = self.jetvar()
+    def derivative(self, d: tuple[str, str, int]) -> Expression:
+        self.take("(")
+        tok = self.take()
+        if tok[0] != "ident" or tok[1] not in self.ctx.syms:
+            self.fail(tok, f"D(...) needs a declared function symbol, found {tok[1]!r}")
+        s = self.ctx.sym(tok[1])
+        for tok, v in self.jets():
             if v not in s.deps:
-                self.fail(vt, f"{s.name!r} does not depend on {v.text()}")
+                self.fail(tok, f"{s.name!r} does not depend on {v.text()}")
             s = s.bump(v)
-            count += 1
-        self.expect(")")
-        if count == 0:
-            self.fail(t0, "D(...) needs at least one differentiation variable")
+        if not s.total_order:
+            self.fail(d, "D(...) needs at least one differentiation variable")
         return Expression.sym(s)
 
 
 def parse(text: str, ctx: ParseContext) -> Expression:
     try:
-        return _Parser(_tokenize(text), ctx).parse()
+        return _Parser(text, ctx).parse()
     except RecursionError:
         # The parser descends one call chain per nesting level.
         raise ParseError("expression nests too deeply") from None
+    except ParseError:
+        raise
+    except ExprError as exc:
+        # Arithmetic on parsed operands: a division by zero, or `0^-1`.
+        raise ParseError(str(exc)) from exc
 
 
 # -- printing --------------------------------------------------------------

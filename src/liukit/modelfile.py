@@ -269,15 +269,13 @@ class CheckError(ValueError):
 
 class Condition(NamedTuple):
     name: str
-    kind: str  # "eq", "ge" (expr >= 0) or "le" (expr <= 0)
+    kind: str  # "eq" (lhs = rhs), "ge" (lhs >= rhs) or "le" (lhs <= rhs)
     lhs: Expression
     rhs: Expression
 
     def as_zero(self) -> Expression:
-        """eq: lhs - rhs; ge/le: the signed expression itself."""
-        if self.kind == "eq":
-            return self.lhs - self.rhs
-        return self.lhs
+        """lhs - rhs, which the kind compares with 0."""
+        return self.lhs - self.rhs
 
 
 def sampling_error(samples: int | None, tol: float | None) -> str | None:

@@ -139,6 +139,23 @@ class TestValidateSolution:
         assert "declared dependencies" in str(ei.value)
 
 
+    def test_symbol_outside_the_dependencies_is_rejected(self, korteweg_model, korteweg_solution):
+        zz = FuncSym("zz", (JetVariable("rho"), JetVariable("rho", 0, 3)))
+        bad = _replace_binding(korteweg_solution, "q", Expression.sym(zz.bump(zz.deps[0])))
+        with pytest.raises(CheckError) as ei:
+            validate_solution(korteweg_model, bad)
+        assert str(ei.value) == (
+            "binding for 'q' depends on rho_xxx through D(zz, rho), outside its declared dependencies"
+        )
+
+    def test_first_offending_atom_in_canonical_order_is_named(self, korteweg_model, korteweg_solution):
+        (s,) = (expr for sym, expr in korteweg_solution.bindings if sym.name == "s")
+        zz = Expression.sym(FuncSym("zz", (JetVariable("v", 1, 0),)))
+        bad = _replace_binding(korteweg_solution, "s", s + zz + Expression.jet(JetVariable("v", 0, 2)))
+        with pytest.raises(CheckError, match="^binding for 's' depends on v_xx, outside"):
+            validate_solution(korteweg_model, bad)
+
+
 class TestCheckEqualities:
     def test_fixture_equalities_all_identical(self, grade2_report, grade2_solution):
         statuses, failures = check_equalities(grade2_report, grade2_solution)
@@ -557,6 +574,20 @@ class TestCheckDriver:
         res = check(korteweg_model, korteweg_report, korteweg_solution)
         assert res.ok
         assert {s.name for s in res.scenarios} == {"fourier", "coupled", "bigshear"}
+
+    def test_sign_condition_compares_against_its_right_side(
+        self, korteweg_model, korteweg_report, korteweg_solution
+    ):
+        # maxent: s1 <= -5, built in code; every scenario sets s1 = -1.
+        s1 = _let_atom(_scenario(korteweg_solution, "fourier"), "s1")
+        conditions = tuple(
+            Condition("maxent", "le", Expression.sym(s1), Expression.number(-5)) if c.name == "maxent" else c
+            for c in korteweg_solution.conditions
+        )
+        assert conditions != korteweg_solution.conditions
+        res = check(korteweg_model, korteweg_report, korteweg_solution._replace(conditions=conditions))
+        assert not res.ok
+        assert res.concavity.outcome == "undetermined"
 
     def test_broken_candidate_fails(self, grade2_model, grade2_report, grade2_solution):
         flipped = None

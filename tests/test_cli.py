@@ -395,6 +395,29 @@ class TestCheck:
         )
 
     @pytest.mark.parametrize(
+        "old, new, jet",
+        [
+            ("s = s0 + s1*rho_x^2\n", "s = s0 + s1*rho_x^2 + rho_xxx^2 + v_t\n", "rho_xxx"),
+            ("T = rho^2*", "T = rho_xxx + rho^2*", "rho_xxx"),
+        ],
+        ids=["entropy-time-jet", "stress"],
+    )
+    def test_binding_outside_its_dependencies_is_rejected(self, tmp_path, capsys, old, new, jet):
+        from liukit.models import _read
+
+        # Both passed check before (the first with concavity confirmed), as if
+        # the closure were a function of the declared state.
+        text = _read("korteweg.solution")
+        assert old in text
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text.replace(old, new, 1))
+        code, out, err = _run(["check", str(mp), str(sp)], capsys)
+        assert (code, out) == (2, "")
+        name = new[0]
+        assert err == f"error: binding for {name!r} depends on {jet}, outside its declared dependencies\n"
+
+    @pytest.mark.parametrize(
         "line, message",
         [
             (UNKNOWN_T, "ansatz 'T' is a constitutive unknown of the model"),

@@ -61,6 +61,14 @@ class TestConstructionAndNormalForm:
         assert e("(rho^2 - eps^2)/(rho - eps)", ctx) == e("rho + eps", ctx)
         assert e("rho/rho", ctx) == ONE
 
+    def test_constants_hash_like_the_numbers_they_equal(self, ctx):
+        assert len({ONE, 1}) == 1 and len({ZERO, 0, Fraction(0)}) == 1
+        for value in (0, 1, -3, Fraction(2, 3), Fraction(-7, 2), Fraction(4, 2)):
+            const = Expression.number(value)
+            assert const == value and hash(const) == hash(value)
+        assert e("(rho + 1)/(rho + 1)", ctx) in {1}
+        assert {e("2/3*rho", ctx): "a"}[e("rho*2/3", ctx)] == "a"
+
     def test_common_factor_cancellation(self, ctx):
         a = e("rho*eps_x/(rho*v_x)", ctx)
         assert a == e("eps_x/v_x", ctx)
