@@ -138,7 +138,6 @@ class TestValidateSolution:
             validate_solution(grade2_model, bad)
         assert "declared dependencies" in str(ei.value)
 
-
     def test_symbol_outside_the_dependencies_is_rejected(self, korteweg_model, korteweg_solution):
         zz = FuncSym("zz", (JetVariable("rho"), JetVariable("rho", 0, 3)))
         bad = _replace_binding(korteweg_solution, "q", Expression.sym(zz.bump(zz.deps[0])))
@@ -587,6 +586,7 @@ class TestCheckDriver:
         assert conditions != korteweg_solution.conditions
         res = check(korteweg_model, korteweg_report, korteweg_solution._replace(conditions=conditions))
         assert not res.ok
+        assert any(f.startswith("scenario 'fourier': condition 'maxent' fails") for f in res.failures)
         assert res.concavity.outcome == "undetermined"
 
     def test_broken_candidate_fails(self, grade2_model, grade2_report, grade2_solution):

@@ -29,7 +29,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "parse_golden.
 SEED = 2023
 COUNT = 4000
 
-RHO, V, EPS = JetVariable("rho", 0, 0), JetVariable("v", 0, 0), JetVariable("eps", 0, 0)
+RHO, EPS = JetVariable("rho", 0, 0), JetVariable("eps", 0, 0)
 RHO_X, V_X, EPS_X, RHO_XX = (JetVariable(f, 0, n) for f, n in (("rho", 1), ("v", 1), ("eps", 1), ("rho", 2)))
 
 PIECES = (
