@@ -45,12 +45,12 @@ out from the offset only when the error is raised.
 Packed monomials.  `principal_minors` expands its determinants over
 monomials packed into one int: the degree on top, then one field per atom,
 the first canonical atom most significant, each field as wide as the
-largest exponent any minor can reach.  Of two monomials of equal degree,
-`_mono_key` puts last the one with the larger exponent at the first atom,
-in canonical order, where their exponents differ: the key order is the
-lexicographic order of (degree, exponent vector in canonical atom order).
-Packed ints that never carry compare the same way, so a product is one int
-addition and sorting the ints sorts the terms canonically.
+largest exponent any minor can reach.  `_mono_key` orders monomials by
+(degree, exponent vector in canonical atom order), lexicographically, and
+packed ints that never carry compare the same way: a product is one int
+addition, and sorting the ints sorts the terms canonically.  The report
+prints each minor from its sorted ints, reading each key's fields from the
+top down, so it neither unpacks a key nor re-sorts a monomial.
 """
 from __future__ import annotations
 
@@ -879,8 +879,9 @@ def as_expression(v) -> Expression:
 # -- principal minors ----------------------------------------------------
 
 
-def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequence[int]]) -> list[Expression]:
-    """det(mat[S, S]) for each index subset S, computed over polynomials.
+def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequence[int]],
+                     text: bool = False) -> list[Expression] | list[str]:
+    """det(mat[S, S]) for each index subset S, computed over polynomials; with `text`, its `to_text`.
 
     Row i is cleared by r_i, the product of the distinct denominators of its
     nonzero entries times the lcm of the denominators of their coefficients,
@@ -896,8 +897,9 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
     order.  A minor whose denominator is one term (powers of the density in
     every shipped model) is finished here as `_normalize` would finish it:
     its monomial content, capped by the denominator, comes off the packed
-    ints, then the constant is scaled out, then the ints are sorted once.
-    Any other denominator goes through `Expression`.
+    ints, then the constant is scaled out, then the ints are sorted once;
+    its text is printed from them.  Any other denominator goes through
+    `Expression`.
     """
     subsets = [tuple(s) for s in subsets]
     rows = sorted({i for s in subsets for i in s})
@@ -936,19 +938,33 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
 
     packed = {ij: {pack(zip(m[::2], m[1::2])): c for m, c in p.items()} for ij, p in n.items()}
     field = {a: k for k, a in enumerate(order)}
-    at = [k for k, w in enumerate(widths) for _ in range(w)]  # bit -> field
-    below = [(1 << s) - 1 for s in starts]
+    # per field: atom id, start, mask of the fields below it, text of each exponent
+    layout = [(a, s, (1 << s) - 1, ["", t, *(f"{t}^{e}" for e in range(2, bound[a] + 1))])
+              for a, s, t in zip(order, starts, (ATOMS[a]._text for a in order))]
+    read = [layout[k] for k, w in enumerate(widths) for _ in range(w)]  # bit -> its field
 
     def unpack(key: int) -> Mono:
         """The id-ordered monomial of a packed key, one step per atom present."""
         key &= (1 << top) - 1
         out = []
         while key:
-            k = at[key.bit_length() - 1]
-            out.append((order[k], key >> starts[k]))
-            key &= below[k]
+            a, s, b, _ = read[key.bit_length() - 1]
+            out.append((a, key >> s))
+            key &= b
         out.sort()
         return tuple(chain.from_iterable(out))
+
+    def factors(key: int) -> list[str]:
+        """The factors of a packed key: its fields, from the top down, are in canonical order."""
+        key &= (1 << top) - 1
+        out = []
+        while key:
+            _, s, b, texts = read[key.bit_length() - 1]
+            out.append(texts[key >> s])
+            key &= b
+        return out
+
+    packed_text = functools.partial(_mono_text, factors=factors)
 
     def det(sub: tuple, cols: tuple) -> dict:
         if len(sub) == 1:
@@ -974,7 +990,8 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
             den = p_mul(den, squares[i])
         num = det(sub, sub)
         if len(den) > 1:
-            minors.append(Expression({unpack(m): c for m, c in num.items()}, den))
+            e = Expression({unpack(m): c for m, c in num.items()}, den)
+            minors.append(to_text(e) if text else e)
             continue
         ((dm, c),) = den.items()
         den = _P_ONE
@@ -996,7 +1013,11 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
             den = {dm: c}
         elif c != 1:
             num = {m: _quo(v, c) for m, v in num.items()}
-        num_t = tuple((unpack(m), num[m]) for m in sorted(num))  # the packed order is canonical
+        num_t = tuple((m, num[m]) for m in sorted(num))  # the packed order is canonical
+        if text:
+            minors.append(_quotient_text(num_t, None if den is _P_ONE else tuple(den.items()), packed_text))
+            continue
+        num_t = tuple((unpack(m), c) for m, c in num_t)
         minors.append(_wrap(dict(num_t), den, num_t))
     return minors
 
@@ -1042,9 +1063,10 @@ def _atom_total(time: bool, i: int) -> Poly:
     if isinstance(a, JetVariable):
         return {((a.dt() if time else a.dx()).id, 1): 1}
     out: Poly = {}
-    for dep in a.deps:
-        m = mono_from_pairs([(a.bump(dep), 1), (dep.dt() if time else dep.dx(), 1)])
-        out[m] = out.get(m, 0) + 1
+    for dep in a.deps:  # distinct dependencies bump to distinct atoms
+        ((j, _),) = _atom_total(time, dep.id)  # the jet's derivative, (id, 1)
+        b = a.bump(dep).id
+        out[(b, 1, j, 1) if b < j else (j, 1, b, 1)] = 1
     return out
 
 
@@ -1419,7 +1441,13 @@ class _Parser:
         tok = self.take()
         if tok[0] != "num" or "." in tok[1]:
             self.fail(tok, "exponent must be an integer")
-        return sign * int(tok[1])
+        return sign * self.number(tok, int)
+
+    def number(self, tok: tuple[str, str, int], kind: type):
+        try:  # Python converts no integer string of more than 4300 digits
+            return kind(tok[1])
+        except ValueError:
+            self.fail(tok, f"number of {len(tok[1])} characters is too long")
 
     def jet(self, tok: tuple[str, str, int]) -> JetVariable:
         """The jet variable `tok` names: a bare jet, a call argument or a D(...) variable."""
@@ -1444,7 +1472,7 @@ class _Parser:
     def primary(self) -> Expression:
         kind, text, _ = tok = self.take()
         if kind == "num":
-            return Expression.number(Fraction(text))
+            return Expression.number(self.number(tok, Fraction))
         if text == "(":
             e = self.sum()
             self.take(")")
@@ -1502,8 +1530,9 @@ def _frac_text(c: Number) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _mono_text(m: Mono, c: Number, nrank: list[int]) -> str:
-    parts = [
+def _mono_text(m: Mono, c: Number, nrank: list[int], factors=None) -> str:
+    """One monomial; `factors(m)`, when given, lists its `atom^e` texts in canonical atom order."""
+    parts = factors(m) if factors else [
         ATOMS[i]._text if e == 1 else f"{ATOMS[i]._text}^{e}"
         for _, i, e in _canonical_atoms(m, nrank)
     ]
@@ -1527,15 +1556,20 @@ def _poly_text(part: tuple, mono=_mono_text) -> str:
 
 
 def to_text(e: Expression) -> str:
-    if e.is_zero:
+    return _quotient_text(e._num, None if e.den_is_one else e._den)
+
+
+def _quotient_text(num_t: tuple, den_t: tuple | None, mono=_mono_text) -> str:
+    """Frozen parts as `num/den`, or `num` when `den_t` is None; `mono` prints the numerator's terms."""
+    if not num_t:
         return "0"
-    num = _poly_text(e._num)
-    if e.den_is_one:
+    num = _poly_text(num_t, mono)
+    if den_t is None:
         return num
-    den = _poly_text(e._den)
-    if len(e._n) > 1:
+    den = _poly_text(den_t)
+    if len(num_t) > 1:
         num = f"({num})"
-    lone = len(e._den) == 1 and e._den[0][1] == 1 and len(e._den[0][0]) == 2  # one atom
+    lone = len(den_t) == 1 and den_t[0][1] == 1 and len(den_t[0][0]) == 2  # one atom
     if not lone:
         den = f"({den})"
     return f"{num}/{den}"

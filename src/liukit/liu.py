@@ -257,17 +257,21 @@ class QuadraticForm(NamedTuple):
 
     @property
     def minors(self) -> tuple[tuple[tuple[int, ...], Expression], ...]:
-        """(index subset, determinant) of each principal minor, expanded on every read.
+        return self.expand_minors()
+
+    def expand_minors(self, text: bool = False) -> tuple[tuple[tuple[int, ...], Expression | str], ...]:
+        """(index subset, determinant) of each principal minor, expanded on every call.
 
         The subsets run over the indices the entries name, zero or not, in
-        report order: smaller subsets first, then lexicographically.
+        report order: smaller subsets first, then lexicographically.  With
+        `text`, each determinant is its `to_text`, printed from the expansion.
         """
         support = sorted({k for i, j, _ in self.entries for k in (i, j)})
         subsets = [s for k in range(1, len(support) + 1) for s in combinations(support, k)]
         m = [[ZERO] * len(self.variables) for _ in self.variables]
         for i, j, e in self.entries:
             m[i][j] = m[j][i] = e
-        return tuple(zip(subsets, principal_minors(m, subsets)))
+        return tuple(zip(subsets, principal_minors(m, subsets, text)))
 
 
 class EvenForm(NamedTuple):
@@ -449,7 +453,7 @@ def report_json_dict(report: LiuReport) -> dict:
     r = report.restrictions
     q = r.quadratic
     # The minors first: their expansion peaks before the other strings exist.
-    minors = q.minors if q is not None else ()
+    minors = q.expand_minors(text=True) if q is not None else ()
     return {
         "model": m.name,
         "hash": model_hash(m),
@@ -492,7 +496,7 @@ def report_json_dict(report: LiuReport) -> dict:
             "variables": [v.text() for v in q.variables],
             "entries": [{"i": i, "j": j, "value": to_text(e)} for i, j, e in q.entries],
             "minors": [
-                {"vars": [q.variables[i].text() for i in sub], "det": to_text(d)} for sub, d in minors
+                {"vars": [q.variables[i].text() for i in sub], "det": d} for sub, d in minors
             ],
         },
         "evenForms": [

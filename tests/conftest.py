@@ -94,9 +94,9 @@ def minor_calls(monkeypatch):
     calls: list = []
     real = expr.principal_minors
 
-    def spy(mat, subsets):
+    def spy(mat, subsets, text=False):
         calls.append(subsets)
-        return real(mat, subsets)
+        return real(mat, subsets, text)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("liukit.") and getattr(module, "principal_minors", None) is real:

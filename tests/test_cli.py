@@ -710,6 +710,22 @@ class TestDeepInputs:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: line {lineno}: expression nests too deeply\n"
 
+    @pytest.mark.parametrize(
+        "value, col", [("1" * 5000, 1), ("rho^" + "1" * 5000, 5)], ids=["number", "exponent"]
+    )
+    def test_number_past_the_int_digit_limit_is_a_parse_error(self, tmp_path, capsys, value, col):
+        # Python converts no integer string of more than 4300 digits by default.
+        from liukit.models import _read
+
+        text = _read("korteweg.solution")
+        lineno = text.splitlines().index("let q3 = 0") + 1
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text.replace("let q3 = 0\n", f"let q3 = {value}\n", 1))
+        code, out, err = _run(["check", str(mp), str(sp), "--samples", "8"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: line {lineno}: 1:{col}: number of 5000 characters is too long\n"
+
 
 class TestFdb:
     def test_first_order_text(self, capsys):

@@ -29,7 +29,10 @@ that sorts the terms with that comparator before printing.  Fixed cases
 compare `total_x`, `poly_gcd` and the normal form with sympy when it is
 installed.  A packed-minor suite uses monomial denominators only, so every
 minor is finished without `_normalize`, and requires the same parts as the
-cofactor expansion and as normalizing the minor's own parts again.
+cofactor expansion and as normalizing the minor's own parts again.  Both
+minor suites also require the text that `principal_minors(..., text=True)`
+prints for the report to equal `to_text` of each minor and the sorting
+reference's text of the cofactor expansion.
 
 The references read monomials as (atom, exponent) pairs and order atoms by
 `atom_key`, so they share nothing with the kernel's ids and rank table.
@@ -697,16 +700,44 @@ def check_principal_minors(mat):
     subsets = _all_subsets(len(mat))
     got = principal_minors(mat, subsets)
     assert len(got) == len(subsets)
-    for sub, minor in zip(subsets, got):
-        assert minor == _cofactor_det([[mat[i][j] for j in sub] for i in sub])
+    texts = principal_minors(mat, subsets, text=True)
+    for sub, minor, text in zip(subsets, got, texts):
+        want = _cofactor_det([[mat[i][j] for j in sub] for i in sub])
+        assert minor == want
+        _check_minor_text("minors", text, minor, want)
+
+
+def _check_minor_text(suite: str, text: str, minor: Expression, want: Expression) -> None:
+    """The text finisher prints what `to_text` and the sorting reference print; tally the shapes."""
+    assert text == to_text(minor) == _reference_text(want)
+    lower = [c for _, c in minor._num[:-1]]  # the terms after the leading one
+    CASES[suite + "_zero"] += minor.is_zero
+    CASES[suite + "_constant"] += minor.as_fraction() not in (None, 0)
+    CASES[suite + "_unit"] += any(abs(c) == 1 for c in lower)
+    CASES[suite + "_negative"] += any(c < 0 for c in lower)
+    CASES[suite + "_fraction"] += any(Fraction(c).denominator > 1 for _, c in minor._num)
+    CASES[suite + "_quotient"] += len(minor._n) > 1 and not minor.den_is_one
+    CASES[suite + "_sum_den"] += len(minor._d) > 1
+
+
+def _reset_cases(suite: str) -> None:
+    for key in [key for key in CASES if key.startswith(suite)]:
+        del CASES[key]
+
+
+def _assert_text_shapes(suite: str, least: dict) -> None:
+    for shape, n in least.items():
+        assert CASES[f"{suite}_{shape}"] >= n, (shape, CASES[f"{suite}_{shape}"])
 
 
 def test_principal_minor_suite():
-    CASES["minors"] = CASES["minors_mixed"] = 0
+    _reset_cases("minors")
     check_principal_minors()
     assert CASES["minors"] >= 150
     # Large matrices that mix distinct denominators are the cases that matter.
     assert CASES["minors_mixed"] >= 20, CASES["minors_mixed"]
+    _assert_text_shapes("minors", {"zero": 200, "constant": 200, "unit": 80, "negative": 200,
+                                   "fraction": 60, "quotient": 200, "sum_den": 200})
 
 
 def _fixed_matrix(rows):
@@ -823,20 +854,25 @@ def check_packed_minors(spec):
     assert atoms[2].id < atoms[3].id and atoms[2].atom_key > atoms[3].atom_key
     mat = [[_packed_entry_value(e, atoms) for e in row] for row in spec]
     subsets = _all_subsets(len(mat))
-    for sub, minor in zip(subsets, principal_minors(mat, subsets)):
+    texts = principal_minors(mat, subsets, text=True)
+    for sub, minor, text in zip(subsets, principal_minors(mat, subsets), texts):
         want = _cofactor_det([[mat[i][j] for j in sub] for i in sub])
         again = Expression(minor.num_poly(), minor.den_poly())
         assert (minor._num, minor._den) == (want._num, want._den) == (again._num, again._den)
+        _check_minor_text("packed", text, minor, want)
         if any(e in (7, 15, 31) for m, _ in minor._num for e in m[1::2]):
             CASES["packed_full_field"] += 1
 
 
 def test_packed_minor_suite():
-    CASES["packed"] = CASES["packed_full_field"] = 0
+    _reset_cases("packed")
     check_packed_minors()
     assert CASES["packed"] >= 120
     # Exponents of the form 2^w - 1 fill a field of width w when they are its bound.
     assert CASES["packed_full_field"] >= 20, CASES["packed_full_field"]
+    # Monomial denominators only: every minor here is printed from its packed keys.
+    _assert_text_shapes("packed", {"zero": 400, "constant": 20, "unit": 40, "negative": 200,
+                                   "fraction": 150, "quotient": 200})
 
 
 @pytest.mark.parametrize("rows", [
@@ -854,8 +890,12 @@ def test_monomial_denominator_minors_skip_normalize(rows, monkeypatch):
 
     monkeypatch.setattr(expr_mod, "_normalize", refuse)
     got = principal_minors(mat, subsets)
+    # The text finisher builds no Expression at all.
+    monkeypatch.setattr(expr_mod, "_wrap", lambda *parts: pytest.fail("the text finisher built an Expression"))
+    texts = principal_minors(mat, subsets, text=True)
     monkeypatch.undo()
     assert [(m._num, m._den) for m in got] == [(w._num, w._den) for w in want]
+    assert texts == [to_text(w) for w in want]
 
 
 # -- canonical order ------------------------------------------------------------
