@@ -16,14 +16,11 @@ _EXPORTS = {
     ),
     "expr": (
         "BindingError", "CollectError", "EvaluationError", "Expression", "ExprError",
-        "FuncSym", "ONE", "ParseContext", "ParseError", "ZERO", "parse", "to_latex",
-        "to_text",
+        "FuncSym", "ONE", "ParseContext", "ParseError", "ZERO", "parse", "to_text",
     ),
-    "fdb": ("ChainTerm", "chain_terms", "partition_count", "total_x_power"),
-    "balance": (
-        "BalanceLaw", "EntropyDeclaration", "ModelError", "ModelSpec",
-        "entropy_production", "extension_leibniz",
-    ),
+    "latex": ("to_latex",),
+    "fdb": ("ChainTerm", "chain_terms", "extension_leibniz", "partition_count", "total_x_power"),
+    "balance": ("BalanceLaw", "EntropyDeclaration", "ModelError", "ModelSpec", "entropy_production"),
     "liu": (
         "ConstraintSelection", "DecoupledSystem", "EngineError", "Equality", "EvenForm",
         "LiuReport", "QuadraticForm", "Restrictions", "decouple", "derive",
@@ -35,10 +32,8 @@ _EXPORTS = {
         "CheckResult", "ConcavityResult", "binding_singularities", "check", "check_json_dict",
         "check_text", "max_entropy_at_equilibrium", "run_scenario",
     ),
-    "modelfile": (
-        "CandidateSolution", "CheckError", "Condition", "FileFormatError", "NumericScenario",
-        "load_model", "load_solution", "parse_model", "parse_solution",
-    ),
+    "modelfile": ("CheckError", "FileFormatError", "load_model", "parse_model"),
+    "solution": ("CandidateSolution", "Condition", "NumericScenario", "load_solution", "parse_solution"),
     "models": ("builtin_names", "load_builtin", "load_builtin_solution"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

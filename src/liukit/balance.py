@@ -11,8 +11,7 @@ the extended exploitation procedure from the classical one.
 """
 from __future__ import annotations
 
-import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .jet import JetVariable, StateSpace
 from .expr import Expression, FuncSym, ZERO
@@ -39,46 +38,6 @@ class BalanceLaw(NamedTuple):
         for _ in range(k):
             e = e.total_x()
         return e
-
-
-def extension_leibniz(
-    law: BalanceLaw, k: int, fields: Iterable[str], state_vars: Iterable[JetVariable]
-) -> Expression:
-    """Gradient extension computed by binomial expansion instead of iteration.
-
-    Valid when the density depends on the fields alone and the flux and
-    production close over the state variables; used as a cross-check on
-    `BalanceLaw.extension`.
-    """
-    fields = tuple(fields)
-    state_vars = tuple(state_vars)
-    out = -law.production
-    for _ in range(k):
-        out = out.total_x()
-    for f in fields:
-        u = JetVariable(f, 0, 0)
-        coeff = law.density.diff(u)
-        if coeff.is_zero:
-            continue
-        for h in range(k + 1):
-            c = coeff
-            for _ in range(h):
-                c = c.total_x()
-            out = out + Expression.number(math.comb(k, h)) * c * Expression.jet(
-                JetVariable(f, 1, k - h)
-            )
-    for z in state_vars:
-        coeff = law.flux.diff(z)
-        if coeff.is_zero:
-            continue
-        for h in range(k + 1):
-            c = coeff
-            for _ in range(h):
-                c = c.total_x()
-            out = out + Expression.number(math.comb(k, h)) * c * Expression.jet(
-                z.dx(k - h + 1)
-            )
-    return out
 
 
 class EntropyDeclaration(NamedTuple):

@@ -50,13 +50,13 @@ from .expr import (
 )
 from .balance import ModelSpec
 from .liu import LiuReport, _by_degree, _mono_label, quadratic_form
+from .modelfile import CheckError
 
 # The solution records are defined beside their parser and stay importable from here.
-from .modelfile import (  # noqa: F401
+from .solution import (  # noqa: F401
     DEFAULT_SAMPLES,
     DEFAULT_TOL,
     CandidateSolution,
-    CheckError,
     Condition,
     NumericScenario,
     sampling_error,

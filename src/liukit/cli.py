@@ -14,13 +14,15 @@ from .jet import StateSpaceError
 from .expr import ExprError, ParseError
 from .balance import ModelError, ModelSpec
 from .liu import EngineError, derive, format_report, report_json_dict, report_latex, same_restrictions
-from .modelfile import CheckError, FileFormatError, load_model, load_solution
+from .modelfile import CheckError, FileFormatError, load_model
 from .models import builtin_names, load_builtin, load_builtin_solution
 from ._util import stable_json
 
-# The checker and the fdb expansion are imported by the subcommands that run
-# them, so `derive` loads neither.  `CheckError` comes from `modelfile`, which
-# every subcommand that can raise it has loaded anyway.
+# A process compiles only the modules its command runs: `check` imports the
+# checker and the solution grammar (`liukit.solution`), `fdb` the fdb module
+# and `report_latex` the LaTeX printers (`liukit.latex`), so `derive --format
+# json|text` loads none of them.  `CheckError` is defined in `modelfile`, so
+# `main` catches it without the solution grammar.
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -87,6 +89,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_check(args) -> int:
     from .checker import check, check_json_dict, format_check
+    from .solution import load_solution
 
     if args.builtin:
         if args.model is not None or args.solution is not None:

@@ -51,6 +51,10 @@ packed ints that never carry compare the same way: a product is one int
 addition, and sorting the ints sorts the terms canonically.  The report
 prints each minor from its sorted ints, reading each key's fields from the
 top down, so it neither unpacks a key nor re-sorts a monomial.
+
+Printing.  `to_text` is here; the LaTeX printers are in `liukit.latex`,
+which only `derive --format latex` imports, so the text and JSON paths do
+not compile them.
 """
 from __future__ import annotations
 
@@ -68,7 +72,7 @@ __all__ = [
     "Atom", "BindingError", "CoefficientRangeError", "CollectError", "EvaluationError",
     "ExprError", "Expression", "FuncSym", "ONE", "ParseContext", "ParseError",
     "Substitution", "ZERO", "as_expression", "compile_source",
-    "float_body", "parse", "poly_gcd", "principal_minors", "to_latex", "to_text",
+    "float_body", "parse", "poly_gcd", "principal_minors", "to_text",
 ]
 
 
@@ -1096,20 +1100,37 @@ def float_body(targets: Sequence[tuple[str, Expression]], atoms: Sequence[Atom])
     The atom at position k of `atoms` is the local `x<k>`; `atoms` must cover
     every atom of the targets.  Each target sums its denominator, then its
     numerator, term by term: the coefficient times each atom power in
-    canonical atom order, `c*x3**2*x0**1`, so every float rounds as a product
-    over the printed monomial does.  A vanishing denominator or a non-finite
-    value raises EvaluationError, and an overflow raises OverflowError.  The
-    first target whose coefficients have no float value ends the statements
-    with a raise of CoefficientRangeError.  `compile_source` runs them.
+    canonical atom order, `c*x3_2*x0`, so every float rounds as a product
+    over the printed monomial does.  A power `x<k>**e` with e >= 2 is the
+    local `x<k>_<e>`, set once, just before the first term of any target that
+    uses it, so an overflow is raised where the term would raise it; a unit
+    coefficient is not written.  Both are exact: `1.0*a` is `a`, and a reused
+    power is the same `pow` of the same float.  A vanishing denominator or a
+    non-finite value raises EvaluationError, and an overflow raises
+    OverflowError.  The first target whose coefficients have no float value
+    ends the statements with a raise of CoefficientRangeError.
+    `compile_source` runs them.
     """
     pos = {a.id: k for k, a in enumerate(atoms)}
     nrank = _ranks()
+    powers: set[str] = set()  # the locals x<k>_<e> set so far
 
     def terms(acc: str, part: tuple) -> list[str]:
         out = [f"{acc} = 0.0"]
         for m, c in part:
-            powers = "".join(f"*x{pos[i]}**{e}" for _, i, e in _canonical_atoms(m, nrank))
-            out.append(f"{acc} += {float(c)!r}" + powers)
+            factors = [f"{float(c)!r}"]
+            for _, i, e in _canonical_atoms(m, nrank):
+                x = f"x{pos[i]}"
+                if e > 1:
+                    power = f"{x}_{e}"
+                    if power not in powers:
+                        powers.add(power)
+                        out.append(f"{power} = {x}**{e}")
+                    x = power
+                factors.append(x)
+            if factors[0] == "1.0" and len(factors) > 1:
+                del factors[0]
+            out.append(f"{acc} += " + "*".join(factors))
         return out
 
     body: list[str] = []
@@ -1573,72 +1594,3 @@ def _quotient_text(num_t: tuple, den_t: tuple | None, mono=_mono_text) -> str:
     if not lone:
         den = f"({den})"
     return f"{num}/{den}"
-
-
-_GREEK = {
-    "rho": r"\rho", "eps": r"\varepsilon", "epsilon": r"\varepsilon",
-    "gamma": r"\gamma", "tau": r"\tau", "theta": r"\theta", "phi": r"\varphi",
-    "kappa": r"\kappa", "mu": r"\mu", "sigma": r"\sigma", "alpha": r"\alpha",
-    "beta": r"\beta", "lambda": r"\lambda", "nu": r"\nu", "xi": r"\xi",
-    "psi": r"\psi", "chi": r"\chi", "omega": r"\omega", "delta": r"\delta",
-}
-
-def _name_latex(name: str) -> str:
-    base = name.rstrip("0123456789")
-    digits = name[len(base):]
-    body = _GREEK.get(base)
-    if body is None:
-        if len(base) == 1:
-            body = base
-        elif len(base) == 2 and base[0].isupper() and base[1].islower():
-            body = f"{base[0]}_{{{base[1]}}}"
-            if digits:
-                return f"{base[0]}_{{{base[1]}{digits}}}"
-        else:
-            body = rf"\mathrm{{{base}}}"
-    return f"{body}_{{{digits}}}" if digits else body
-
-
-def _jet_latex(j: JetVariable) -> str:
-    body = _name_latex(j.field)
-    if j.is_field:
-        return body
-    return f"{body}_{{,{'t' * j.t_order}{'x' * j.x_order}}}"
-
-
-def _atom_latex(a: Atom) -> str:
-    if isinstance(a, JetVariable):
-        return _jet_latex(a)
-    if a.total_order == 0:
-        return _name_latex(a.name)
-    n = a.total_order
-    top = rf"\partial^{{{n}}} " if n > 1 else r"\partial "
-    bottom = []
-    for dep, o in zip(a.deps, a.orders):
-        if not o:
-            continue
-        piece = rf"\partial {_jet_latex(dep)}"
-        if o > 1:
-            piece += rf"^{{{o}}}"
-        bottom.append(piece)
-    return rf"\frac{{{top}{_name_latex(a.name)}}}{{{''.join(bottom)}}}"
-
-
-def _mono_latex(m: Mono, c: Number, nrank: list[int]) -> str:
-    parts = []
-    a = abs(c)
-    if a != 1 or not m:
-        parts.append(_frac_text(a) if a.denominator == 1 else rf"\tfrac{{{a.numerator}}}{{{a.denominator}}}")
-    for _, i, e in _canonical_atoms(m, nrank):
-        t = _atom_latex(ATOMS[i])
-        parts.append(t + (f"^{{{e}}}" if e > 1 else ""))
-    return r" \, ".join(parts)
-
-
-def to_latex(e: Expression) -> str:
-    if e.is_zero:
-        return "0"
-    num = _poly_text(e._num, _mono_latex)
-    if e.den_is_one:
-        return num
-    return rf"\frac{{{num}}}{{{_poly_text(e._den, _mono_latex)}}}"

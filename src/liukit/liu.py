@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
-from .expr import Atom, Expression, FuncSym, ZERO, _jet_latex, principal_minors, to_latex, to_text
+from .expr import Atom, Expression, FuncSym, ZERO, principal_minors, to_text
 from .balance import ModelError, ModelSpec, entropy_production
 
 
@@ -558,6 +558,9 @@ def format_report(record: dict) -> str:
 
 
 def report_latex(report: LiuReport) -> str:
+    # Imported here: only `derive --format latex` prints LaTeX.
+    from .latex import _jet_latex, to_latex
+
     m = report.model
     r = report.restrictions
     lines: list[str] = []

@@ -9,9 +9,9 @@ from liukit.balance import (
     ModelError,
     ModelSpec,
     entropy_production,
-    extension_leibniz,
 )
 from liukit.expr import Expression, ParseContext, ZERO, parse
+from liukit.fdb import extension_leibniz
 from liukit.jet import JetVariable, StateSpace
 
 from conftest import model_ctx

@@ -24,10 +24,10 @@ from liukit.expr import (
     Substitution,
     ZERO,
     parse,
-    to_latex,
     to_text,
 )
 from liukit.jet import JetVariable
+from liukit.latex import to_latex
 
 RHO = JetVariable("rho")
 EPS = JetVariable("eps")

@@ -20,7 +20,9 @@ keeps the number of normalizations per substitution independent of the
 expression size.
 
 A float suite checks `Expression.evaluate` bit for bit against a
-term-by-term reference interpreter, errors included.
+term-by-term reference interpreter, errors included.  Another runs the
+statements of `float_body` for several targets at once against the same
+statements written term by term, `c*x3**2*x0**1`, with no power shared.
 
 Further suites, also outside that set, check `principal_minors` against a
 cofactor expansion over expressions (and sympy), the canonical monomial
@@ -50,6 +52,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liukit import expr as expr_mod
+from liukit import latex as latex_mod
 from liukit.expr import (
     CoefficientRangeError,
     EvaluationError,
@@ -61,10 +64,10 @@ from liukit.expr import (
     ZERO,
     parse,
     principal_minors,
-    to_latex,
     to_text,
 )
 from liukit.jet import ATOMS, JetVariable
+from liukit.latex import to_latex
 from liukit.liu import constrained_inequality, decouple, derive, multiplier_symbol, select_constraints
 from liukit.models import load_builtin
 
@@ -641,6 +644,105 @@ def test_compiled_floats_large_target():
     assert _same_floats([target, -target], {RHO: 0.9, EPS: -1.1, RHO_X: 0.7}) is None
 
 
+def _term_formula_body(targets, atoms) -> list:
+    """`float_body`'s statements with each term as one formula, `c*x3**2*x0**1`."""
+    pos = {a: k for k, a in enumerate(atoms)}
+
+    def terms(acc, part):
+        return [f"{acc} = 0.0"] + [
+            f"{acc} += {float(c)!r}" + "".join(f"*x{pos[a]}**{e}" for a, e in _pairs(m)) for m, c in part
+        ]
+
+    body = []
+    for name, e in targets:
+        try:
+            den = [] if e.den_is_one else terms("d", e._den)
+            num = terms("t", e._num)
+        except OverflowError:
+            body.append("raise _R(_RANGE)")
+            break
+        if not den:
+            body += num + ["if not _fin(t): raise _E(_NONFINITE)", f"{name} = t"]
+        else:
+            body += den + ["if d == 0.0: raise _E(_VANISHED)"] + num
+            body += [f"{name} = t / d", f"if not (_fin({name}) and _fin(d)): raise _E(_NONFINITE)"]
+    return body
+
+
+def _run_body(body, names, values):
+    """The floats the statements give the named locals at `values`, or the error they raise."""
+    lines = ["def f(v):", *(f"    x{k} = v[{k}]" for k in range(len(values)))]
+    lines += [f"    {line}" for line in body] + [f"    return [{', '.join(names)}]"]
+    try:
+        return [v.hex() for v in expr_mod.compile_source("\n".join(lines), "<floats>")["f"](values)]
+    except (ExprError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# Terms of coefficient 1 or -1 over four atoms, so targets often share a power;
+# one branch in eight adds a coefficient that has no float value.
+_unit_terms = st.tuples(st.sampled_from([1, -1]), st.sampled_from(_ATOMS[:4]), st.integers(1, 3)).map(
+    lambda t: t[0] * t[1] ** t[2]
+)
+_unit_sums = st.lists(_unit_terms, min_size=1, max_size=3).map(lambda ts: sum(ts, ZERO))
+_body_targets = st.one_of(
+    _float_exprs, _float_exprs, _float_exprs, _unit_sums, _unit_sums, _unit_sums, _unit_terms,
+    _unit_terms.map(lambda t: t + Expression.number(10 ** 400)),
+)
+_POWER_RE = re.compile(r"^(x\d+_\d+) = ")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(
+    targets=st.lists(_body_targets, min_size=1, max_size=4),
+    values=st.lists(_point_values | st.just(1e200), min_size=len(_ATOMS), max_size=len(_ATOMS)),
+)
+def check_float_body_matches_term_formulas(targets, values):
+    atoms = sorted(set().union(*(t.atoms() for t in targets)), key=lambda a: a.atom_key)
+    env = dict(zip(_ATOM_OF, values))
+    point = [env[a] for a in atoms]
+    named = [(f"r{k}", t) for k, t in enumerate(targets)]
+    names = [name for name, _ in named]
+    body = expr_mod.float_body(named, atoms)
+    got = _run_body(body, names, point)
+    assert got == _run_body(_term_formula_body(named, atoms), names, point)
+    # Which shapes the case covered.
+    CASES["body"] += 1
+    target = 0  # the target whose statements a line belongs to
+    defined = {}
+    for line in body:
+        if m := _POWER_RE.match(line):
+            defined[m.group(1)] = target
+        elif line.startswith(("r", "raise _R")):
+            target += 1
+        elif "+=" in line:
+            factors = line.split("+= ", 1)[1].split("*")
+            CASES["body_unit"] += not factors[0][0].isdigit() and not factors[0].startswith("-")
+            CASES["body_minus_one"] += factors[0] == "-1.0"
+            CASES["body_bare_atom"] += any(re.fullmatch(r"x\d+", f) for f in factors)
+            CASES["body_shared"] += any(defined.get(f, target) < target for f in factors)
+    CASES["body_overflow"] += isinstance(got, tuple) and got[0] is OverflowError
+    CASES["body_range"] += "raise _R(_RANGE)" in body
+
+
+def test_float_body_shares_powers_bit_for_bit():
+    for key in ("body", "body_unit", "body_minus_one", "body_bare_atom", "body_shared", "body_overflow", "body_range"):
+        CASES[key] = 0
+    check_float_body_matches_term_formulas()
+    assert CASES["body"] >= 400
+    for key in ("body_unit", "body_minus_one", "body_bare_atom", "body_shared", "body_overflow", "body_range"):
+        assert CASES[key] >= 20, (key, CASES[key])
+    # eps^3 overflows at 1e150, but an earlier target's denominator, or the
+    # target's own, vanishes first: a power is not set before its first term.
+    for texts in (["1/(rho - 1)", "eps^3"], ["eps^3/(rho - 1)"]):
+        named = [(f"r{k}", parse(t, CTX)) for k, t in enumerate(texts)]
+        names = [name for name, _ in named]
+        got = _run_body(expr_mod.float_body(named, [RHO, EPS]), names, [1.0, 1e150])
+        assert got == (EvaluationError, "denominator vanished at the sample point")
+        assert got == _run_body(_term_formula_body(named, [RHO, EPS]), names, [1.0, 1e150])
+
+
 # -- principal minors ------------------------------------------------------------
 
 
@@ -948,7 +1050,7 @@ def _ref_mono(pairs, c, latex: bool) -> str:
     parts = [_coef_text(abs(c), latex)] if abs(c) != 1 or not pairs else []
     for a, e in pairs:
         if latex:
-            parts.append(expr_mod._atom_latex(a) + (f"^{{{e}}}" if e > 1 else ""))
+            parts.append(latex_mod._atom_latex(a) + (f"^{{{e}}}" if e > 1 else ""))
         else:
             parts.append(a.text() + (f"^{e}" if e > 1 else ""))
     return (r" \, " if latex else "*").join(parts)

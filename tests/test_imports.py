@@ -1,6 +1,10 @@
 """Import hygiene: each subcommand loads only the modules it runs, and the
 model hash gives the same digest from whichever SHA-256 it finds.
 
+A CLI process without cached bytecode compiles every module it loads, so the
+solution grammar (`liukit.solution`) is loaded by `check` alone and the
+LaTeX printers (`liukit.latex`) by `derive --format latex` alone.
+
 Every import check runs in a fresh interpreter, because this test process
 has already imported the whole package.
 """
@@ -75,6 +79,31 @@ def test_check_does_not_load_fdb():
     loaded = _cli_modules(["check", "--builtin", "korteweg", "--samples", "8"])
     assert "liukit.checker" in loaded
     assert not loaded & {"liukit.fdb", "dataclasses"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_derive_loads_neither_the_solution_grammar_nor_latex(fmt):
+    loaded = _cli_modules(["derive", "--builtin", "korteweg", "--format", fmt])
+    assert "liukit.liu" in loaded
+    assert not loaded & {"liukit.solution", "liukit.latex"}
+
+
+def test_derive_latex_loads_the_latex_printers():
+    loaded = _cli_modules(["derive", "--builtin", "korteweg", "--format", "latex"])
+    assert "liukit.latex" in loaded
+    assert "liukit.solution" not in loaded
+
+
+def test_check_loads_the_solution_grammar_but_not_latex():
+    loaded = _cli_modules(["check", "--builtin", "korteweg", "--samples", "8"])
+    assert "liukit.solution" in loaded
+    assert "liukit.latex" not in loaded
+
+
+def test_modelfile_does_not_load_the_solution_grammar():
+    out = _python("import sys, liukit.modelfile; print(sorted(m for m in sys.modules if m.startswith('liukit')))")
+    assert "liukit.modelfile" in out
+    assert "liukit.solution" not in out
 
 
 def test_check_does_not_load_hashlib():
@@ -169,4 +198,44 @@ print("ok")
 
 def test_lazy_exports_resolve_like_eager_imports():
     assert _python(_EXPORTS).strip() == "ok"
+
+
+_MOVED = """
+import liukit
+from liukit import fdb, latex, solution
+
+assert liukit.to_latex is latex.to_latex
+assert liukit.parse_solution is solution.parse_solution
+assert liukit.extension_leibniz is fdb.extension_leibniz
+print(sorted(liukit._MODULE_OF[n] for n in ("to_latex", "parse_solution", "extension_leibniz")))
+"""
+
+
+def test_moved_names_resolve_through_exports():
+    assert _python(_MOVED).strip() == "['fdb', 'latex', 'solution']"
+
+
+# Every name the benchmark in bench/ imports or wraps, by module.
+_BENCH_NAMES = {
+    "liukit._util": ("stable_json",),
+    "liukit.jet": ("classify",),
+    "liukit.expr": ("Expression", "p_mul", "poly_gcd"),
+    "liukit.liu": (
+        "LiuReport", "constrained_inequality", "decouple", "derive", "emit_restrictions",
+        "report_json_dict", "report_latex", "report_text", "same_restrictions",
+        "select_constraints", "solve_multipliers",
+    ),
+    "liukit.modelfile": ("load_model",),
+    "liukit.models": ("load_builtin", "load_builtin_solution"),
+    "liukit.checker": (
+        "CheckResult", "binding_singularities", "check", "check_equalities", "check_json_dict",
+        "max_entropy_at_equilibrium", "run_scenario", "validate_solution",
+    ),
+}
+
+
+def test_names_the_benchmark_imports_still_import():
+    code = "".join(f"from {module} import {', '.join(names)}\n" for module, names in _BENCH_NAMES.items())
+    code += "assert callable(Expression.evaluate) and callable(Expression.subs) and callable(Expression.total_x)\n"
+    assert _python(code + "print('ok')").strip() == "ok"
 

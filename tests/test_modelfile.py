@@ -16,8 +16,8 @@ from liukit.modelfile import (
     load_model,
     parse_jet_name,
     parse_model,
-    parse_solution,
 )
+from liukit.solution import parse_solution
 
 from conftest import model_ctx
 

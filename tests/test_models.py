@@ -17,9 +17,10 @@ import liukit
 
 from liukit.jet import JetVariable
 from liukit.liu import model_hash
-from liukit.modelfile import load_model, parse_solution
+from liukit.modelfile import load_model
 from liukit.models import _read, builtin_names, load_builtin, load_builtin_solution
 from liukit.expr import ZERO, parse
+from liukit.solution import parse_solution
 
 from conftest import model_ctx
 
