@@ -177,10 +177,12 @@ def compute_hat(space: StateSpace) -> frozenset[JetVariable]:
 class DerivativeClassification(NamedTuple):
     """Partition of the derivatives occurring in a constrained entropy inequality.
 
-    highest: derivatives that occur linearly and can be assigned arbitrary
-        values at a point, so their coefficients must vanish.
-    higher: spatial derivatives above the state space but below the highest
-        ones; they enter polynomially up to degree order + 1.
+    Every derivative outside the state space is free.  For each field f let
+    top = (largest state order of f, or 0) + r + 1.
+    highest: f_t .. f_{t x^r} and f_{x^top}; they occur linearly, so their
+        coefficients must vanish.
+    higher: every other non-state f_{x^k}, 0 < k < top; they enter
+        polynomially up to degree r + 1.
     """
 
     state: frozenset[JetVariable]
@@ -199,43 +201,25 @@ class DerivativeClassification(NamedTuple):
 
 
 def classify(space: StateSpace, fields: list[str]) -> DerivativeClassification:
-    """Split derivatives into highest and higher relative to `space`.
+    """Split the free derivatives into highest and higher by the one rule above.
 
-    Classification keys on jets, never on bare fields: the time derivative of
-    a field is highest even when the field itself is not a state variable
-    (only its gradient is, as happens for a velocity).
+    Classification keys on jets, never on bare fields: a field's time jets
+    are highest even when its only state variable is a gradient, as for a
+    velocity, or when it has none; bare fields stay parameters.  At r = 0 the
+    rule is the classical split: f_t and f_x highest, nothing higher.
     """
     for w in space.members:
         if w.field not in fields:
             raise StateSpaceError(f"state variable {w.text()} names an unknown field")
     r = space.order
-    hat = compute_hat(space)
     highest: set[JetVariable] = set()
     higher: set[JetVariable] = set()
-
-    if r == 0:
-        # Degenerate case without gradient extensions: every first spatial
-        # derivative occurs linearly, whether or not the field is a state
-        # variable, and there is no intermediate band.
-        for f in fields:
-            highest.add(JetVariable(f, 1, 0))
-            highest.add(JetVariable(f, 0, 1))
-        return DerivativeClassification(space.members, frozenset(highest), frozenset(), hat)
-
     for f in fields:
-        for k in range(r + 1):
-            highest.add(JetVariable(f, 1, k))
-    top_order: dict[str, int] = {}
-    for w in hat:
-        cap = w.x_order + r + 1
-        highest.add(JetVariable(w.field, 0, cap))
-        top_order[w.field] = max(top_order.get(w.field, 0), cap)
-    for f in fields:
-        base = space.max_order_of(f)
-        if base is None or f not in top_order:
-            continue
-        for k in range(base + 1, top_order[f]):
-            w = JetVariable(f, 0, k)
-            if w not in space:
-                higher.add(w)
-    return DerivativeClassification(space.members, frozenset(highest), frozenset(higher), hat)
+        top = (space.max_order_of(f) or 0) + r + 1
+        highest.update(JetVariable(f, 1, k) for k in range(r + 1))
+        highest.add(JetVariable(f, 0, top))
+        higher.update(JetVariable(f, 0, k) for k in range(1, top))
+    higher -= space.members
+    return DerivativeClassification(
+        space.members, frozenset(highest), frozenset(higher), compute_hat(space)
+    )

@@ -14,17 +14,18 @@ The pipeline:
                   gradient of the field that law evolves; "all" keeps every
                   extension up to the state-space order.
 3. assemble     - entropy production minus multiplier-weighted constraints.
-4. solve        - the coefficient of every mixed time jet must vanish.  From
-                  the top order down, the coefficient of u_{i,t x^k} is
-                  c + a*L[i,k] with one unknown, L[i,k], whose factor a is
-                  minus the pivot of law i; so L[i,k] = -c/a, and a field
-                  with no order-k multiplier needs a vanishing coefficient.
-5. emit         - the surviving inequality must hold for arbitrary values of
-                  the remaining underived jets: it is affine in the highest
-                  spatial jets, whose coefficients vanish; odd-degree
-                  coefficients in the higher jets vanish, the quadratic part
-                  must be positive semidefinite, and the jet-free remainder
-                  is the residual production, constrained to be nonnegative.
+4. solve        - from the top selected order down, the coefficient of
+                  u_{i,t x^k} is c + a*L[i,k] with one unknown, L[i,k],
+                  whose factor a is minus the pivot of law i; so
+                  L[i,k] = -c/a.  A field with no order-k multiplier keeps
+                  its time jet, and step 5 treats it as any other free jet.
+5. emit         - every derivative outside the state space is free: the
+                  surviving inequality is affine in the highest jets (step
+                  4's leftover time jets, each field's top spatial jet),
+                  whose coefficients vanish; odd-degree coefficients in the
+                  higher jets vanish, the quadratic part must be positive
+                  semidefinite, and the jet-free remainder is the residual
+                  production, constrained to be nonnegative.
                   One degree split (`_by_degree`) serves both bands, and
                   `quadratic_form` builds the form (minors are expanded on
                   read); the checker's concavity test uses the same two.
@@ -167,14 +168,15 @@ def solve_multipliers(
     selection: ConstraintSelection,
     inequality: Expression,
 ) -> MultiplierSolution:
-    """Annihilate every mixed time-jet coefficient, top extension order first.
+    """Solve the multipliers from the mixed time-jet coefficients, top order first.
 
-    At each order k the equations are the coefficients of u_{t,x^k} for every
-    field u.  Higher orders have already been substituted, and decoupling
-    leaves the order-k multiplier of law i alone in the equation of field i,
-    so each equation c + a*L[i,k] = 0 gives L[i,k] = -c/a.  A field with no
-    order-k multiplier must have a vanishing coefficient.  Side conditions
-    collect the nonconstant factors a.
+    At each selected order k the equations are the coefficients of u_{t,x^k}
+    for every field u.  Higher orders have already been substituted, and
+    decoupling leaves the order-k multiplier of law i alone in the equation
+    of field i, so each equation c + a*L[i,k] = 0 gives L[i,k] = -c/a.  A
+    field with no order-k multiplier is skipped: its time jet stays in the
+    reduced inequality, where `emit_restrictions` makes its coefficient an
+    equality.  Side conditions collect the nonconstant factors a.
     """
     top = max((k for _, k in selection.entries), default=-1)
     work = inequality
@@ -186,16 +188,12 @@ def solve_multipliers(
         level = {i: multiplier_symbol(i, k) for i, kk in selection.entries if kk == k}
         unknowns = list(level.values())
         bind: dict[FuncSym, Expression] = {}
-        for i, (jet, eq) in enumerate(zip(jets, eqs), start=1):
+        for i, eq in enumerate(eqs, start=1):
             const, coeffs = _affine(eq, unknowns, "coefficient equation is not affine in the multipliers")
             own = unknowns.index(level[i]) if i in level else -1
             if any(not c.is_zero for j, c in enumerate(coeffs) if j != own):
                 raise EngineError("elimination left a coupled equation behind")
             if own < 0:
-                if not const.is_zero:
-                    raise EngineError(
-                        f"coefficient of {jet.text()} cannot be annihilated by the multipliers"
-                    )
                 continue
             a = coeffs[own]
             if a.is_zero:
@@ -323,14 +321,15 @@ def quadratic_form(
 def emit_restrictions(
     model: ModelSpec, cls: DerivativeClassification, reduced: Expression
 ) -> Restrictions:
-    """Split the multiplier-free inequality into its thermodynamic content."""
-    zeta_spatial = [z for z in cls.sorted_highest() if z.t_order == 0]
+    """Split the multiplier-free inequality into its thermodynamic content.
+
+    The coefficient of each highest jet, time or spatial, is an equality.
+    """
+    zeta = cls.sorted_highest()
     equalities: list[Equality] = []
-    base, coeffs = _affine(
-        reduced, zeta_spatial, "inequality is not linear in the highest spatial jets"
-    )
+    base, coeffs = _affine(reduced, zeta, "inequality is not linear in the highest jets")
     # Reverse variable order: the sort order of the one-hot exponent vectors.
-    for z, coeff in reversed(list(zip(zeta_spatial, coeffs))):
+    for z, coeff in reversed(list(zip(zeta, coeffs))):
         if not coeff.is_zero:
             equalities.append(Equality(f"coefficient of {z.text()}", _normalize_sign(coeff)))
     higher = cls.sorted_higher()

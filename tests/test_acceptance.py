@@ -1,9 +1,11 @@
 """Acceptance gates.
 
-Eight end-to-end criteria covering the derivative-expansion oracle, the two
+Nine end-to-end criteria covering the derivative-expansion oracle, the two
 golden derivations, candidate checking, the reduced-production identity with
 its numeric samplers, the equilibrium concavity gate, byte-identical output
-from two separate processes, and the randomized expression-kernel suites.  Each test emits
+from two separate processes, the randomized expression-kernel suites, and
+the paper's contrast: the classical procedure refutes the gradient entropy
+that the extended one admits.  Each test emits
 one ``criterion N PASS/FAIL`` line through the reporter hook in conftest.
 """
 from __future__ import annotations
@@ -13,9 +15,11 @@ import subprocess
 import sys
 import time
 
-from liukit.checker import Condition, check, max_entropy_at_equilibrium, run_scenario
+from liukit.checker import (
+    Condition, check, check_equalities, max_entropy_at_equilibrium, run_scenario,
+)
 from liukit.cli import main
-from liukit.expr import Expression, FuncSym, parse
+from liukit.expr import Expression, FuncSym, parse, to_text
 from liukit.fdb import chain_terms, partition_count, total_x_power
 from liukit.jet import JetVariable
 from liukit.liu import decouple, derive, select_constraints
@@ -176,9 +180,9 @@ def test_criterion_6_equilibrium_concavity_gate():
         assert max_entropy_at_equilibrium(model, positive).outcome == "refuted"
 
 
-def test_criterion_7_thread_count_determinism():
-    # The engine runs on one thread; what could still vary between processes
-    # is the order of hashed sets and dicts, so the hash seed is varied.
+def test_criterion_7_hash_seed_determinism():
+    # What could vary between processes is the order of hashed sets and
+    # dicts, so the hash seed is varied.
     def run(hash_seed: str, argv: list[str]) -> bytes:
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
@@ -189,8 +193,11 @@ def test_criterion_7_thread_count_determinism():
         )
         return proc.stdout
 
-    derive_argv = ["derive", "--builtin", "grade2", "--format", "json"]
-    assert run("0", derive_argv) == run("4242", derive_argv)
+    for derive_argv in (
+        ["derive", "--builtin", "grade2", "--format", "json"],
+        ["derive", "--builtin", "korteweg", "--all-extensions", "--order", "0", "--format", "json"],
+    ):
+        assert run("0", derive_argv) == run("4242", derive_argv)
     check_argv = ["check", "--builtin", "korteweg", "--format", "json"]
     assert run("0", check_argv) == run("4242", check_argv)
 
@@ -200,3 +207,19 @@ def test_criterion_8_randomized_expression_suites():
     assert set(counts) == {"round_trip", "ring", "leibniz", "commute", "collect"}
     for name, count in counts.items():
         assert count >= 1000, name
+
+
+def test_criterion_9_classical_procedure_refutes_the_gradient_entropy():
+    # The paper's contrast.  Without gradient extensions (order 0) the free
+    # jet rho_tx forces D(s, rho_x) = 0, which the shipped closure's
+    # s1*rho_x^2 entropy breaks; from order 1 on, the extensions admit it.
+    model = load_builtin("korteweg")
+    solution = load_builtin_solution("korteweg")
+    for order in (0, 1, 2):
+        statuses, _ = check_equalities(derive(model, "all", max_order=order), solution)
+        failed = {st.label: to_text(st.remainder) for st in statuses if st.status == "failed"}
+        if order == 0:
+            assert set(failed) == {"coefficient of rho_tx", "coefficient of v_xx"}
+            assert failed["coefficient of rho_tx"] == "2*rho*rho_x*s1"
+        else:
+            assert failed == {}, order

@@ -827,9 +827,10 @@ class TestParserShape:
 
 
 # SHA-256 of the CLI's stdout for derive in every format: both built-ins and
-# both benchmark fixtures, pruned and with all extensions, and the order-3
-# cap.  Recorded before the packed principal minors, so every emitted minor
-# is pinned byte for byte, not only those the benchmark gate reads.
+# both benchmark fixtures, pruned and with all extensions, the order-3 cap,
+# and the order-0 cap (the classical procedure) of both built-ins.  The
+# first were recorded before the packed principal minors, so every emitted
+# minor is pinned byte for byte, not only those the benchmark gate reads.
 _TESTS = os.path.dirname(os.path.abspath(__file__))
 with open(os.path.join(_TESTS, "derive_golden.json"), encoding="utf-8") as _fh:
     DERIVE_GOLDEN = json.load(_fh)

@@ -153,6 +153,25 @@ class TestClassify:
         assert cls.highest == frozenset({j("u_t"), j("u_x")})
         assert cls.higher == frozenset()
 
+    def test_gap_in_the_state_space_is_higher(self):
+        # Every free spatial jet below the top one is higher, also one under
+        # the field's largest state variable.
+        sp = StateSpace(2, (j("rho"), j("rho_xx")))
+        cls = classify(sp, ["rho"])
+        assert cls.highest == frozenset({j("rho_t"), j("rho_tx"), j("rho_txx"), j("rho_xxxxx")})
+        assert cls.higher == frozenset({j("rho_x"), j("rho_xxx"), j("rho_xxxx")})
+        assert cls.hat == frozenset({j("rho_xx")})
+
+    def test_field_without_state_variables(self):
+        # A field absent from the state space counts as one of top state
+        # order 0; the bare field stays a parameter.
+        sp = StateSpace(1, (j("rho"), j("rho_x")))
+        cls = classify(sp, ["rho", "u"])
+        assert cls.highest == frozenset(
+            {j("rho_t"), j("rho_tx"), j("rho_xxx"), j("u_t"), j("u_tx"), j("u_xx")}
+        )
+        assert cls.higher == frozenset({j("rho_xx"), j("u_x")})
+
     def test_sorted_views_are_sorted(self):
         sp = StateSpace(2, (j("rho"), j("eps"), j("rho_x"), j("v_x"), j("eps_x"), j("rho_xx")))
         cls = classify(sp, ["rho", "v", "eps"])

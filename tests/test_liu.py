@@ -13,7 +13,7 @@ import pytest
 import liukit
 from liukit.balance import BalanceLaw, EntropyDeclaration, ModelError, ModelSpec
 from liukit.expr import Expression, ParseContext, ZERO, parse, to_text
-from liukit.jet import JetVariable, StateSpace
+from liukit.jet import JetVariable, StateSpace, classify
 from liukit.liu import (
     EngineError,
     EvenForm,
@@ -21,6 +21,7 @@ from liukit.liu import (
     constrained_inequality,
     decouple,
     derive,
+    emit_restrictions,
     format_report,
     model_hash,
     multiplier_symbol,
@@ -31,9 +32,11 @@ from liukit.liu import (
     select_constraints,
     solve_multipliers,
 )
+from liukit.modelfile import parse_model
 from liukit._util import stable_json
 
 from conftest import model_ctx
+from test_generated_models import SEEDS, generated_model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -196,19 +199,6 @@ class TestGrade2Equalities:
         )
         assert expr == t or expr == -t
 
-    def test_equality_expressions_are_jet_poor(self, grade2_model, grade2_report):
-        # No highest or higher jet survives in any emitted restriction.
-        banned = set(grade2_report.classification.highest) | set(
-            grade2_report.classification.higher
-        )
-        r = grade2_report.restrictions
-        exprs = [e.expr for e in r.equalities] + [r.residual]
-        if r.quadratic is not None:
-            exprs += [e for _, _, e in r.quadratic.entries]
-            exprs += [d for _, d in r.quadratic.minors]
-        for expr in exprs:
-            assert not (expr.jets() & banned)
-
 
 class TestKortewegDerivation:
     """Second-order density gradients: the capillary fluid setting."""
@@ -293,7 +283,35 @@ class TestKortewegDerivation:
 def _model_named(name: str) -> ModelSpec:
     if name in liukit.builtin_names():
         return liukit.load_builtin(name)
+    if name.startswith("generated-"):
+        return parse_model(generated_model(int(name.rpartition("-")[2])), name)
     return liukit.load_model(os.path.join(ROOT, "bench", "fixtures", name + ".model"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["grade2", "korteweg", "korteweg-eps2", "korteweg-o3", *(f"generated-{s}" for s in SEEDS)],
+)
+def test_equality_expressions_are_jet_poor(name):
+    # Every derivative outside the state space is free, so no restriction
+    # keeps one: at every extension order, and pruned, each emitted
+    # expression holds state variables and bare fields only.
+    model = _model_named(name)
+    allowed = set(model.space.members) | {JetVariable(f) for f in model.fields}
+    pruned = derive(model)
+    reports = [derive(model, "all", k) for k in range(model.space.order + 1)] + [pruned]
+    for report in reports:
+        r = report.restrictions
+        exprs = [e.expr for e in r.equalities] + [r.residual]
+        if r.quadratic is not None:
+            exprs += [e for _, _, e in r.quadratic.entries]
+        for f in r.even_forms:
+            exprs += [c for _, c in f.entries]
+        for expr in exprs:
+            assert expr.jets() <= allowed, (report.mode, report.selection.entries, to_text(expr))
+    # Pruning keeps every multiplier the solve needs: no time jet goes unreached.
+    time_labels = {f"coefficient of {z.text()}" for z in pruned.classification.highest if z.t_order}
+    assert not time_labels & {e.label for e in pruned.restrictions.equalities}
 
 
 class TestMultiplierSolve:
@@ -320,9 +338,8 @@ class TestMultiplierSolve:
             ("rho_t^2", "constrained inequality is not linear in a mixed time jet"),
             ("Lam1k0^2*rho_t", "coefficient equation is not affine in the multipliers"),
             ("Lam2k0*rho_t", "elimination left a coupled equation behind"),
-            ("eps_txx", "coefficient of eps_txx cannot be annihilated by the multipliers"),
         ],
-        ids=["nonlinear-jet", "nonaffine", "coupled", "unannihilated"],
+        ids=["nonlinear-jet", "nonaffine", "coupled"],
     )
     def test_invariant_failures(self, korteweg_model, extra, message):
         dec = decouple(korteweg_model)
@@ -331,6 +348,18 @@ class TestMultiplierSolve:
         ctx = ParseContext(korteweg_model.fields, {f"Lam{i}k{k}": () for i, k in sel.entries})
         with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
             solve_multipliers(korteweg_model, dec, sel, ineq + parse(extra, ctx))
+
+    def test_unreached_time_jet_is_emitted_as_an_equality(self, korteweg_model):
+        # The pruned selection has no order-2 multiplier for eps, so the solve
+        # leaves eps_txx alone and the one highest-jet split emits it.
+        dec = decouple(korteweg_model)
+        sel = select_constraints(korteweg_model)
+        ineq = constrained_inequality(korteweg_model, dec, sel)
+        ctx = ParseContext(korteweg_model.fields, {f"Lam{i}k{k}": () for i, k in sel.entries})
+        sol = solve_multipliers(korteweg_model, dec, sel, ineq + parse("eps_txx", ctx))
+        cls = classify(korteweg_model.space, korteweg_model.fields)
+        equalities = emit_restrictions(korteweg_model, cls, sol.reduced).equalities
+        assert ("coefficient of eps_txx", "1") in [(e.label, to_text(e.expr)) for e in equalities]
 
     def test_missing_multiplier(self, korteweg_model):
         dec = decouple(korteweg_model)
