@@ -15,8 +15,8 @@ _EXPORTS = {
         "classify", "compute_hat", "jet",
     ),
     "expr": (
-        "BindingError", "CollectError", "EvaluationError", "Expression", "ExprError",
-        "FuncSym", "ONE", "ParseContext", "ParseError", "ZERO", "parse", "to_text",
+        "BindingError", "CollectError", "Expression", "ExprError", "FuncSym", "ONE",
+        "ParseContext", "ParseError", "ZERO", "parse", "to_text",
     ),
     "latex": ("to_latex",),
     "fdb": ("ChainTerm", "chain_terms", "extension_leibniz", "partition_count", "total_x_power"),
@@ -29,8 +29,8 @@ _EXPORTS = {
         "solve_multipliers",
     ),
     "checker": (
-        "CheckResult", "ConcavityResult", "binding_singularities", "check", "check_json_dict",
-        "check_text", "max_entropy_at_equilibrium", "run_scenario",
+        "CheckResult", "ConcavityResult", "EvaluationError", "binding_singularities", "check",
+        "check_json_dict", "check_text", "max_entropy_at_equilibrium", "run_scenario",
     ),
     "modelfile": ("CheckError", "FileFormatError", "load_model", "parse_model"),
     "solution": ("CandidateSolution", "Condition", "NumericScenario", "load_solution", "parse_solution"),

@@ -20,32 +20,39 @@ three parts:
   run it; and judge.  The bindings and the condition substitution are
   applied once per candidate (`CandidateSolution.bind`); each scenario
   applies only its "let" values.  The loop draws each jet as `uniform`
-  does and evaluates the targets through the statements of
-  `expr.float_body`, bit for bit as `Expression.evaluate` gives them; a
-  target without jets is folded from its exact value.  A scenario expected
-  to pass that does not names the first judged restriction below -tol at
-  the first violating point, that point and its worst value.  A minimum
-  that is not finite is written as null in the JSON record.
+  does and evaluates every target, constants included, through the
+  statements of `float_body`, bit for bit as `evaluate` gives them.  A
+  scenario expected to pass that does not names the first judged
+  restriction below -tol at the first violating point, that point and its
+  worst value.  A minimum that is not finite is written as null in the
+  JSON record.
 * equilibrium concavity: the bound entropy, as a quadratic form in the
   gradient state variables, must be negative semidefinite so that uniform
   states maximize it; the decision uses the declared sign conditions.
+
+Float evaluation lives here, since only `check` runs it.  `float_body`
+writes one statement per term, so a target of any size compiles without
+deep recursion, and its source holds only float literals, atom positions
+and the names of `_FLOAT_NAMES`, against which `compile_source` runs it.
+`evaluate`, which `Expression.evaluate` delegates to, gives one value.
 """
 from __future__ import annotations
 
 import random
 from math import inf, isfinite, nan, prod
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .jet import JetVariable
 from .expr import (
+    Atom,
     CollectError,
     Expression,
     ExprError,
     FuncSym,
     Substitution,
     ZERO,
-    compile_source,
-    float_body,
+    _canonical_atoms,
+    _ranks,
     to_text,
 )
 from .balance import ModelSpec
@@ -65,6 +72,14 @@ from .solution import (  # noqa: F401
 DEFAULT_FIELD_RANGE = (0.5, 2.0)
 DEFAULT_GRADIENT_RANGE = (-1.0, 1.0)
 _MAX_RESAMPLE_FACTOR = 50
+
+
+class EvaluationError(ExprError):
+    pass
+
+
+class CoefficientRangeError(ExprError):
+    """A coefficient has no float value: a property of the expression, not of a point."""
 
 
 class EqualityStatus(NamedTuple):
@@ -154,6 +169,104 @@ def _conditions_touching(
         if lhs_names & expr_names:
             names.append(c.name)
     return tuple(names)
+
+
+# -- float evaluation -------------------------------------------------------
+
+_FLOAT_NAMES = {
+    "_E": EvaluationError,
+    "_R": CoefficientRangeError,
+    "_fin": isfinite,
+    "inf": inf,
+    "nan": nan,
+    "_VANISHED": "denominator vanished at the sample point",
+    "_NONFINITE": "non-finite value at the sample point",
+    "_OVERFLOW": "overflow at the sample point: %s",
+    "_RANGE": "a coefficient is outside the float range",
+}
+
+
+def float_body(targets: Sequence[tuple[str, Expression]], atoms: Sequence[Atom]) -> list[str]:
+    """The statements that set each named local to the float value of its target.
+
+    The atom at position k of `atoms` is the local `x<k>`; `atoms` must cover
+    every atom of the targets.  Each target sums its denominator, then its
+    numerator, term by term: the coefficient times each atom power in
+    canonical atom order, `c*x3_2*x0`, so every float rounds as a product
+    over the printed monomial does.  A constant is `0.0 + c`.  A power
+    `x<k>**e` with e >= 2 is the local `x<k>_<e>`, set once, just before the
+    first term of any target that uses it, so an overflow is raised where the
+    term would raise it; a unit coefficient is not written.  Both are exact:
+    `1.0*a` is `a`, and a reused power is the same `pow` of the same float.
+    A vanishing denominator or a non-finite value raises EvaluationError, and
+    an overflow raises OverflowError.  The first target whose coefficients
+    have no float value ends the statements with a raise of
+    CoefficientRangeError.  `compile_source` runs them.
+    """
+    pos = {a.id: k for k, a in enumerate(atoms)}
+    nrank = _ranks()
+    powers: set[str] = set()  # the locals x<k>_<e> set so far
+
+    def terms(acc: str, part: tuple) -> list[str]:
+        out = [f"{acc} = 0.0"]
+        for m, c in part:
+            factors = [f"{float(c)!r}"]
+            for _, i, e in _canonical_atoms(m, nrank):
+                x = f"x{pos[i]}"
+                if e > 1:
+                    power = f"{x}_{e}"
+                    if power not in powers:
+                        powers.add(power)
+                        out.append(f"{power} = {x}**{e}")
+                    x = power
+                factors.append(x)
+            if factors[0] == "1.0" and len(factors) > 1:
+                del factors[0]
+            out.append(f"{acc} += " + "*".join(factors))
+        return out
+
+    body: list[str] = []
+    for name, e in targets:
+        try:
+            den = [] if e.den_is_one else terms("d", e._den)
+            num = terms("t", e._num)
+        except OverflowError:
+            body.append("raise _R(_RANGE)")
+            break
+        if not den:
+            # num / 1.0 is num, bit for bit.
+            body += num + ["if not _fin(t): raise _E(_NONFINITE)", f"{name} = t"]
+        else:
+            body += den + ["if d == 0.0: raise _E(_VANISHED)"] + num
+            # inf - inf is nan, and a finite numerator over an infinite
+            # denominator is an underflowed guess.
+            body += [f"{name} = t / d", f"if not (_fin({name}) and _fin(d)): raise _E(_NONFINITE)"]
+    return body
+
+
+def compile_source(src: str, filename: str) -> dict:
+    """Run generated source that uses the names of `float_body`, `inf` and `nan`; its definitions are in the result."""
+    names = dict(_FLOAT_NAMES)
+    exec(compile(src, filename, "exec"), names)
+    return names
+
+
+def evaluate(expr: Expression, env: Mapping) -> float:
+    """Float value of `expr` at a point, through the statements of `float_body`,
+    which scenario sampling also compiles, so both round alike.  A missing
+    value, a value with no float value, a vanishing denominator, an overflow
+    or a non-finite value raises EvaluationError.  A coefficient outside the
+    float range raises CoefficientRangeError, since no point can help it."""
+    atoms = sorted(expr.atoms(), key=lambda a: a.atom_key)
+    try:
+        # repr reads back as the same float; inf and nan are names of compile_source.
+        lines = [f"x{k} = {float(env[a])!r}" for k, a in enumerate(atoms)]
+        lines += float_body([("r", expr)], atoms)
+        return compile_source("\n".join(lines), "<liukit evaluate>")["r"]
+    except KeyError as exc:
+        raise EvaluationError(f"no value supplied for {exc.args[0].text()}") from None
+    except OverflowError as exc:
+        raise EvaluationError(_FLOAT_NAMES["_OVERFLOW"] % exc) from None
 
 
 # -- numeric sampling -------------------------------------------------------
@@ -304,26 +417,16 @@ def _sampler(
     violating point.
 
     Each atom is drawn as lo + (hi - lo)*random(), which is `uniform(lo,
-    hi)` on CPython, in atom order, and the targets run through the
-    statements of `expr.float_body`, so every value is the one that
-    `Expression.evaluate` gives at the same point.  A point at which a target
-    raises EvaluationError or overflows is drawn again.  A target without
-    atoms is folded from its exact value, 0.0 + float(value), which is what
-    those statements compute; one whose value overflows a float stays in
-    the loop.  A condition that always holds is not tested.
+    hi)` on CPython, in atom order, and every target, a constant too, runs
+    through the statements of `float_body`, so every value is the one that
+    `evaluate` gives at the same point.  A point at which a target raises
+    EvaluationError or overflows is drawn again.
     """
     # Conditions first, then the judged restrictions: a point fails on the
     # first target that cannot be evaluated there.
     targets = [t for t, _, _ in conds] + [t for t, _ in judged]
     names = [f"r{k}" for k in range(len(targets))]
-    folded: dict[int, float] = {}
-    for k, t in enumerate(targets):
-        if not t.atoms():
-            try:
-                folded[k] = 0.0 + float(t.as_fraction())
-            except OverflowError:
-                pass
-    body = float_body([(names[k], t) for k, t in enumerate(targets) if k not in folded], atoms)
+    body = float_body(list(zip(names, targets)), atoms)
 
     values = names[len(conds):]
     mins = [f"m{j}" for j in range(len(judged))]
@@ -331,8 +434,6 @@ def _sampler(
     state = f"produced, resamples, violations, [{', '.join(mins)}], witness"
     judge = []
     for k, (_, lo, hi) in enumerate(conds):
-        if k in folded and lo <= folded[k] <= hi:
-            continue
         # A finite value always lies within an infinite side of an interval.
         test = " <= ".join(
             ([repr(lo)] if lo != -inf else []) + [names[k]] + ([repr(hi)] if hi != inf else [])
@@ -348,7 +449,6 @@ def _sampler(
     ]
     lines = [
         "def sample(r):",
-        *(f"    {names[k]} = {v!r}" for k, v in folded.items()),
         "    produced = resamples = violations = 0",
         f"    {' = '.join(mins)} = inf",
         "    witness = None",
@@ -358,7 +458,7 @@ def _sampler(
         f"                return 'too many singular sample points', {state}",
         *(f"            x{k} = {lo!r} + {hi - lo!r}*r()" for k, (lo, hi) in enumerate(bounds)),
         "            try:",
-        *(f"                {line}" for line in body or ["pass"]),
+        *(f"                {line}" for line in body),
         "            except (_E, OverflowError):",
         "                resamples += 1",
         "                continue",

@@ -54,7 +54,8 @@ top down, so it neither unpacks a key nor re-sorts a monomial.
 
 Printing.  `to_text` is here; the LaTeX printers are in `liukit.latex`,
 which only `derive --format latex` imports, so the text and JSON paths do
-not compile them.
+not compile them.  Float evaluation is in `liukit.checker`, which only
+`check` imports; `Expression.evaluate` delegates to it.
 """
 from __future__ import annotations
 
@@ -69,10 +70,9 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .jet import _ATOM_IDS, ATOMS, Frozen, JetVariable, intern_atom
 
 __all__ = [
-    "Atom", "BindingError", "CoefficientRangeError", "CollectError", "EvaluationError",
-    "ExprError", "Expression", "FuncSym", "ONE", "ParseContext", "ParseError",
-    "Substitution", "ZERO", "as_expression", "compile_source",
-    "float_body", "parse", "poly_gcd", "principal_minors", "to_text",
+    "Atom", "BindingError", "CollectError", "ExprError", "Expression", "FuncSym", "ONE",
+    "ParseContext", "ParseError", "Substitution", "ZERO", "as_expression", "parse",
+    "poly_gcd", "principal_minors", "to_text",
 ]
 
 
@@ -86,14 +86,6 @@ class ParseError(ExprError):
 
 class CollectError(ExprError):
     pass
-
-
-class EvaluationError(ExprError):
-    pass
-
-
-class CoefficientRangeError(ExprError):
-    """A coefficient has no float value: a property of the expression, not of a point."""
 
 
 class BindingError(ExprError):
@@ -779,22 +771,9 @@ class Expression:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, env: Mapping) -> float:
-        """Float value at a point, through the statements of `float_body`,
-        which scenario sampling also compiles, so both round alike; a
-        vanishing denominator, an overflow or a non-finite value raises
-        EvaluationError.  A coefficient outside the float range raises
-        CoefficientRangeError, since no point can help it."""
-        atoms = sorted(self.atoms(), key=lambda a: a.atom_key)
-        try:
-            # repr reads back as the same float; inf and nan are names of compile_source.
-            lines = [f"x{k} = {float(env[a])!r}" for k, a in enumerate(atoms)]
-        except KeyError as exc:
-            raise EvaluationError(f"no value supplied for {exc.args[0].text()}") from None
-        lines += float_body([("r", self)], atoms)
-        try:
-            return compile_source("\n".join(lines), "<liukit evaluate>")["r"]
-        except OverflowError as exc:
-            raise EvaluationError(_FLOAT_NAMES["_OVERFLOW"] % exc) from None
+        """Float value at a point: `liukit.checker.evaluate`, which `check` samples with."""
+        from .checker import evaluate
+        return evaluate(self, env)
 
 
 def _wrap(num: Poly, den: Poly, num_t: tuple | None = None, den_t: tuple | None = None) -> Expression:
@@ -1072,91 +1051,6 @@ def _atom_total(time: bool, i: int) -> Poly:
         b = a.bump(dep).id
         out[(b, 1, j, 1) if b < j else (j, 1, b, 1)] = 1
     return out
-
-
-# -- float evaluation ---------------------------------------------------
-#
-# Targets compile to the source of one Python function that runs the float
-# arithmetic term by term, one statement per term, so a target of any size
-# compiles without deep recursion.  The source holds only float literals
-# (repr of each coefficient), atom positions and fixed local names.
-
-_FLOAT_NAMES = {
-    "_E": EvaluationError,
-    "_R": CoefficientRangeError,
-    "_fin": math.isfinite,
-    "inf": math.inf,
-    "nan": math.nan,
-    "_VANISHED": "denominator vanished at the sample point",
-    "_NONFINITE": "non-finite value at the sample point",
-    "_OVERFLOW": "overflow at the sample point: %s",
-    "_RANGE": "a coefficient is outside the float range",
-}
-
-
-def float_body(targets: Sequence[tuple[str, Expression]], atoms: Sequence[Atom]) -> list[str]:
-    """The statements that set each named local to the float value of its target.
-
-    The atom at position k of `atoms` is the local `x<k>`; `atoms` must cover
-    every atom of the targets.  Each target sums its denominator, then its
-    numerator, term by term: the coefficient times each atom power in
-    canonical atom order, `c*x3_2*x0`, so every float rounds as a product
-    over the printed monomial does.  A power `x<k>**e` with e >= 2 is the
-    local `x<k>_<e>`, set once, just before the first term of any target that
-    uses it, so an overflow is raised where the term would raise it; a unit
-    coefficient is not written.  Both are exact: `1.0*a` is `a`, and a reused
-    power is the same `pow` of the same float.  A vanishing denominator or a
-    non-finite value raises EvaluationError, and an overflow raises
-    OverflowError.  The first target whose coefficients have no float value
-    ends the statements with a raise of CoefficientRangeError.
-    `compile_source` runs them.
-    """
-    pos = {a.id: k for k, a in enumerate(atoms)}
-    nrank = _ranks()
-    powers: set[str] = set()  # the locals x<k>_<e> set so far
-
-    def terms(acc: str, part: tuple) -> list[str]:
-        out = [f"{acc} = 0.0"]
-        for m, c in part:
-            factors = [f"{float(c)!r}"]
-            for _, i, e in _canonical_atoms(m, nrank):
-                x = f"x{pos[i]}"
-                if e > 1:
-                    power = f"{x}_{e}"
-                    if power not in powers:
-                        powers.add(power)
-                        out.append(f"{power} = {x}**{e}")
-                    x = power
-                factors.append(x)
-            if factors[0] == "1.0" and len(factors) > 1:
-                del factors[0]
-            out.append(f"{acc} += " + "*".join(factors))
-        return out
-
-    body: list[str] = []
-    for name, e in targets:
-        try:
-            den = [] if e.den_is_one else terms("d", e._den)
-            num = terms("t", e._num)
-        except OverflowError:
-            body.append("raise _R(_RANGE)")
-            break
-        if not den:
-            # num / 1.0 is num, bit for bit.
-            body += num + ["if not _fin(t): raise _E(_NONFINITE)", f"{name} = t"]
-        else:
-            body += den + ["if d == 0.0: raise _E(_VANISHED)"] + num
-            # inf - inf is nan, and a finite numerator over an infinite
-            # denominator is an underflowed guess.
-            body += [f"{name} = t / d", f"if not (_fin({name}) and _fin(d)): raise _E(_NONFINITE)"]
-    return body
-
-
-def compile_source(src: str, filename: str) -> dict:
-    """Run generated source that uses the names of `float_body`, `inf` and `nan`; its definitions are in the result."""
-    names = dict(_FLOAT_NAMES)
-    exec(compile(src, filename, "exec"), names)
-    return names
 
 
 # -- substitution machinery ----------------------------------------------

@@ -357,7 +357,7 @@ class LiuReport(NamedTuple):
     multipliers: tuple[tuple[int, int, Expression], ...]
     restrictions: Restrictions
     nonzero: tuple[Expression, ...]
-    diagnostics: dict
+    diagnostics: tuple[tuple[str, int | bool], ...]  # (key, value) pairs in key order
 
     def multiplier(self, i: int, k: int) -> Expression:
         for ii, kk, v in self.multipliers:
@@ -439,7 +439,7 @@ def derive(
         multipliers=sol.values,
         restrictions=restrictions,
         nonzero=sol.nonzero,
-        diagnostics=diagnostics,
+        diagnostics=tuple(sorted(diagnostics.items())),
     )
 
 
@@ -510,7 +510,7 @@ def report_json_dict(report: LiuReport) -> dict:
         ],
         "residual": to_text(r.residual),
         "sideConditions": [to_text(c) for c in report.nonzero],
-        "diagnostics": dict(sorted(report.diagnostics.items())),
+        "diagnostics": dict(sorted(dict(report.diagnostics).items())),
     }
 
 

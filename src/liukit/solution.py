@@ -219,6 +219,9 @@ def _parse_scenario(
                 raise FileFormatError(f"line {lineno}: range bounds for {j.text()} must be finite")
             if hi < lo:
                 raise FileFormatError(f"line {lineno}: empty range for {j.text()}")
+            if not math.isfinite(hi - lo):
+                # lo + (hi - lo)*random() is then inf or NaN at every point.
+                raise FileFormatError(f"line {lineno}: range width for {j.text()} overflows a float")
             ranges[j] = (lo, hi)
         elif lm := _LET_RE.match(line):
             atom = _atom_of(_parse_expr(lm.group(1), ctx, lineno), lineno)

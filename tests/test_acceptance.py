@@ -121,11 +121,11 @@ def test_criterion_3_capillary_fluid_golden_derivation():
         "v_xx", "eps_xx", "rho_xxx", "v_xxx", "eps_xxx", "rho_xxxx"
     ))
 
-    diag = report.diagnostics
+    diag = dict(report.diagnostics)
     assert diag["zetaDegree"] == 1
     assert diag["etaDegreeBound"] == 3
     full = derive(model, mode="all")
-    assert full.diagnostics["etaDegree"] == 3
+    assert dict(full.diagnostics)["etaDegree"] == 3
 
     sel = select_constraints(model)
     second_order = [(i, k) for i, k in sel.entries if k == 2]

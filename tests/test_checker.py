@@ -18,7 +18,9 @@ from liukit.checker import (
     DEFAULT_GRADIENT_RANGE,
     CandidateSolution,
     CheckError,
+    CoefficientRangeError,
     Condition,
+    EvaluationError,
     NumericScenario,
     ScenarioResult,
     binding_singularities,
@@ -26,21 +28,19 @@ from liukit.checker import (
     check_equalities,
     check_json_dict,
     check_text,
+    compile_source,
+    float_body,
     max_entropy_at_equilibrium,
     run_scenario,
     validate_solution,
 )
 from liukit.cli import main
 from liukit.expr import (
-    CoefficientRangeError,
-    EvaluationError,
     Expression,
     FuncSym,
     ParseContext,
     Substitution,
     ZERO,
-    compile_source,
-    float_body,
     parse,
     principal_minors,
 )
@@ -1034,7 +1034,7 @@ def test_failed_pass_scenario_names_the_target_and_its_witness(grade2_model, gra
     assert f"{res.worst_minor:.6g}" == "-3.72699"
 
 
-def test_constant_residual_is_folded_from_its_exact_value():
+def test_constant_residual_runs_through_float_body():
     # float(-1/10^400) is -0.0; the statements of float_body sum it onto 0.0.
     res = run_scenario(*_sampling_case(residual="-1/10^400"))
     assert (res.points, res.min_residual, copysign(1.0, res.min_residual)) == (40, 0.0, 1.0)
@@ -1070,15 +1070,13 @@ def test_unusable_samples_or_tol_is_an_error(
 
 def test_each_scenario_compiles_once(monkeypatch, korteweg_model, korteweg_report, korteweg_solution):
     import liukit.checker
-    import liukit.expr
 
-    real, compiled = liukit.expr.compile_source, []
+    real, compiled = liukit.checker.compile_source, []
 
     def counting(src, filename):
         compiled.append(filename)
         return real(src, filename)
 
-    monkeypatch.setattr(liukit.expr, "compile_source", counting)
     monkeypatch.setattr(liukit.checker, "compile_source", counting)
     result = check(korteweg_model, korteweg_report, korteweg_solution)
     assert result.ok

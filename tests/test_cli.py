@@ -479,6 +479,20 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == f"error: line {lineno}: range bounds for eps_x must be finite\n"
 
+    def test_range_whose_width_overflows_is_an_input_error(self, tmp_path, capsys):
+        # Finite bounds, but hi - lo is inf: every draw would be inf or NaN,
+        # which the sampler would blame on the closure.
+        from liukit.models import _read
+
+        text = _read("korteweg.solution")
+        lineno = text.splitlines().index("[scenario fourier]") + 2
+        mp, sp = tmp_path / "k.model", tmp_path / "k.solution"
+        mp.write_text(_read("korteweg.model"))
+        sp.write_text(text.replace("[scenario fourier]", "[scenario fourier]\nrange eps_x = -1e308 .. 1e308", 1))
+        code, out, err = _run(["check", str(mp), str(sp)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: line {lineno}: range width for eps_x overflows a float\n"
+
     @pytest.mark.parametrize("flux", ["u^2/0", "u^2/(u - u)"])
     def test_zero_divisor_is_a_parse_error(self, tmp_path, capsys, flux):
         mp, sp = tmp_path / "local.model", tmp_path / "good.solution"

@@ -10,11 +10,10 @@ from fractions import Fraction
 import pytest
 
 import liukit
+from liukit.checker import CoefficientRangeError, EvaluationError
 from liukit.expr import (
     BindingError,
-    CoefficientRangeError,
     CollectError,
-    EvaluationError,
     ExprError,
     Expression,
     FuncSym,
@@ -367,6 +366,11 @@ class TestEvaluation:
     def test_zero_denominator_raises(self, ctx):
         with pytest.raises(EvaluationError):
             e("rho/eps_x", ctx).evaluate({RHO: 1.0, EPS_X: 0.0})
+
+    @pytest.mark.parametrize("value", [Fraction(10**400), 10**400, -(10**400)])
+    def test_value_without_a_float_raises(self, ctx, value):
+        with pytest.raises(EvaluationError, match="^overflow at the sample point: "):
+            e("rho + 1", ctx).evaluate({RHO: value})
 
     def test_sym_atoms_evaluate(self, ctx):
         expr = e("D(s0, eps)*eps_x", ctx)

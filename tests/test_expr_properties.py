@@ -53,9 +53,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liukit import expr as expr_mod
 from liukit import latex as latex_mod
+from liukit.checker import CoefficientRangeError, EvaluationError, compile_source, float_body
 from liukit.expr import (
-    CoefficientRangeError,
-    EvaluationError,
     ExprError,
     Expression,
     FuncSym,
@@ -674,7 +673,7 @@ def _run_body(body, names, values):
     lines = ["def f(v):", *(f"    x{k} = v[{k}]" for k in range(len(values)))]
     lines += [f"    {line}" for line in body] + [f"    return [{', '.join(names)}]"]
     try:
-        return [v.hex() for v in expr_mod.compile_source("\n".join(lines), "<floats>")["f"](values)]
+        return [v.hex() for v in compile_source("\n".join(lines), "<floats>")["f"](values)]
     except (ExprError, OverflowError) as exc:
         return type(exc), str(exc)
 
@@ -704,7 +703,7 @@ def check_float_body_matches_term_formulas(targets, values):
     point = [env[a] for a in atoms]
     named = [(f"r{k}", t) for k, t in enumerate(targets)]
     names = [name for name, _ in named]
-    body = expr_mod.float_body(named, atoms)
+    body = float_body(named, atoms)
     got = _run_body(body, names, point)
     assert got == _run_body(_term_formula_body(named, atoms), names, point)
     # Which shapes the case covered.
@@ -738,7 +737,7 @@ def test_float_body_shares_powers_bit_for_bit():
     for texts in (["1/(rho - 1)", "eps^3"], ["eps^3/(rho - 1)"]):
         named = [(f"r{k}", parse(t, CTX)) for k, t in enumerate(texts)]
         names = [name for name, _ in named]
-        got = _run_body(expr_mod.float_body(named, [RHO, EPS]), names, [1.0, 1e150])
+        got = _run_body(float_body(named, [RHO, EPS]), names, [1.0, 1e150])
         assert got == (EvaluationError, "denominator vanished at the sample point")
         assert got == _run_body(_term_formula_body(named, [RHO, EPS]), names, [1.0, 1e150])
 

@@ -75,6 +75,34 @@ def test_derive_loads_neither_checker_nor_fdb():
     assert not loaded & {"liukit.checker", "liukit.fdb", "dataclasses"}
 
 
+def test_derive_compiles_no_float_evaluation():
+    # float_body and its contract live in liukit.checker, which only check imports.
+    code = _RUN_CLI.format(argv=["derive", "--builtin", "korteweg", "--format", "json"], prelude="")
+    code += (
+        "mods = [m for n, m in sorted(sys.modules.items()) if n.startswith('liukit')]\n"
+        "print(json.dumps([m.__name__ for m in mods if hasattr(m, 'float_body')]))\n"
+    )
+    assert json.loads(_python(code).splitlines()[-1]) == []
+
+
+_EVALUATE = """
+import sys
+from fractions import Fraction
+from liukit.expr import ParseContext, parse
+from liukit.jet import JetVariable
+
+e = parse("(rho^3 - 2/7*eps_x)/(3 + rho*eps_x^2) + 1/3", ParseContext(["rho", "eps"]))
+before = "liukit.checker" in sys.modules
+v = e.evaluate({JetVariable("rho", 0, 0): 0.3, JetVariable("eps", 0, 1): Fraction(-17, 10)})
+print(before, "liukit.checker" in sys.modules, v.hex())
+"""
+
+
+def test_expression_evaluate_loads_the_checker_on_its_call():
+    # The bits are those evaluate gave while it lived in liukit.expr.
+    assert _python(_EVALUATE).split() == ["False", "True", "0x1.dd1a3e799a251p-2"]
+
+
 def test_check_does_not_load_fdb():
     loaded = _cli_modules(["check", "--builtin", "korteweg", "--samples", "8"])
     assert "liukit.checker" in loaded

@@ -33,6 +33,7 @@ from liukit.liu import (
     solve_multipliers,
 )
 from liukit.modelfile import parse_model
+from liukit.models import load_builtin
 from liukit._util import stable_json
 
 from conftest import model_ctx
@@ -370,7 +371,7 @@ class TestMultiplierSolve:
 
 class TestDiagnostics:
     def test_grade2(self, grade2_report):
-        d = grade2_report.diagnostics
+        d = dict(grade2_report.diagnostics)
         assert d["zetaDegree"] == 1
         assert d["etaDegree"] == 2
         assert d["etaDegreeBound"] == 2
@@ -381,7 +382,7 @@ class TestDiagnostics:
         assert d["classical"] is False
 
     def test_korteweg_pruned(self, korteweg_report):
-        d = korteweg_report.diagnostics
+        d = dict(korteweg_report.diagnostics)
         assert d["zetaDegree"] == 1
         assert d["etaDegree"] == 2
         assert d["etaDegreeBound"] == 3
@@ -390,10 +391,19 @@ class TestDiagnostics:
         assert d["higherCount"] == 6
 
     def test_korteweg_full_grid_attains_the_degree_bound(self, korteweg_report_all):
-        d = korteweg_report_all.diagnostics
+        d = dict(korteweg_report_all.diagnostics)
         assert d["etaDegree"] == 3
         assert d["etaDegreeBound"] == 3
         assert d["constraintCount"] == 9
+
+    @pytest.mark.parametrize("name", ["grade2", "korteweg"])
+    def test_two_parses_give_equal_reports_with_equal_hashes(self, name):
+        # The diagnostics are (key, value) pairs in key order, so a report
+        # hashes by value like every record it holds.
+        a, b = (derive(load_builtin(name)) for _ in range(2))
+        assert a.model is not b.model
+        assert a == b and hash(a) == hash(b)
+        assert [k for k, _ in a.diagnostics] == sorted(k for k, _ in a.diagnostics)
 
 
 class TestLocalStateSpace:
@@ -401,7 +411,7 @@ class TestLocalStateSpace:
         m = _local_model()
         r = derive(m)
         e = lambda t: parse(t, model_ctx(m))
-        assert r.diagnostics["classical"] is True
+        assert dict(r.diagnostics)["classical"] is True
         assert r.multiplier(1, 0) == e("D(s, u)")
         assert len(r.restrictions.equalities) == 1
         eq = r.restrictions.equalities[0]
