@@ -20,7 +20,9 @@ whatever order they hold their terms.  A coefficient is a Python int
 whenever the kernel computed an int, so hashing, merging and multiplying
 stay on plain ints; an integral Fraction compares and hashes as its int.
 Ids depend on what a process happened to create first, so they order atoms
-internally and nowhere else.
+internally and nowhere else.  `_p_div_exact` is the one exact divider: a
+one-term divisor divides term by term, through the reciprocal of its
+coefficient, and only a divisor of two or more terms runs the leading-term loop.
 
 Canonical order.  Monomials are ordered graded-lexicographically over a
 canonical atom order (jets first, by field name, then time order, then
@@ -311,11 +313,6 @@ def _mono_content(p: Poly, g: Mono | None = None) -> Mono:
     return g
 
 
-def _p_div_mono(p: Poly, m: Mono) -> Poly:
-    """p / m for a monomial m that divides every term."""
-    return {mono_div(k, m): c for k, c in p.items()} if m else p
-
-
 def _quo(a: Number, b: Number) -> Number:
     """a / b exactly, an int when integral: int / int must never become a float."""
     q = Fraction(a) / b
@@ -348,12 +345,6 @@ def p_mul(a: Poly, b: Poly) -> Poly:
             elif m in out:
                 del out[m]
     return out
-
-
-def p_scale(a: Poly, c: Number) -> Poly:
-    if not c:
-        return {}
-    return {m: v * c for m, v in a.items()}
 
 
 def p_pow(a: Poly, n: int) -> Poly:
@@ -425,12 +416,18 @@ def _var_coeff(p: Poly, var: int, d: int) -> Poly:
 
 
 def _p_div_exact(p: Poly, d: Poly) -> Poly:
-    """Exact polynomial division; raises on a nonzero remainder."""
-    if p_is_const(d):
-        c = d.get((), None)
-        if not c:
+    """p / d exactly; raises on a zero divisor or a nonzero remainder."""
+    if len(d) < 2:
+        dm, dc = next(iter(d.items()), ((), 0))
+        if not dc:
             raise ExprError("division by zero polynomial")
-        return p_scale(p, _quo(1, c))
+        inv = 1 if dc == 1 else _quo(1, dc)
+        if not dm:
+            return p if inv == 1 else {m: c * inv for m, c in p.items()}
+        q = {mono_div(m, dm): c * inv for m, c in p.items()}
+        if None in q:
+            raise ExprError("inexact polynomial division")
+        return q
     q: Poly = {}
     r = dict(p)
     dm, dc = p_leading(d)
@@ -514,7 +511,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return _int_normalize(p)
     mcp = _mono_content(p)
     mcq = _mono_content(q)
-    g = _gcd_primitive(_p_div_mono(p, mcp), _p_div_mono(q, mcq))
+    g = _gcd_primitive(_p_div_exact(p, {mcp: 1}), _p_div_exact(q, {mcq: 1}))
     mc = _mono_gcd(mcp, mcq)
     if mc:
         g = p_mul(g, {mc: 1})
@@ -825,18 +822,15 @@ def _normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not p_is_const(den):
         mc = _mono_content(num, _mono_content(den))
         if mc:
-            num = _p_div_mono(num, mc)
-            den = _p_div_mono(den, mc)
+            num = _p_div_exact(num, {mc: 1})
+            den = _p_div_exact(den, {mc: 1})
         if not p_is_const(den) and len(den) > 1:
             g = poly_gcd(num, den)
             if not p_is_const(g):
                 num = _p_div_exact(num, g)
                 den = _p_div_exact(den, g)
     if p_is_const(den):
-        c = den[()]
-        if c != 1:
-            num = p_scale(num, _quo(1, c))
-        return num, _P_ONE
+        return _p_div_exact(num, den), _P_ONE
     # nonconstant denominator: coprime integer coefficients, positive leading
     k, g = _int_scale(chain(num.values(), den.values()), p_leading(den)[1])
     if k != g:

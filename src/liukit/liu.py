@@ -127,7 +127,8 @@ def select_constraints(
 
 
 def multiplier_symbol(i: int, k: int) -> FuncSym:
-    return FuncSym(f"Lam{i}k{k}", ())
+    """The multiplier of law i's order-k extension, named as no model can name a symbol."""
+    return FuncSym(f"Lam[{i},{k}]", ())
 
 
 def constraint_extensions(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -272,6 +273,22 @@ class TestDerive:
         code, out, err = _run(["derive", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: time Jacobian is singular: no law evolves field {field!r}\n"
+
+    @pytest.mark.parametrize("name, twin", [("Lam1k0", "Lam1k3"), ("Lam2k1", "Lam2k9")])
+    def test_unknown_named_like_a_multiplier(self, tmp_path, capsys, name, twin):
+        # The entropy renamed as the multipliers were once named derives as a
+        # name that sorts in the same place and matches no multiplier.
+        reports = []
+        for n in (name, twin):
+            path = tmp_path / n / "korteweg.model"
+            path.parent.mkdir()
+            path.write_text(re.sub(r"\bs\b", n, _read("korteweg.model")))
+            code, out, err = _run(["derive", str(path), "--format", "json"], capsys)
+            assert (code, err) == (0, "")
+            report = json.loads(out.replace(twin, name))
+            del report["hash"]
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 class TestCheck:

@@ -36,6 +36,9 @@ minor suites also require the text that `principal_minors(..., text=True)`
 prints for the report to equal `to_text` of each minor and the sorting
 reference's text of the cofactor expansion.
 
+Exact division by one-term divisors, constants and monomials, is checked
+against the leading-term loop on seeded random polynomials.
+
 The references read monomials as (atom, exponent) pairs and order atoms by
 `atom_key`, so they share nothing with the kernel's ids and rank table.
 """
@@ -526,6 +529,97 @@ def test_subs_normalizations_do_not_grow_with_size(monkeypatch):
     small = _normalizations_in_subs(10, monkeypatch)
     assert small == _normalizations_in_subs(200, monkeypatch)
     assert small <= 2
+
+
+# -- exact division ----------------------------------------------------------------
+
+_DIV_ATOMS = (RHO, EPS, V_X, RHO_X, S0, Q1)
+
+
+def _long_division(p, d):
+    """p / d by the leading-term loop alone, for a divisor of any length."""
+    q, r = {}, dict(p)
+    dm, dc = expr_mod.p_leading(d)
+    while r:
+        rm, rc = expr_mod.p_leading(r)
+        m = expr_mod.mono_div(rm, dm)
+        assert m is not None, "inexact"
+        q[m] = q.get(m, 0) + Fraction(rc) / dc
+        expr_mod.p_add_into(r, expr_mod.p_mul({m: Fraction(rc) / dc}, d), -1)
+    return {m: c for m, c in q.items() if c}
+
+
+def _random_mono(rng, most: int):
+    atoms = rng.sample(_DIV_ATOMS, rng.randint(1, most))
+    return expr_mod.mono_from_pairs((a, rng.randint(1, 3)) for a in atoms)
+
+
+def _random_coeff(rng):
+    c = rng.choice([-5, -3, -2, -1, 1, 2, 3, 7])
+    return Fraction(c, rng.choice([2, 3, 4])) if rng.random() < 0.3 else c
+
+
+def test_exact_division_by_one_term_matches_long_division():
+    # Divisors cycle through non-unit ints (negative too), Fractions, monomials
+    # with unit and non-unit coefficients, and two-term divisors for the loop.
+    rng = random.Random(2108)
+    kinds = Counter()
+    for case in range(600):
+        p = {}
+        for _ in range(rng.randint(1, 6)):
+            p[_random_mono(rng, 3) if rng.random() < 0.8 else ()] = _random_coeff(rng)
+        kind = case % 5
+        if kind == 0:
+            d = {(): rng.choice([-4, -3, -2, 2, 3, 6])}
+        elif kind == 1:
+            d = {(): Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([2, 3, 7]))}
+        elif kind == 2:
+            d = {_random_mono(rng, 2): 1}
+        elif kind == 3:
+            d = {_random_mono(rng, 2): rng.choice([-3, -2, -1, 2, 5, Fraction(-2, 3), Fraction(5, 4)])}
+        else:
+            d = {_random_mono(rng, 2): _random_coeff(rng), _random_mono(rng, 2) if rng.random() < 0.7 else (): 1}
+            if len(d) < 2:
+                continue
+        kinds[kind] += 1
+        pd = expr_mod.p_mul(p, d)
+        got = expr_mod._p_div_exact(pd, d)
+        assert got == p
+        assert got == _long_division(pd, d)
+    assert min(kinds.values()) >= 100 and len(kinds) == 5
+
+
+def test_one_term_divisors_skip_the_leading_term_loop(monkeypatch):
+    calls = Counter()
+    leading = expr_mod.p_leading
+
+    def counting(p):
+        calls["n"] += 1
+        return leading(p)
+
+    monkeypatch.setattr(expr_mod, "p_leading", counting)
+    rho, eps = expr_mod.mono_from_pairs([(RHO, 1)]), expr_mod.mono_from_pairs([(EPS, 2)])
+    p = {expr_mod.mono_mul(rho, eps): 6, rho: -4, expr_mod.mono_mul(rho, rho): Fraction(2, 3)}
+    assert expr_mod._p_div_exact(p, {(): 1}) is p
+    assert expr_mod._p_div_exact(p, {(): -2}) == {
+        expr_mod.mono_mul(rho, eps): -3, rho: 2, expr_mod.mono_mul(rho, rho): Fraction(-1, 3)}
+    assert expr_mod._p_div_exact(p, {rho: Fraction(2, 3)}) == {eps: 9, (): -6, rho: 1}
+    assert calls["n"] == 0
+    two = {rho: 1, (): 1}
+    assert expr_mod._p_div_exact(expr_mod.p_mul(p, two), two) == p
+    assert calls["n"] > 0
+
+
+@pytest.mark.parametrize("p, d, message", [
+    ("rho", "0", "division by zero polynomial"),
+    ("rho*eps + rho", "eps", "inexact polynomial division"),
+    ("rho^2", "rho^3", "inexact polynomial division"),
+    ("3*rho", "2*eps", "inexact polynomial division"),
+    ("rho^2 + 1", "rho + 1", "inexact polynomial division"),
+], ids=["zero", "one-term-missing", "one-term-too-high", "one-term-other-atom", "two-term"])
+def test_exact_division_failures(p, d, message):
+    with pytest.raises(ExprError, match=f"^{message}$"):
+        expr_mod._p_div_exact(parse(p, CTX).num_poly(), parse(d, CTX).num_poly())
 
 
 # -- float evaluation ------------------------------------------------------------

@@ -336,9 +336,9 @@ class TestMultiplierSolve:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            ("rho_t^2", "constrained inequality is not linear in a mixed time jet"),
-            ("Lam1k0^2*rho_t", "coefficient equation is not affine in the multipliers"),
-            ("Lam2k0*rho_t", "elimination left a coupled equation behind"),
+            (lambda lam, rho_t: rho_t**2, "constrained inequality is not linear in a mixed time jet"),
+            (lambda lam, rho_t: lam(1, 0) ** 2 * rho_t, "coefficient equation is not affine in the multipliers"),
+            (lambda lam, rho_t: lam(2, 0) * rho_t, "elimination left a coupled equation behind"),
         ],
         ids=["nonlinear-jet", "nonaffine", "coupled"],
     )
@@ -346,9 +346,9 @@ class TestMultiplierSolve:
         dec = decouple(korteweg_model)
         sel = select_constraints(korteweg_model)
         ineq = constrained_inequality(korteweg_model, dec, sel)
-        ctx = ParseContext(korteweg_model.fields, {f"Lam{i}k{k}": () for i, k in sel.entries})
+        term = extra(lambda i, k: Expression.sym(multiplier_symbol(i, k)), Expression.jet(JetVariable("rho", 1, 0)))
         with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
-            solve_multipliers(korteweg_model, dec, sel, ineq + parse(extra, ctx))
+            solve_multipliers(korteweg_model, dec, sel, ineq + term)
 
     def test_unreached_time_jet_is_emitted_as_an_equality(self, korteweg_model):
         # The pruned selection has no order-2 multiplier for eps, so the solve
@@ -356,8 +356,7 @@ class TestMultiplierSolve:
         dec = decouple(korteweg_model)
         sel = select_constraints(korteweg_model)
         ineq = constrained_inequality(korteweg_model, dec, sel)
-        ctx = ParseContext(korteweg_model.fields, {f"Lam{i}k{k}": () for i, k in sel.entries})
-        sol = solve_multipliers(korteweg_model, dec, sel, ineq + parse("eps_txx", ctx))
+        sol = solve_multipliers(korteweg_model, dec, sel, ineq + parse("eps_txx", ParseContext(korteweg_model.fields)))
         cls = classify(korteweg_model.space, korteweg_model.fields)
         equalities = emit_restrictions(korteweg_model, cls, sol.reduced).equalities
         assert ("coefficient of eps_txx", "1") in [(e.label, to_text(e.expr)) for e in equalities]
@@ -365,7 +364,8 @@ class TestMultiplierSolve:
     def test_missing_multiplier(self, korteweg_model):
         dec = decouple(korteweg_model)
         sel = select_constraints(korteweg_model)
-        with pytest.raises(EngineError, match="^no equation determines Lam1k2$"):
+        name = re.escape(multiplier_symbol(1, 2).name)
+        with pytest.raises(EngineError, match=f"^no equation determines {name}$"):
             solve_multipliers(korteweg_model, dec, sel, Expression.jet(JetVariable("rho", 1, 2)))
 
 
