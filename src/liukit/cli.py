@@ -7,6 +7,7 @@ failed, 4 a candidate check failed.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -32,6 +33,9 @@ EXIT_CHECK = 4
 
 FDB_MAX_ORDER = 8
 FDB_MAX_TERMS = 3000
+# Each extension order roughly doubles derive's time (order 7 takes about 2 s),
+# so a larger --order would hang, and a huge one exhausts memory.
+DERIVE_MAX_ORDER = 12
 
 
 def _write(args, record, format_text, latex=None) -> None:
@@ -72,6 +76,8 @@ def _cmd_derive(args) -> int:
         raise CliUsage("--order only applies together with --all-extensions")
     if args.order is not None and args.order < 0:
         raise CliUsage(f"--order must be nonnegative, got {args.order}")
+    if args.order is not None and args.order > DERIVE_MAX_ORDER:
+        raise CliUsage(f"--order {args.order} exceeds the supported maximum {DERIVE_MAX_ORDER}")
     order = model.space.order
     if args.verify and args.order is not None and args.order < order:
         # A lower cap drops constraints on purpose, so the two sets may differ.
@@ -222,5 +228,17 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
+def run() -> None:
+    """The program's entry point: `main`, then exit with its status.
+
+    The process ends next, and finalization would otherwise collect and free
+    the import-time heap of modules, functions and classes that the OS
+    reclaims anyway.  `main` leaves the heap alone: tests call it in process.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

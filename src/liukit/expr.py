@@ -22,7 +22,8 @@ stay on plain ints; an integral Fraction compares and hashes as its int.
 Ids depend on what a process happened to create first, so they order atoms
 internally and nowhere else.  `_p_div_exact` is the one exact divider: a
 one-term divisor divides term by term, through the reciprocal of its
-coefficient, and only a divisor of two or more terms runs the leading-term loop.
+coefficient, and only a divisor of two or more terms runs the leading-term loop,
+which draws the remainder's leading terms from a heap.
 
 Canonical order.  Monomials are ordered graded-lexicographically over a
 canonical atom order (jets first, by field name, then time order, then
@@ -428,17 +429,32 @@ def _p_div_exact(p: Poly, d: Poly) -> Poly:
         if None in q:
             raise ExprError("inexact polynomial division")
         return q
+    # A heap of the remainder's monomials, largest first (no key is a prefix of
+    # another, so negating each entry reverses the order); a monomial is pushed
+    # as it enters the remainder and skipped if its term has cancelled since.
+    # Only a rational input divides by several terms, so only it loads heapq.
+    from heapq import heapify, heappop, heappush
+
     q: Poly = {}
     r = dict(p)
     dm, dc = p_leading(d)
-    while r:
-        rm, rc = p_leading(r)
+    heap = [(tuple(-k for k in _mono_key(m)), m) for m in r]
+    heapify(heap)
+    while heap:
+        rm = heappop(heap)[1]
+        rc = r.get(rm)
+        if rc is None:
+            continue
         m = mono_div(rm, dm)
         if m is None:
             raise ExprError("inexact polynomial division")
         c = _quo(rc, dc)
         q[m] = q.get(m, 0) + c
-        p_add_into(r, p_mul({m: c}, d), -1)
+        sub = p_mul({m: c}, d)
+        for t in sub:
+            if t not in r:
+                heappush(heap, (tuple(-k for k in _mono_key(t)), t))
+        p_add_into(r, sub, -1)
     return {m: c for m, c in q.items() if c}
 
 

@@ -1,6 +1,7 @@
 """Command line driver: exit codes, formats, and output destinations."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -10,7 +11,8 @@ import sys
 
 import pytest
 
-from liukit.cli import main
+from liukit import cli
+from liukit.cli import DERIVE_MAX_ORDER, main
 from liukit.fdb import chain_terms
 from liukit.models import _read, load_builtin
 
@@ -156,6 +158,18 @@ class TestDerive:
         assert code == 2
         assert out == ""
         assert "--order must be nonnegative, got -1" in err
+
+    @pytest.mark.parametrize("order", [str(DERIVE_MAX_ORDER + 1), "99999999999999999999"])
+    def test_order_above_the_cap_is_a_usage_error(self, order, capsys, monkeypatch):
+        # Each order roughly doubles derive's time, and a huge one exhausts
+        # memory, so the cap is checked before anything is derived.
+        def no_derive(*args, **kwargs):
+            raise AssertionError("derive ran")
+
+        monkeypatch.setattr(cli, "derive", no_derive)
+        code, out, err = _run(["derive", "--builtin", "korteweg", "--all-extensions", "--order", order], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --order {order} exceeds the supported maximum {DERIVE_MAX_ORDER}\n"
 
     def test_verify_below_the_state_space_order_is_a_usage_error(self, capsys):
         # A cap below the order drops constraints the pruned set keeps, so
@@ -681,6 +695,55 @@ def _cli(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "liukit.cli", *argv], capture_output=True, text=True, env=env, timeout=300
     )
+
+
+class TestExitPath:
+    """`cli.run`, the program's entry point, freezes the heap before the process
+    exits; `cli.main`, which tests call in process, leaves it alone."""
+
+    ARGV = ["derive", "--builtin", "korteweg", "--format", "json"]
+
+    def test_run_freezes_the_heap_and_prints_what_main_prints(self, capsys):
+        import liukit
+
+        code = (
+            "import atexit, gc, os, sys\n"
+            "atexit.register(lambda: os.write(2, b'frozen %d' % gc.get_freeze_count()))\n"
+            f"sys.argv = ['liukit', *{self.ARGV!r}]\n"
+            "from liukit import cli\n"
+            "cli.run()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liukit.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0
+        frozen = re.fullmatch(rb"frozen (\d+)", proc.stderr)
+        assert frozen and int(frozen.group(1)) > 0
+        assert main(self.ARGV) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(self.ARGV) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_exit_codes_through_the_module(self, tmp_path):
+        mp, sp = tmp_path / "local.model", tmp_path / "bad.solution"
+        mp.write_text(LOCAL_MODEL)
+        sp.write_text(BAD_SOLUTION)
+        cases = [
+            (0, ["derive", str(mp)]),
+            (1, ["derive", str(tmp_path / "missing.model")]),
+            (2, ["derive", "--builtin", "korteweg", "--all-extensions", "--order", str(DERIVE_MAX_ORDER + 1)]),
+            (4, ["check", str(mp), str(sp)]),
+        ]
+        for status, argv in cases:
+            proc = _cli(*argv)
+            assert proc.returncode == status, (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr
+
+    def test_script_entry_point_is_run(self):
+        with open(os.path.join(os.path.dirname(_TESTS), "pyproject.toml"), encoding="utf-8") as fh:
+            assert 'liukit = "liukit.cli:run"\n' in fh.read()
 
 
 class TestDeepInputs:

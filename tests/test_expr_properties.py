@@ -36,8 +36,9 @@ minor suites also require the text that `principal_minors(..., text=True)`
 prints for the report to equal `to_text` of each minor and the sorting
 reference's text of the cofactor expansion.
 
-Exact division by one-term divisors, constants and monomials, is checked
-against the leading-term loop on seeded random polynomials.
+Exact division by one-term divisors, constants and monomials, and by
+several-term divisors whose remainders cancel, is checked against the
+leading-term loop on seeded random polynomials.
 
 The references read monomials as (atom, exponent) pairs and order atoms by
 `atom_key`, so they share nothing with the kernel's ids and rank table.
@@ -587,6 +588,26 @@ def test_exact_division_by_one_term_matches_long_division():
         assert got == p
         assert got == _long_division(pd, d)
     assert min(kinds.values()) >= 100 and len(kinds) == 5
+
+
+@pytest.mark.parametrize("divisor", ["rho - eps", "rho^2 + 2", "1 + rho + eps*rho_x"])
+def test_exact_division_by_several_terms_matches_long_division(divisor):
+    # The heap loop must skip a remainder term that cancels before it leads:
+    # (rho^3 - eps^3)/(rho - eps) cancels -eps^3 with the last quotient term's
+    # trailing product, and the random quotients cancel terms the same way.
+    d = parse(divisor, CTX).num_poly()
+    rng = random.Random(2203)
+    cases = [parse("rho^2 + rho*eps + eps^2", CTX).num_poly()]
+    for _ in range(200):
+        q = {}
+        for _ in range(rng.randint(1, 6)):
+            q[_random_mono(rng, 3) if rng.random() < 0.8 else ()] = _random_coeff(rng)
+        cases.append(q)
+    for q in cases:
+        pd = expr_mod.p_mul(q, d)
+        got = expr_mod._p_div_exact(pd, d)
+        assert got == q
+        assert got == _long_division(pd, d)
 
 
 def test_one_term_divisors_skip_the_leading_term_loop(monkeypatch):
