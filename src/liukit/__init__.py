@@ -19,7 +19,7 @@ _EXPORTS = {
         "ParseContext", "ParseError", "ZERO", "parse", "to_text",
     ),
     "latex": ("to_latex",),
-    "fdb": ("ChainTerm", "chain_terms", "extension_leibniz", "partition_count", "total_x_power"),
+    "fdb": ("ChainTerm", "chain_terms", "partition_count", "total_x_power"),
     "balance": ("BalanceLaw", "EntropyDeclaration", "ModelError", "ModelSpec", "entropy_production"),
     "liu": (
         "ConstraintSelection", "DecoupledSystem", "EngineError", "Equality", "EvenForm",

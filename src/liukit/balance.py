@@ -32,13 +32,6 @@ class BalanceLaw(NamedTuple):
     def residual(self) -> Expression:
         return self.density.total_t() + self.flux.total_x() - self.production
 
-    def extension(self, k: int) -> Expression:
-        """k-fold total space derivative of the residual."""
-        e = self.residual()
-        for _ in range(k):
-            e = e.total_x()
-        return e
-
 
 class EntropyDeclaration(NamedTuple):
     """Entropy density and flux with the chosen form of the production.
@@ -108,40 +101,49 @@ def _validate_model(m: ModelSpec) -> None:
     for w in m.space.sorted_members():
         if w.field not in names:
             raise ModelError(f"state variable {w.text()} is not built on a declared field")
-    base = {JetVariable(f, 0, 0) for f in m.fields}
-    state = set(m.space.members)
-    unames = {u.name for u in m.unknowns}
+    for label, atoms, allowed, outside in _scope_table(m):
+        for a in sorted(atoms, key=lambda a: a.atom_key):
+            if (a.name if isinstance(a, FuncSym) else a) not in allowed:
+                raise ModelError(outside(label, a))
+
+
+def _fields_only(label: str, a) -> str:
+    return f"{label} must depend on the fields alone, found {a.text()}"
+
+
+def _in_scope(label: str, a) -> str:
+    if isinstance(a, FuncSym):
+        return f"{label} uses undeclared function symbol {a.name!r}"
+    return f"{label} uses {a.text()}, which is neither a field nor a state variable"
+
+
+def _state_only(label: str, a) -> str:
+    return f"{label} depends on {a.text()}, which is not a state variable"
+
+
+def _scope_table(m: ModelSpec) -> list:
+    """(label, atoms, allowed, message) for every expression the model declares.
+
+    A law's density may use the bare fields only.  Every other expression, a
+    law's flux and production and the entropy's weight, density and flux, may
+    use the fields, the state variables and the declared unknowns (by name).
+    An unknown depends on state variables only.  `message(label, atom)` words
+    an atom outside `allowed`.
+    """
+    fields = frozenset(JetVariable(f) for f in m.fields)
+    scope = fields | m.space.members | {u.name for u in m.unknowns}
+    table = []
     for law in m.laws:
-        for a in law.density.atoms():
-            if not (isinstance(a, JetVariable) and a in base):
-                raise ModelError(
-                    f"law {law.name!r}: density must depend on the fields alone, found {a.text()}"
-                )
-        for part, label in ((law.flux, "flux"), (law.production, "production")):
-            for a in part.atoms():
-                if isinstance(a, JetVariable):
-                    if a not in state and a not in base:
-                        raise ModelError(
-                            f"law {law.name!r}: {label} uses {a.text()}, which is neither a field nor a state variable"
-                        )
-                else:
-                    if a.name not in unames:
-                        raise ModelError(
-                            f"law {law.name!r}: {label} uses undeclared function symbol {a.name!r}"
-                        )
-    for u in m.unknowns:
-        for d in u.deps:
-            if d not in state:
-                raise ModelError(
-                    f"unknown {u.name!r} depends on {d.text()}, which is not a state variable"
-                )
-    for part, label in ((m.entropy.density, "entropy density"), (m.entropy.flux, "entropy flux")):
-        for a in part.atoms():
-            if isinstance(a, JetVariable):
-                if a not in state:
-                    raise ModelError(f"{label} uses {a.text()}, which is not a state variable")
-            elif a.name not in unames:
-                raise ModelError(f"{label} uses undeclared function symbol {a.name!r}")
+        table += [
+            (f"law {law.name!r}: density", law.density.atoms(), fields, _fields_only),
+            (f"law {law.name!r}: flux", law.flux.atoms(), scope, _in_scope),
+            (f"law {law.name!r}: production", law.production.atoms(), scope, _in_scope),
+        ]
+    table += [(f"unknown {u.name!r}", u.deps, m.space.members, _state_only) for u in m.unknowns]
+    ent = m.entropy
+    for part, e in (("weight", ent.weight), ("density", ent.density), ("flux", ent.flux)):
+        table.append((f"entropy {part}", e.atoms(), scope, _in_scope))
+    return table
 
 
 def entropy_production(model: ModelSpec) -> Expression:

@@ -36,6 +36,11 @@ FDB_MAX_TERMS = 3000
 # Each extension order roughly doubles derive's time (order 7 takes about 2 s),
 # so a larger --order would hang, and a huge one exhausts memory.
 DERIVE_MAX_ORDER = 12
+# Text and JSON print every principal minor of the quadratic form, expanded.
+# korteweg-eps2's 63 minors bound 2.0e6 terms and print 725 KB; the largest
+# bound among the printable generated models, 4.6e7, prints 6.3 MB in 0.5 s;
+# a bound of 9.6e9 printed 690 MB at a 2.7 GB peak.
+DERIVE_MAX_MINOR_TERMS = 10**8
 
 
 def _write(args, record, format_text, latex=None) -> None:
@@ -88,6 +93,14 @@ def _cmd_derive(args) -> int:
         if not same_restrictions(report.restrictions, other.restrictions):
             raise EngineError(
                 "pruned and full constraint sets emit different restrictions"
+            )
+    form = report.restrictions.quadratic
+    if args.format != "latex" and form is not None:
+        terms = form.minor_terms()
+        if terms > DERIVE_MAX_MINOR_TERMS:
+            raise CliUsage(
+                f"the quadratic form's principal minors expand to at most {terms} terms, more than the "
+                f"supported maximum {DERIVE_MAX_MINOR_TERMS}; --format latex prints the form without them"
             )
     _write(args, lambda: report_json_dict(report), format_report, lambda: report_latex(report))
     return EXIT_OK

@@ -872,6 +872,38 @@ def as_expression(v) -> Expression:
 # -- principal minors ----------------------------------------------------
 
 
+def _cleared(mat: Sequence[Sequence[Expression]], rows: Sequence[int]
+             ) -> tuple[dict[int, Poly], dict[tuple[int, int], Poly]]:
+    """The row factors r_i and the nonzero cleared entries N_ij of `principal_minors`."""
+    r: dict[int, Poly] = {}
+    for i in rows:
+        entries = [mat[i][j] for j in rows if not mat[i][j].is_zero]
+        ri = {(): math.lcm(1, *(c.denominator for e in entries for c in e._n.values()))}
+        for d in {frozenset(e._d.items()): e._d for e in entries if not e.den_is_one}.values():
+            ri = p_mul(ri, d)
+        r[i] = ri
+    n: dict[tuple[int, int], Poly] = {}
+    for i in rows:
+        for j in rows:
+            e = mat[i][j]
+            if not e.is_zero:
+                nij = _p_div_exact(p_mul(p_mul(e._n, r[i]), r[j]), e._d)
+                n[i, j] = {m: c.numerator for m, c in nij.items()}  # integral: plain ints
+    return r, n
+
+
+def minor_terms_bound(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequence[int]]) -> int:
+    """An upper bound on the products `principal_minors` multiplies out, without expanding.
+
+    A Laplace expansion of det_S(N) forms at most prod_{i in S} sum_{j in S}
+    |N_ij| monomial products, |N_ij| the term count of a cleared entry; the
+    bound is that sum over the subsets.
+    """
+    subsets = [tuple(s) for s in subsets]
+    _, n = _cleared(mat, sorted({i for s in subsets for i in s}))
+    return sum(math.prod(sum(len(n.get((i, j), ())) for j in s) for i in s) for s in subsets)
+
+
 def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequence[int]],
                      text: bool = False) -> list[Expression] | list[str]:
     """det(mat[S, S]) for each index subset S, computed over polynomials; with `text`, its `to_text`.
@@ -896,20 +928,7 @@ def principal_minors(mat: Sequence[Sequence[Expression]], subsets: Iterable[Sequ
     """
     subsets = [tuple(s) for s in subsets]
     rows = sorted({i for s in subsets for i in s})
-    r: dict[int, Poly] = {}
-    for i in rows:
-        entries = [mat[i][j] for j in rows if not mat[i][j].is_zero]
-        ri = {(): math.lcm(1, *(c.denominator for e in entries for c in e._n.values()))}
-        for d in {frozenset(e._d.items()): e._d for e in entries if not e.den_is_one}.values():
-            ri = p_mul(ri, d)
-        r[i] = ri
-    n: dict[tuple[int, int], Poly] = {}
-    for i in rows:
-        for j in rows:
-            e = mat[i][j]
-            if not e.is_zero:
-                nij = _p_div_exact(p_mul(p_mul(e._n, r[i]), r[j]), e._d)
-                n[i, j] = {m: c.numerator for m, c in nij.items()}  # integral: plain ints
+    r, n = _cleared(mat, rows)
 
     bound: dict[int, int] = {}  # atom id -> largest exponent in any minor
     for i in rows:

@@ -6,21 +6,18 @@ differentiations are grouped into inner-derivative blocks and how the blocks
 are assigned to arguments.  The integer weights are the multinomial counts of
 those groupings.  `total_x_power` applies the expansion to a function symbol,
 which gives an independent cross-check against iterating the total-derivative
-operator of the expression kernel.  `extension_leibniz` is the same kind of
-oracle for `BalanceLaw.extension`, by the binomial (Leibniz) expansion.
-Only the `fdb` subcommand imports this module, so `derive` and `check`
-compile neither oracle.
+operator of the expression kernel.  Only the `fdb` subcommand imports this
+module, so `derive` and `check` do not compile it.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .jet import JetVariable
 from .expr import ZERO, Expression, FuncSym, mono_from_pairs, to_text
-from .balance import BalanceLaw
 
 
 class ChainTerm(NamedTuple):
@@ -139,46 +136,6 @@ def total_x_power(sym: FuncSym, m: int) -> Expression:
 def partition_count(m: int) -> int:
     """Number of integer partitions of m (the term count for one argument)."""
     return len(chain_terms(m, 1))
-
-
-def extension_leibniz(
-    law: BalanceLaw, k: int, fields: Iterable[str], state_vars: Iterable[JetVariable]
-) -> Expression:
-    """Gradient extension computed by binomial expansion instead of iteration.
-
-    Valid when the density depends on the fields alone and the flux and
-    production close over the state variables; used as a cross-check on
-    `BalanceLaw.extension`.
-    """
-    fields = tuple(fields)
-    state_vars = tuple(state_vars)
-    out = -law.production
-    for _ in range(k):
-        out = out.total_x()
-    for f in fields:
-        u = JetVariable(f, 0, 0)
-        coeff = law.density.diff(u)
-        if coeff.is_zero:
-            continue
-        for h in range(k + 1):
-            c = coeff
-            for _ in range(h):
-                c = c.total_x()
-            out = out + Expression.number(math.comb(k, h)) * c * Expression.jet(
-                JetVariable(f, 1, k - h)
-            )
-    for z in state_vars:
-        coeff = law.flux.diff(z)
-        if coeff.is_zero:
-            continue
-        for h in range(k + 1):
-            c = coeff
-            for _ in range(h):
-                c = c.total_x()
-            out = out + Expression.number(math.comb(k, h)) * c * Expression.jet(
-                z.dx(k - h + 1)
-            )
-    return out
 
 
 def _arg_names(s: int) -> tuple[str, ...]:

@@ -132,7 +132,7 @@ class StateSpace(Frozen):
             raise StateSpaceError("state space order must be nonnegative")
         if not self.members:
             raise StateSpaceError("state space is empty")
-        for w in self.members:
+        for w in self.sorted_members():
             if w.t_order != 0:
                 raise StateSpaceError(f"state variable {w.text()} carries a time derivative")
             if w.x_order > self.order:
@@ -208,7 +208,7 @@ def classify(space: StateSpace, fields: list[str]) -> DerivativeClassification:
     velocity, or when it has none; bare fields stay parameters.  At r = 0 the
     rule is the classical split: f_t and f_x highest, nothing higher.
     """
-    for w in space.members:
+    for w in space.sorted_members():
         if w.field not in fields:
             raise StateSpaceError(f"state variable {w.text()} names an unknown field")
     r = space.order

@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .jet import DerivativeClassification, JetVariable, classify
-from .expr import Atom, Expression, FuncSym, ZERO, principal_minors, to_text
+from .expr import Atom, Expression, FuncSym, ZERO, minor_terms_bound, principal_minors, to_text
 from .balance import ModelError, ModelSpec, entropy_production
 
 
@@ -265,12 +265,20 @@ class QuadraticForm(NamedTuple):
         report order: smaller subsets first, then lexicographically.  With
         `text`, each determinant is its `to_text`, printed from the expansion.
         """
+        m, subsets = self._matrix_and_subsets()
+        return tuple(zip(subsets, principal_minors(m, subsets, text)))
+
+    def minor_terms(self) -> int:
+        """An upper bound on the terms `expand_minors` multiplies out, computed without expanding."""
+        return minor_terms_bound(*self._matrix_and_subsets())
+
+    def _matrix_and_subsets(self) -> tuple[list[list[Expression]], list[tuple[int, ...]]]:
         support = sorted({k for i, j, _ in self.entries for k in (i, j)})
         subsets = [s for k in range(1, len(support) + 1) for s in combinations(support, k)]
         m = [[ZERO] * len(self.variables) for _ in self.variables]
         for i, j, e in self.entries:
             m[i][j] = m[j][i] = e
-        return tuple(zip(subsets, principal_minors(m, subsets, text)))
+        return m, subsets
 
 
 class EvenForm(NamedTuple):

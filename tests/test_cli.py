@@ -305,6 +305,71 @@ class TestDerive:
         assert reports[0] == reports[1]
 
 
+# Edits of korteweg.model whose declarations use several atoms out of scope,
+# and the one error each must name: the first offender by atom key.
+_SCOPE_CASES = [
+    ("density = rho\nflux = rho*v\n", "density = rho\nflux = rho*v + v_xx + eps_xx + rho_xxx + eps_xxx\n",
+     "law 'mass': flux uses eps_xx, which is neither a field nor a state variable"),
+    ("density = rho\nflux = rho*v\n", "density = rho + rho_x + eps_x + v_x + rho_xx\nflux = rho*v\n",
+     "law 'mass': density must depend on the fields alone, found eps_x"),
+    ("density = s\n", "density = s + v + v_xx + eps_xx\n",
+     "entropy density uses eps_xx, which is neither a field nor a state variable"),
+    ("vars = rho, eps, rho_x, v_x, eps_x, rho_xx\n", "vars = rho, eps, rho_x, v_x, eps_x, rho_xx, rho_xxx, eps_xxx, v_xxx\n",
+     "state variable eps_xxx exceeds the declared order 2"),
+]
+
+_DERIVE_EACH = """
+import sys
+from liukit.cli import main
+for path in sys.argv[1:]:
+    print(main(["derive", path]), file=sys.stderr)
+"""
+
+
+class TestScope:
+    """Every declared expression is checked against one scope rule, atoms in canonical order."""
+
+    def test_first_offender_does_not_depend_on_the_hash_seed(self, tmp_path):
+        import liukit
+
+        text = _read("korteweg.model")
+        paths = []
+        for k, (old, new, _) in enumerate(_SCOPE_CASES):
+            path = tmp_path / f"scope{k}.model"
+            path.write_text(text.replace(old, new, 1))
+            paths.append(str(path))
+        want = "".join(f"error: {message}\n2\n" for _, _, message in _SCOPE_CASES)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(liukit.__file__)))
+        for hash_seed in range(8):
+            env["PYTHONHASHSEED"] = str(hash_seed)
+            proc = subprocess.run([sys.executable, "-c", _DERIVE_EACH, *paths], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", want), hash_seed
+
+    @pytest.mark.parametrize("weight, jet", [("rho + v_t", "v_t"), ("rho + rho_xxxx", "rho_xxxx")])
+    def test_entropy_weight_is_checked(self, tmp_path, capsys, weight, jet):
+        path = tmp_path / "k.model"
+        path.write_text(_read("korteweg.model").replace("weight = rho\n", f"weight = {weight}\n"))
+        code, out, err = _run(["derive", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: entropy weight uses {jet}, which is neither a field nor a state variable\n"
+
+    @pytest.mark.parametrize("name", ["grade2", "korteweg"])
+    def test_divergence_form_entropy_derives(self, tmp_path, capsys, name):
+        # The entropy flux of the divergence form carries the bare velocity.
+        path = tmp_path / f"{name}.model"
+        path.write_text(_read(f"{name}.model").replace(
+            "form = material\nweight = rho\ndensity = s\nflux = Js",
+            "form = divergence\ndensity = rho*s\nflux = rho*s*v + Js",
+        ))
+        code, out, err = _run(["derive", str(path), "--verify", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        _, material, _ = _run(["derive", "--builtin", name, "--format", "json"], capsys)
+        divergence, material = json.loads(out), json.loads(material)
+        for key in ("equalities", "quadraticForm", "evenForms", "residual", "sideConditions"):
+            assert divergence[key] == material[key], key
+
+
 class TestCheck:
     def test_builtin_grade2(self, capsys):
         code, out, _ = _run(["check", "--builtin", "grade2"], capsys)

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from liukit.cli import main
+from liukit.cli import DERIVE_MAX_MINOR_TERMS, main
 from liukit.liu import (
     constrained_inequality,
     decouple,
@@ -30,6 +30,8 @@ from liukit.liu import (
 from liukit.modelfile import parse_model
 
 SEEDS = range(48)
+# The seeds whose principal minors are too large to print in text or JSON.
+UNPRINTABLE = {15: 1442842658182, 29: 30678839517, 31: 9572326296}
 
 
 def _jet(field: str, k: int) -> str:
@@ -97,12 +99,31 @@ def test_generated_model(seed, tmp_path, capsys):
         sol = solve_multipliers(model, dec, selection, ineq)
         assert ineq.subs({multiplier_symbol(i, k): v for i, k, v in sol.values}) == sol.reduced
 
+    form = pruned.restrictions.quadratic
+    terms = 0 if form is None else form.minor_terms()
+    assert UNPRINTABLE.get(seed, terms) == terms
+    assert (terms > DERIVE_MAX_MINOR_TERMS) == (seed in UNPRINTABLE)
+
     # LaTeX expands no principal minor; text and JSON expand all 63 of the
     # six-jet forms that three fields at order 2 give, seconds per model.
     path = tmp_path / f"generated-{seed}.model"
     path.write_text(text)
     assert main(["derive", str(path), "--verify", "--format", "latex"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("seed", sorted(UNPRINTABLE))
+def test_unprintable_minors_are_refused_before_expanding(seed, fmt, tmp_path, capsys, minor_calls):
+    path = tmp_path / f"generated-{seed}.model"
+    path.write_text(generated_model(seed))
+    assert main(["derive", str(path), "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and minor_calls == []
+    assert err == (
+        f"error: the quadratic form's principal minors expand to at most {UNPRINTABLE[seed]} terms, "
+        f"more than the supported maximum {DERIVE_MAX_MINOR_TERMS}; --format latex prints the form without them\n"
+    )
 
 
 # LaTeX reports of every seed, and JSON reports of the seeds whose quadratic

@@ -231,17 +231,16 @@ def test_lazy_exports_resolve_like_eager_imports():
 
 _MOVED = """
 import liukit
-from liukit import fdb, latex, solution
+from liukit import latex, solution
 
 assert liukit.to_latex is latex.to_latex
 assert liukit.parse_solution is solution.parse_solution
-assert liukit.extension_leibniz is fdb.extension_leibniz
-print(sorted(liukit._MODULE_OF[n] for n in ("to_latex", "parse_solution", "extension_leibniz")))
+print(sorted(liukit._MODULE_OF[n] for n in ("to_latex", "parse_solution")))
 """
 
 
 def test_moved_names_resolve_through_exports():
-    assert _python(_MOVED).strip() == "['fdb', 'latex', 'solution']"
+    assert _python(_MOVED).strip() == "['latex', 'solution']"
 
 
 # Every name the benchmark in bench/ imports or wraps, by module.

@@ -468,6 +468,21 @@ class TestQuadraticForm:
         assert [d for _, d in zero_row.minors] == [c(t) for t in ("2", "0", "3", "0", "5", "0", "0")]
         assert QuadraticForm(jets, ()).minors == ()
 
+    def test_minor_terms_bound_the_expansion(self):
+        # Rows (2, 1) and (1, 3) terms: the 2x2 minor forms 3 * 4 products.
+        c = lambda t: parse(t, ParseContext(fields=("u", "w")))
+        jets = tuple(JetVariable("u", 0, k) for k in range(1, 3))
+        q = QuadraticForm(jets, ((0, 0, c("u + w")), (0, 1, c("u/w")), (1, 1, c("1 + u + w"))))
+        assert q.minor_terms() == 2 + 3 + 3 * 4
+        assert QuadraticForm(jets, ()).minor_terms() == 0
+
+    @pytest.mark.parametrize("name", ["grade2", "korteweg", "korteweg-eps2"])
+    def test_minor_terms_bound_the_printed_minors(self, name, minor_calls):
+        q = derive(_model_named(name)).restrictions.quadratic
+        bound = q.minor_terms()
+        assert minor_calls == []
+        assert sum(len(d._n) for _, d in q.minors) <= bound
+
 
 class TestModelHash:
     def test_stable_and_distinct(self, grade2_model, korteweg_model):
