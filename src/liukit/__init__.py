@@ -23,7 +23,7 @@ _EXPORTS = {
     "balance": ("BalanceLaw", "EntropyDeclaration", "ModelError", "ModelSpec", "entropy_production"),
     "liu": (
         "ConstraintSelection", "DecoupledSystem", "EngineError", "Equality", "EvenForm",
-        "LiuReport", "QuadraticForm", "Restrictions", "decouple", "derive",
+        "LiuReport", "MinorLimitError", "QuadraticForm", "Restrictions", "decouple", "derive",
         "emit_restrictions", "model_hash", "multiplier_symbol", "report_json_dict",
         "report_latex", "report_text", "same_restrictions", "select_constraints",
         "solve_multipliers",

@@ -14,7 +14,7 @@ import sys
 from .jet import StateSpaceError
 from .expr import ExprError, ParseError
 from .balance import ModelError, ModelSpec
-from .liu import EngineError, derive, format_report, report_json_dict, report_latex, same_restrictions
+from .liu import EngineError, MinorLimitError, derive, format_report, report_json_dict, report_latex, same_restrictions
 from .modelfile import CheckError, FileFormatError, load_model
 from .models import builtin_names, load_builtin, load_builtin_solution
 from ._util import stable_json
@@ -33,14 +33,10 @@ EXIT_CHECK = 4
 
 FDB_MAX_ORDER = 8
 FDB_MAX_TERMS = 3000
-# Each extension order roughly doubles derive's time (order 7 takes about 2 s),
-# so a larger --order would hang, and a huge one exhausts memory.
+# Each extension order multiplies derive's time by about 2.7 (korteweg, in
+# process: 0.4, 1.1 and 3.0 s at orders 6, 7 and 8), so a larger --order
+# would hang, and a huge one exhausts memory.
 DERIVE_MAX_ORDER = 12
-# Text and JSON print every principal minor of the quadratic form, expanded.
-# korteweg-eps2's 63 minors bound 2.0e6 terms and print 725 KB; the largest
-# bound among the printable generated models, 4.6e7, prints 6.3 MB in 0.5 s;
-# a bound of 9.6e9 printed 690 MB at a 2.7 GB peak.
-DERIVE_MAX_MINOR_TERMS = 10**8
 
 
 def _write(args, record, format_text, latex=None) -> None:
@@ -94,15 +90,10 @@ def _cmd_derive(args) -> int:
             raise EngineError(
                 "pruned and full constraint sets emit different restrictions"
             )
-    form = report.restrictions.quadratic
-    if args.format != "latex" and form is not None:
-        terms = form.minor_terms()
-        if terms > DERIVE_MAX_MINOR_TERMS:
-            raise CliUsage(
-                f"the quadratic form's principal minors expand to at most {terms} terms, more than the "
-                f"supported maximum {DERIVE_MAX_MINOR_TERMS}; --format latex prints the form without them"
-            )
-    _write(args, lambda: report_json_dict(report), format_report, lambda: report_latex(report))
+    try:
+        _write(args, lambda: report_json_dict(report), format_report, lambda: report_latex(report))
+    except MinorLimitError as exc:
+        raise CliUsage(f"{exc}; --format latex prints the form without them") from None
     return EXIT_OK
 
 

@@ -23,7 +23,9 @@ Ids depend on what a process happened to create first, so they order atoms
 internally and nowhere else.  `_p_div_exact` is the one exact divider: a
 one-term divisor divides term by term, through the reciprocal of its
 coefficient, and only a divisor of two or more terms runs the leading-term loop,
-which draws the remainder's leading terms from a heap.
+which draws the remainder's leading terms from a heap.  `_split` is the one
+splitter: in one pass it maps each sub-monomial over a set of atoms to its
+coefficient polynomial, for collection, degrees and substitution alike.
 
 Canonical order.  Monomials are ordered graded-lexicographically over a
 canonical atom order (jets first, by field name, then time order, then
@@ -68,7 +70,7 @@ import re
 from bisect import bisect
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 from .jet import _ATOM_IDS, ATOMS, Frozen, JetVariable, intern_atom
 
@@ -394,25 +396,18 @@ def _int_normalize(p: Poly) -> Poly:
     return _rescale(p, *_int_scale(p.values(), p_leading(p)[1]))
 
 
-def _var_exp(m: Mono, var: int) -> int:
-    ids = m[::2]
-    return m[2 * ids.index(var) + 1] if var in ids else 0
-
-
-def _var_degree(p: Poly, var: int) -> int:
-    return max((_var_exp(m, var) for m in p), default=0)
-
-
-def _var_coeff(p: Poly, var: int, d: int) -> Poly:
-    out = {}
+def _split(p: Poly, ids: Container[int]) -> dict[Mono, Poly]:
+    """p as sum_b b * p_b over the sub-monomials b over the atoms `ids`: {b: p_b}, in one pass."""
+    out: dict[Mono, Poly] = {}
     for m, c in p.items():
-        ids = m[::2]
-        if var in ids:
-            k = 2 * ids.index(var)
-            if m[k + 1] == d:
-                out[m[:k] + m[k + 2:]] = c
-        elif d == 0:
-            out[m] = c
+        bound = []
+        rest = []
+        for k in range(0, len(m), 2):
+            if m[k] in ids:
+                bound += m[k:k + 2]
+            else:
+                rest += m[k:k + 2]
+        out.setdefault(tuple(bound), {})[tuple(rest)] = c
     return out
 
 
@@ -458,31 +453,47 @@ def _p_div_exact(p: Poly, d: Poly) -> Poly:
     return {m: c for m, c in q.items() if c}
 
 
-def _prem(a: Poly, b: Poly, var: int) -> Poly:
-    """Pseudo-remainder of a by b with respect to var."""
-    db = _var_degree(b, var)
-    lb = _var_coeff(b, var, db)
-    r = dict(a)
-    while r:
-        dr = _var_degree(r, var)
-        if dr < db:
+def _in_var(p: Poly, var: int) -> dict[int, Poly]:
+    """p as sum_e var^e * p_e: {e: p_e}, the one-atom `_split` that the gcd recursion reads."""
+    out: dict[int, Poly] = {}
+    for m, c in p.items():
+        ids = m[::2]
+        if var in ids:
+            k = 2 * ids.index(var)
+            out.setdefault(m[k + 1], {})[m[:k] + m[k + 2:]] = c
+        else:
+            out.setdefault(0, {})[m] = c
+    return out
+
+
+def _prem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
+    """Pseudo-remainder of a by b, both `_in_var` views of one atom.
+
+    Each step sets a := lc(b)*a - lc(a)*var^(deg a - deg b)*b, which cancels
+    the top degree of a exactly, until deg a < deg b.
+    """
+    db = max(b)
+    lb = b[db]
+    while a:
+        da = max(a)
+        if da < db:
             break
-        lr = _var_coeff(r, var, dr)
-        shifted = p_mul({(var, dr - db) if dr > db else (): 1}, b)
-        r2 = p_mul(lb, r)
-        p_add_into(r2, p_mul(lr, shifted), -1)
-        r = r2
-    return r
+        la, s = a[da], da - db
+        r = {e: p_mul(lb, c) for e, c in a.items() if e != da}
+        for e, c in b.items():
+            if e != db:
+                p_add_into(r.setdefault(e + s, {}), p_mul(la, c), -1)
+        a = {e: c for e, c in r.items() if c}
+    return a
 
 
-def _content_in_var(p: Poly, var: int) -> Poly:
+def _content(u: dict[int, Poly]) -> Poly:
+    """The gcd of the coefficients of u, from the top degree down."""
     cont: Poly = {}
-    for d in range(_var_degree(p, var), -1, -1):
-        c = _var_coeff(p, var, d)
-        if c:
-            cont = poly_gcd(cont, c) if cont else dict(c)
-            if p_is_const(cont):
-                return _p_one()
+    for e in sorted(u, reverse=True):
+        cont = poly_gcd(cont, u[e]) if cont else u[e]
+        if p_is_const(cont):
+            return _p_one()
     return cont
 
 
@@ -491,33 +502,27 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
         return _p_one()
     if p == q:
         return _int_normalize(p)
-    ids = set()
-    for m in chain(p, q):
-        ids.update(m[::2])
-    var = min(ids, key=_ranks().__getitem__)  # the last atom in canonical order
-    dp, dq = _var_degree(p, var), _var_degree(q, var)
-    if dp == 0:
-        return poly_gcd(p, _content_in_var(q, var))
-    if dq == 0:
-        return poly_gcd(q, _content_in_var(p, var))
-    cp = _content_in_var(p, var)
-    cq = _content_in_var(q, var)
-    d = poly_gcd(cp, cq)
-    a = _p_div_exact(p, cp)
-    b = _p_div_exact(q, cq)
-    if _var_degree(a, var) < _var_degree(b, var):
+    var = min({i for m in chain(p, q) for i in m[::2]}, key=_ranks().__getitem__)  # the last canonical atom
+    a, b = _in_var(p, var), _in_var(q, var)
+    if max(a) == 0:
+        return poly_gcd(p, _content(b))
+    if max(b) == 0:
+        return poly_gcd(q, _content(a))
+    ca, cb = _content(a), _content(b)
+    d = poly_gcd(ca, cb)
+    a = {e: _p_div_exact(c, ca) for e, c in a.items()}
+    b = {e: _p_div_exact(c, cb) for e, c in b.items()}
+    if max(a) < max(b):
         a, b = b, a
-    while b:
-        r = _prem(a, b, var)
-        a = b
+    # Every b is primitive, so the last nonzero one is the primitive gcd.
+    while True:
+        r = _prem(a, b)
         if not r:
-            b = {}
             break
-        cr = _content_in_var(r, var)
-        b = _p_div_exact(r, cr)
-    ca = _content_in_var(a, var)
-    a = _p_div_exact(a, ca)
-    return _int_normalize(p_mul(d, a))
+        cr = _content(r)
+        a, b = b, {e: _p_div_exact(c, cr) for e, c in r.items()}
+    g = {mono_mul(m, (var, e)) if e else m: v for e, c in b.items() for m, v in c.items()}
+    return _int_normalize(p_mul(d, g))
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -733,36 +738,19 @@ class Expression:
         vset = {a.id: i for i, a in enumerate(variables)}
         if any(i in vset for m in self._d for i in m[::2]):
             # Named from the first term that holds one, in canonical order.
-            for m, _ in self._den:
-                hit = [i for i in m[::2] if i in vset]
-                if hit:
-                    first = max(hit, key=_ranks().__getitem__)  # first in canonical order
-                    raise CollectError(
-                        f"denominator involves collection variable {ATOMS[first].text()}"
-                    )
-        buckets: dict[tuple[int, ...], Poly] = {}
-        for m, c in self._n.items():
+            hits = ([i for i in m[::2] if i in vset] for m, _ in self._den)
+            first = max(next(filter(None, hits)), key=_ranks().__getitem__)  # first in canonical order
+            raise CollectError(f"denominator involves collection variable {ATOMS[first].text()}")
+        buckets = {}
+        for b, v in _split(self._n, vset).items():
             exps = [0] * len(variables)
-            rest = []
-            for k in range(0, len(m), 2):
-                i = vset.get(m[k])
-                if i is None:
-                    rest += m[k:k + 2]
-                else:
-                    exps[i] = m[k + 1]
-            b = buckets.setdefault(tuple(exps), {})
-            rm = tuple(rest)
-            b[rm] = b.get(rm, 0) + c
+            for i, e in zip(b[::2], b[1::2]):
+                exps[vset[i]] = e
+            buckets[tuple(exps)] = v
         return {k: Expression(v, self._d) for k, v in sorted(buckets.items())}
 
     def degree_in(self, variables: Iterable[Atom]) -> int:
-        vset = {a.id for a in variables}
-        deg = 0
-        for m in self._n:
-            d = sum(m[k + 1] for k in range(0, len(m), 2) if m[k] in vset)
-            if d > deg:
-                deg = d
-        return deg
+        return max((sum(b[1::2]) for b in _split(self._n, {a.id for a in variables})), default=0)
 
     # -- substitution ---------------------------------------------------
 
@@ -1210,35 +1198,24 @@ class Substitution:
         return self.resolve(FuncSym(a.name, a.deps, orders)).diff(a.deps[k])
 
 
-def _rebuild(part: Poly, sub: Substitution) -> tuple[Poly, Poly]:
+def _rebuild(part: Poly, sub: Substitution, bound: set[int]) -> tuple[Poly, Poly]:
     """One substituted part of a normal form, as a polynomial over a shared denominator.
 
     The shared denominator is the product of den(rep_a)^E_a over the bound
     atoms a whose replacement has a nonconstant denominator, E_a being the
     largest exponent of a in the part.  A monomial holding a^e then
-    contributes num(rep_a)^e * den(rep_a)^(E_a - e).  Monomials with equal
-    bound exponents share those factors, so each such group costs one
-    product per factor.
+    contributes num(rep_a)^e * den(rep_a)^(E_a - e).  `_split` groups the
+    monomials by their bound atoms, so each group costs one product per factor.
     """
+    groups = _split(part, bound)
     tops: dict = {}  # bound atom id with a nonconstant denominator -> E_a
-    groups: dict = {}  # bound (id, e) pairs, flat -> polynomial in the unbound atoms
-    for m, c in part.items():
-        bound = []
-        rest = []
-        for k in range(0, len(m), 2):
-            i, e = m[k], m[k + 1]
-            rep = sub.resolve(ATOMS[i])
-            if rep is None:
-                rest += (i, e)
-                continue
-            bound += (i, e)
-            if not rep.den_is_one and tops.get(i, 0) < e:
+    for b in groups:
+        for i, e in zip(b[::2], b[1::2]):
+            if tops.get(i, 0) < e and not sub.cache[i].den_is_one:
                 tops[i] = e
-        groups.setdefault(tuple(bound), {})[tuple(rest)] = c
     acc: Poly = {}
-    for bound, rest in groups.items():
-        have = dict(zip(bound[::2], bound[1::2]))
-        term = rest
+    for b, term in groups.items():
+        have = dict(zip(b[::2], b[1::2]))
         for i, e in have.items():
             term = p_mul(term, sub.power(i, e, False))
         for i, top in tops.items():
@@ -1254,12 +1231,13 @@ def _rebuild(part: Poly, sub: Substitution) -> tuple[Poly, Poly]:
 
 def _subs_pass(expr: Expression, sub: Substitution) -> Expression:
     """The substitution, normalized once: one pass, since every replacement is closed."""
-    if all(sub.resolve(a) is None for a in expr.atoms()):
+    bound = {a.id for a in expr.atoms() if sub.resolve(a) is not None}
+    if not bound:
         return expr
-    num, num_den = _rebuild(expr._n, sub)
+    num, num_den = _rebuild(expr._n, sub, bound)
     if expr.den_is_one:
         return Expression(num, num_den)
-    den, den_den = _rebuild(expr._d, sub)
+    den, den_den = _rebuild(expr._d, sub, bound)
     return Expression(p_mul(num, den_den), p_mul(num_den, den))
 
 

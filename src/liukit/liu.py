@@ -44,6 +44,18 @@ class EngineError(RuntimeError):
     """An internal invariant of the derivation failed."""
 
 
+class MinorLimitError(ModelError):
+    """A quadratic form whose principal minors would expand past `DERIVE_MAX_MINOR_TERMS`."""
+
+
+# Text and JSON `derive` print every principal minor of the quadratic form,
+# expanded, and `check` expands those of each scenario's prepared form.
+# korteweg-eps2's 63 minors bound 2.0e6 terms and print 725 KB; the largest
+# bound among the printable generated models, 4.6e7, prints 6.3 MB in 0.5 s;
+# a bound of 9.6e9 printed 690 MB at a 2.7 GB peak.
+DERIVE_MAX_MINOR_TERMS = 10**8
+
+
 class DecoupledRow(NamedTuple):
     index: int
     field: str
@@ -264,7 +276,13 @@ class QuadraticForm(NamedTuple):
         The subsets run over the indices the entries name, zero or not, in
         report order: smaller subsets first, then lexicographically.  With
         `text`, each determinant is its `to_text`, printed from the expansion.
+        Above `DERIVE_MAX_MINOR_TERMS` it raises `MinorLimitError` before
+        expanding any minor.
         """
+        terms = self.minor_terms()
+        if terms > DERIVE_MAX_MINOR_TERMS:
+            raise MinorLimitError(f"the quadratic form's principal minors expand to at most {terms} terms, "
+                                  f"more than the supported maximum {DERIVE_MAX_MINOR_TERMS}")
         m, subsets = self._matrix_and_subsets()
         return tuple(zip(subsets, principal_minors(m, subsets, text)))
 

@@ -29,12 +29,15 @@ cofactor expansion over expressions (and sympy), the canonical monomial
 order against a reference comparator, and the printers against a reference
 that sorts the terms with that comparator before printing.  Fixed cases
 compare `total_x`, `poly_gcd` and the normal form with sympy when it is
-installed.  A packed-minor suite uses monomial denominators only, so every
-minor is finished without `_normalize`, and requires the same parts as the
-cofactor expansion and as normalizing the minor's own parts again.  Both
-minor suites also require the text that `principal_minors(..., text=True)`
-prints for the report to equal `to_text` of each minor and the sorting
-reference's text of the cofactor expansion.
+installed.  A derandomized suite draws products of factors with a common
+part and requires `poly_gcd` to be sympy's gcd up to a constant, with
+cofactors that divide exactly and are coprime.  A packed-minor suite uses
+monomial denominators only, so every minor is finished without
+`_normalize`, and requires the same parts as the cofactor expansion and as
+normalizing the minor's own parts again.  Both minor suites also require
+the text that `principal_minors(..., text=True)` prints for the report to
+equal `to_text` of each minor and the sorting reference's text of the
+cofactor expansion.
 
 Exact division by one-term divisors, constants and monomials, and by
 several-term divisors whose remainders cancel, is checked against the
@@ -503,6 +506,40 @@ def test_poly_gcd_and_normal_form_match_sympy(left, right):
     num, den = to_sympy(Expression(n.num_poly(), {(): 1})), to_sympy(n.denominator())
     assert sympy.gcd(num, den).is_number
     assert sympy.cancel(num / den - to_sympy(p) / to_sympy(q)) == 0
+
+
+# The factors of the rational inputs' denominators, and monomials.
+_GCD_POOL = ["rho - eps", "rho^2 + 2", "v^2 + 2*eps + 2", "rho", "eps^2", "3*v", "s0*rho_x", "-2"]
+
+
+def _poly(p: dict) -> Expression:
+    return Expression(p, {(): 1})
+
+
+def test_poly_gcd_of_products_matches_sympy():
+    """poly_gcd of two products drawn from a pool of factors with a common part.
+
+    The gcd is sympy's up to a constant, and both cofactors divide exactly
+    and are coprime.
+    """
+    sympy = pytest.importorskip("sympy")
+    to_sympy = functools.partial(_to_sympy, sympy)
+    factors = [parse(t, CTX).num_poly() for t in _GCD_POOL]
+    product = st.lists(st.sampled_from(range(len(factors))), max_size=3).map(
+        lambda ks: functools.reduce(expr_mod.p_mul, [factors[k] for k in ks], {(): 1}))
+
+    @settings(_suite, max_examples=300)
+    @given(common=product, left=product, right=product)
+    def check(common, left, right):
+        p, q = expr_mod.p_mul(common, left), expr_mod.p_mul(common, right)
+        g = expr_mod.poly_gcd(p, q)
+        ratio = sympy.cancel(sympy.gcd(*map(to_sympy, (_poly(p), _poly(q)))) / to_sympy(_poly(g)))
+        assert ratio.is_number and ratio != 0
+        a, b = expr_mod._p_div_exact(p, g), expr_mod._p_div_exact(q, g)
+        assert expr_mod.p_mul(a, g) == p and expr_mod.p_mul(b, g) == q
+        assert sympy.gcd(to_sympy(_poly(a)), to_sympy(_poly(b))).is_number
+
+    check()
 
 
 def _normalizations_in_subs(n: int, monkeypatch) -> int:

@@ -17,8 +17,9 @@ import sys
 
 import pytest
 
-from liukit.cli import DERIVE_MAX_MINOR_TERMS, main
+from liukit.cli import main
 from liukit.liu import (
+    DERIVE_MAX_MINOR_TERMS,
     constrained_inequality,
     decouple,
     derive,
@@ -123,6 +124,32 @@ def test_unprintable_minors_are_refused_before_expanding(seed, fmt, tmp_path, ca
     assert err == (
         f"error: the quadratic form's principal minors expand to at most {UNPRINTABLE[seed]} terms, "
         f"more than the supported maximum {DERIVE_MAX_MINOR_TERMS}; --format latex prints the form without them\n"
+    )
+
+
+def generic_closure(seed: int) -> str:
+    """A solution for `generated_model(seed)` that binds each unknown to an ansatz of the same dependencies.
+
+    The ansatz keeps every unknown generic, so the quadratic form that
+    `check` prepares is as large as the one `derive` would print.
+    """
+    model = parse_model(generated_model(seed), f"generated-{seed}")
+    ansatz = "".join(f"a{u.name}({', '.join(d.text() for d in u.deps)})\n" for u in model.unknowns)
+    bindings = "".join(f"{u.name} = a{u.name}\n" for u in model.unknowns)
+    return f"[ansatz]\n{ansatz}\n[bindings]\n{bindings}\n[scenario generic]\nsamples = 4\n"
+
+
+@pytest.mark.parametrize("seed", sorted(UNPRINTABLE))
+def test_check_refuses_unprintable_minors_before_expanding(seed, tmp_path, capsys, minor_calls):
+    model, solution = tmp_path / f"generated-{seed}.model", tmp_path / f"generated-{seed}.solution"
+    model.write_text(generated_model(seed))
+    solution.write_text(generic_closure(seed))
+    assert main(["check", str(model), str(solution)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and minor_calls == []
+    assert err == (
+        f"error: the quadratic form's principal minors expand to at most {UNPRINTABLE[seed]} terms, "
+        f"more than the supported maximum {DERIVE_MAX_MINOR_TERMS}\n"
     )
 
 

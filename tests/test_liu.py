@@ -2,6 +2,7 @@
 restriction emission, diagnostics and serialization."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import liukit
+from liukit import expr as expr_mod
 from liukit.balance import BalanceLaw, EntropyDeclaration, ModelError, ModelSpec
 from liukit.expr import Expression, ParseContext, ZERO, parse, to_text
 from liukit.jet import JetVariable, StateSpace, classify
@@ -33,7 +35,7 @@ from liukit.liu import (
     solve_multipliers,
 )
 from liukit.modelfile import parse_model
-from liukit.models import load_builtin
+from liukit.models import _read, load_builtin
 from liukit._util import stable_json
 
 from conftest import model_ctx
@@ -578,6 +580,41 @@ class TestSerialization:
         atoms = _python(_LIST_ATOMS)
         blob = _python(_DERIVE_AFTER_ATOMS, atoms)
         assert blob.decode() == stable_json(report_json_dict(korteweg_report))
+
+
+# The only known inputs whose derive calls poly_gcd, built from the shipped
+# files as CI's "Rational input" step builds them: grade2 with a rational
+# production added to its internal balance, and korteweg with its mass law
+# replaced by mass + energy.  SHA-256 of the pruned JSON and LaTeX reports.
+_GRADE2_FLUX = "flux = rho*gamma*v + Jg\n"
+_KORTEWEG_MASS = "density = rho\nflux = rho*v\n"
+RATIONAL_INPUTS = {
+    "rational grade2": (
+        "grade2.model", _GRADE2_FLUX, _GRADE2_FLUX + "production = gamma/(1 + rho)\n",
+        "e749c59d8d9e01eab68822973d3eeff7f41b8255ee71e0bb0aeaedf6e7f1b0fb",
+        "04f08f410ddacb3ddc5993743e0a214004fa0d0ac17e1192510c332245c61938",
+    ),
+    "korteweg, mass + energy": (
+        "korteweg.model", _KORTEWEG_MASS,
+        "density = rho + rho*eps + 1/2*rho*v^2\nflux = rho*v + (rho*eps + 1/2*rho*v^2)*v - T*v + q\n",
+        "806a710c94526360af470590b16dacc49f5df1402c28740de803895535eb3553",
+        "0f4a6833ed3f8af810435681b0600e8ef3a741f05e92202d458bf6d949bd9fe7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_INPUTS))
+def test_rational_input_reports_are_pinned(name, monkeypatch):
+    file, line, replacement, json_sha, latex_sha = RATIONAL_INPUTS[name]
+    text = _read(file)
+    assert line in text
+    calls = []
+    gcd = expr_mod.poly_gcd
+    monkeypatch.setattr(expr_mod, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+    report = derive(parse_model(text.replace(line, replacement), name))
+    assert calls
+    assert hashlib.sha256(stable_json(report_json_dict(report)).encode()).hexdigest() == json_sha
+    assert hashlib.sha256(report_latex(report).encode()).hexdigest() == latex_sha
 
 
 def _python(code: str, stdin: bytes = b"") -> bytes:
