@@ -33,8 +33,8 @@ EXIT_CHECK = 4
 
 FDB_MAX_ORDER = 8
 FDB_MAX_TERMS = 3000
-# Each extension order multiplies derive's time by about 2.7 (korteweg, in
-# process: 0.4, 1.1 and 3.0 s at orders 6, 7 and 8), so a larger --order
+# Each extension order multiplies derive's time by about 2.8 (korteweg, in
+# process: 0.17, 0.48 and 1.3 s at orders 6, 7 and 8), so a larger --order
 # would hang, and a huge one exhausts memory.
 DERIVE_MAX_ORDER = 12
 

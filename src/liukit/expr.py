@@ -70,7 +70,7 @@ import re
 from bisect import bisect
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
 
 from .jet import _ATOM_IDS, ATOMS, Frozen, JetVariable, intern_atom
 
@@ -305,7 +305,9 @@ def _mono_gcd(m1: Mono, m2: Mono) -> Mono:
 
 
 def _mono_content(p: Poly, g: Mono | None = None) -> Mono:
-    """The gcd of all monomials of p, and of g when given."""
+    """The gcd of all monomials of p, and of g when given: () at once when p has a constant term."""
+    if () in p:
+        return ()
     it = iter(p)
     if g is None:
         g = next(it)
@@ -396,10 +398,18 @@ def _int_normalize(p: Poly) -> Poly:
     return _rescale(p, *_int_scale(p.values(), p_leading(p)[1]))
 
 
-def _split(p: Poly, ids: Container[int]) -> dict[Mono, Poly]:
-    """p as sum_b b * p_b over the sub-monomials b over the atoms `ids`: {b: p_b}, in one pass."""
+def _split(p: Poly, ids: AbstractSet[int] | Mapping[int, object]) -> dict[Mono, Poly]:
+    """p as sum_b b * p_b over the sub-monomials b over the atoms `ids`: {b: p_b}, in one pass.
+
+    `ids` is a set of atom ids or a dict keyed by them.  A monomial free of
+    them goes to the bucket () as it is.
+    """
+    disjoint = (ids.keys() if isinstance(ids, dict) else ids).isdisjoint
     out: dict[Mono, Poly] = {}
     for m, c in p.items():
+        if disjoint(m[::2]):
+            out.setdefault((), {})[m] = c
+            continue
         bound = []
         rest = []
         for k in range(0, len(m), 2):
@@ -750,7 +760,20 @@ class Expression:
         return {k: Expression(v, self._d) for k, v in sorted(buckets.items())}
 
     def degree_in(self, variables: Iterable[Atom]) -> int:
-        return max((sum(b[1::2]) for b in _split(self._n, {a.id for a in variables})), default=0)
+        """The numerator's total degree in `variables`, read off each monomial without splitting it."""
+        ids = {a.id for a in variables}
+        disjoint = ids.isdisjoint
+        top = 0
+        for m in self._n:
+            if disjoint(m[::2]):
+                continue
+            d = 0
+            for k in range(0, len(m), 2):
+                if m[k] in ids:
+                    d += m[k + 1]
+            if d > top:
+                top = d
+        return top
 
     # -- substitution ---------------------------------------------------
 

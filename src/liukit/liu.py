@@ -13,12 +13,18 @@ The pipeline:
                   law exactly when the state space contains a k-th order
                   gradient of the field that law evolves; "all" keeps every
                   extension up to the state-space order.
-3. assemble     - entropy production minus multiplier-weighted constraints.
+3. assemble     - entropy production minus multiplier-weighted constraints,
+                  kept as its pieces: the production and, per multiplier,
+                  its coefficient, the negated extension.  `derive` never
+                  sums them; `constrained_inequality` does.
 4. solve        - from the top selected order down, the coefficient of
                   u_{i,t x^k} is c + a*L[i,k] with one unknown, L[i,k],
                   whose factor a is minus the pivot of law i; so
-                  L[i,k] = -c/a.  A field with no order-k multiplier keeps
-                  its time jet, and step 5 treats it as any other free jet.
+                  L[i,k] = -c/a, with c read from the multiplier-free part
+                  and a from L[i,k]'s piece, and value * piece joins the
+                  multiplier-free part.  A field with no order-k multiplier
+                  keeps its time jet, and step 5 treats it as any other
+                  free jet.
 5. emit         - every derivative outside the state space is free: the
                   surviving inequality is affine in the highest jets (step
                   4's leftover time jets, each field's top spatial jet),
@@ -175,50 +181,90 @@ class MultiplierSolution(NamedTuple):
     nonzero: tuple[Expression, ...]
 
 
+_NOT_LINEAR = "constrained inequality is not linear in a mixed time jet"
+_COUPLED = "elimination left a coupled equation behind"
+
+
 def solve_multipliers(
     model: ModelSpec,
     dec: DecoupledSystem,
     selection: ConstraintSelection,
     inequality: Expression,
 ) -> MultiplierSolution:
-    """Solve the multipliers from the mixed time-jet coefficients, top order first.
+    """Solve the multipliers of a constrained inequality, top order first.
 
-    At each selected order k the equations are the coefficients of u_{t,x^k}
-    for every field u.  Higher orders have already been substituted, and
-    decoupling leaves the order-k multiplier of law i alone in the equation
-    of field i, so each equation c + a*L[i,k] = 0 gives L[i,k] = -c/a.  A
-    field with no order-k multiplier is skipped: its time jet stays in the
-    reduced inequality, where `emit_restrictions` makes its coefficient an
-    equality.  Side conditions collect the nonconstant factors a.
+    The inequality is split once by the selection's multipliers into its
+    multiplier-free part and the coefficient of each multiplier, which
+    `_eliminate` solves; a term of degree 2 or more in the multipliers
+    raises, as a coefficient equation that is not affine in them.
+    """
+    lams = [multiplier_symbol(i, k) for i, k in selection.entries]
+    free = ZERO
+    pieces: dict[tuple[int, int], Expression] = {}
+    for idx, coeff in inequality.collect(lams).items():
+        degree = sum(idx)
+        if degree > 1:
+            raise EngineError("coefficient equation is not affine in the multipliers")
+        if degree:
+            pieces[selection.entries[idx.index(1)]] = coeff
+        else:
+            free = coeff
+    return _eliminate(model, dec, selection, free, pieces)
+
+
+def _eliminate(
+    model: ModelSpec,
+    dec: DecoupledSystem,
+    selection: ConstraintSelection,
+    free: Expression,
+    pieces: dict[tuple[int, int], Expression],
+) -> MultiplierSolution:
+    """Solve L[i,k] from the mixed time-jet coefficients, on the pieces of the inequality.
+
+    The constrained inequality is `free` plus L[i,k] * pieces[i, k] summed
+    over the selection; it is never assembled.  At each selected order k
+    the equations are the coefficients of u_{t,x^k} for every field u.
+    Higher orders are already folded into `free`, and decoupling leaves the
+    order-k multiplier of law i alone in the equation of field i, so each
+    equation c + a*L[i,k] = 0, with c from `free` and a from L[i,k]'s piece,
+    gives L[i,k] = -c/a, and value * piece joins `free`.  A field with no
+    order-k multiplier is skipped: its time jet stays in the reduced
+    inequality, where `emit_restrictions` makes its coefficient an equality.
+    Side conditions collect the nonconstant factors a.
     """
     top = max((k for _, k in selection.entries), default=-1)
-    work = inequality
     solved: list[tuple[int, int, Expression]] = []
     nonzero: list[Expression] = []
+    n = len(model.fields)
+    solved_jets: list[JetVariable] = []
     for k in range(top, -1, -1):
         jets = [JetVariable(f, 1, k) for f in model.fields]
-        _, eqs = _affine(work, jets, "constrained inequality is not linear in a mixed time jet")
-        level = {i: multiplier_symbol(i, k) for i, kk in selection.entries if kk == k}
-        unknowns = list(level.values())
-        bind: dict[FuncSym, Expression] = {}
-        for i, eq in enumerate(eqs, start=1):
-            const, coeffs = _affine(eq, unknowns, "coefficient equation is not affine in the multipliers")
-            own = unknowns.index(level[i]) if i in level else -1
-            if any(not c.is_zero for j, c in enumerate(coeffs) if j != own):
-                raise EngineError("elimination left a coupled equation behind")
-            if own < 0:
+        _, eqs = _affine(free, jets, _NOT_LINEAR)
+        level = {i: pieces.get((i, kk), ZERO) for i, kk in selection.entries if kk == k}
+        # A piece must hold no time jet of a higher order either: the
+        # elimination there did not see its multiplier.
+        coeffs = {i: _affine(piece, jets + solved_jets, _NOT_LINEAR)[1] for i, piece in level.items()}
+        if any(not c.is_zero for cs in coeffs.values() for c in cs[n:]):
+            raise EngineError(_COUPLED)
+        solved_jets += jets
+        bind: dict[int, Expression] = {}
+        for i, c in enumerate(eqs, start=1):
+            if any(not cs[i - 1].is_zero for j, cs in coeffs.items() if j != i):
+                raise EngineError(_COUPLED)
+            if i not in level:
                 continue
-            a = coeffs[own]
+            a = coeffs[i][i - 1]
             if a.is_zero:
-                raise EngineError(f"no equation determines {level[i].name}")
+                raise EngineError(f"no equation determines {multiplier_symbol(i, k).name}")
             if a.as_fraction() is None and a not in nonzero:
                 nonzero.append(a)
-            bind[level[i]] = -const / a
-            solved.append((i, k, bind[level[i]]))
-        work = work.subs(bind)
+            bind[i] = -c / a
+            solved.append((i, k, bind[i]))
+        for i, value in bind.items():
+            free = free + value * level[i]
     solved.sort(key=lambda t: (t[1], t[0]))
     nonzero.extend(c for c in dec.nonzero if c not in nonzero)
-    return MultiplierSolution(tuple(solved), work, tuple(nonzero))
+    return MultiplierSolution(tuple(solved), free, tuple(nonzero))
 
 
 def _by_degree(
@@ -440,13 +486,17 @@ def derive(
     cls = classify(model.space, model.fields)
     dec = decouple(model)
     selection = select_constraints(model, mode=mode, max_order=max_order)
-    ineq = constrained_inequality(model, dec, selection)
-    sol = solve_multipliers(model, dec, selection, ineq)
-    higher = cls.sorted_higher()
+    production = entropy_production(model)
+    exts = constraint_extensions(dec, selection)
+    sol = _eliminate(model, dec, selection, production, {key: -ext for key, ext in exts.items()})
     restrictions = emit_restrictions(model, cls, sol.reduced)
+    # The constrained inequality's degrees, read from its pieces: distinct
+    # multipliers keep them from cancelling, and their denominators hold
+    # state variables only.
+    pieces = (production, *exts.values())
     diagnostics = {
-        "zetaDegree": ineq.degree_in(cls.sorted_highest()) if cls.highest else 0,
-        "etaDegree": ineq.degree_in(higher) if higher else 0,
+        "zetaDegree": max(p.degree_in(cls.highest) for p in pieces),
+        "etaDegree": max(p.degree_in(cls.higher) for p in pieces),
         "etaDegreeBound": model.space.order + 1,
         "constraintCount": len(selection.entries),
         "equalityCount": len(restrictions.equalities),

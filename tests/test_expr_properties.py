@@ -39,6 +39,10 @@ the text that `principal_minors(..., text=True)` prints for the report to
 equal `to_text` of each minor and the sorting reference's text of the
 cofactor expansion.
 
+`_split` is checked against a one-atom-at-a-time reference loop, with the
+atom ids given as a set and as a dict, and `degree_in` against the degrees
+of the split.
+
 Exact division by one-term divisors, constants and monomials, and by
 several-term divisors whose remainders cancel, is checked against the
 leading-term loop on seeded random polynomials.
@@ -567,6 +571,43 @@ def test_subs_normalizations_do_not_grow_with_size(monkeypatch):
     small = _normalizations_in_subs(10, monkeypatch)
     assert small == _normalizations_in_subs(200, monkeypatch)
     assert small <= 2
+
+
+# -- splitting and degrees -----------------------------------------------------------
+
+_SPLIT_ATOMS = [RHO, EPS, V_X, RHO_X, EPS_X, RHO_XX, RHO_T, S0, Q1, S0.bump(EPS)]
+
+
+def _reference_split(p: dict, ids) -> dict:
+    """`_split` one atom at a time: each monomial's atoms in `ids` key its bucket, the rest stay."""
+    out: dict = {}
+    for m, c in p.items():
+        pairs = list(zip(m[::2], m[1::2]))
+        bound = tuple(x for i, e in pairs if i in ids for x in (i, e))
+        rest = tuple(x for i, e in pairs if i not in ids for x in (i, e))
+        out.setdefault(bound, {})[rest] = c
+    return out
+
+
+@settings(_suite, max_examples=300)
+@given(a=poly_exprs, chosen=st.sets(st.sampled_from(_SPLIT_ATOMS)))
+def test_split_matches_reference_loop(a, chosen):
+    """The split over a set and over a dict of atom ids; monomials free of them land in () whole."""
+    p = a.num_poly()
+    ids = {v.id for v in chosen}
+    want = _reference_split(p, ids)
+    assert expr_mod._split(p, ids) == want
+    assert expr_mod._split(p, {i: k for k, i in enumerate(sorted(ids))}) == want
+    assert want.get((), {}) == {m: c for m, c in p.items() if ids.isdisjoint(m[::2])}
+
+
+@settings(_suite, max_examples=300)
+@given(a=exprs, chosen=st.sets(st.sampled_from(_SPLIT_ATOMS)))
+def test_degree_in_is_the_split_degree(a, chosen):
+    ids = {v.id for v in chosen}
+    split = expr_mod._split(a._n, ids)
+    assert sum(map(len, split.values())) == len(a._n)  # the reference keeps every term
+    assert a.degree_in(chosen) == max((sum(b[1::2]) for b in split), default=0)
 
 
 # -- exact division ----------------------------------------------------------------

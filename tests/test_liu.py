@@ -19,6 +19,7 @@ from liukit.jet import JetVariable, StateSpace, classify
 from liukit.liu import (
     EngineError,
     EvenForm,
+    LiuReport,
     QuadraticForm,
     constrained_inequality,
     decouple,
@@ -286,6 +287,9 @@ class TestKortewegDerivation:
 def _model_named(name: str) -> ModelSpec:
     if name in liukit.builtin_names():
         return liukit.load_builtin(name)
+    if name in RATIONAL_INPUTS:
+        file, line, replacement = RATIONAL_INPUTS[name][:3]
+        return parse_model(_read(file).replace(line, replacement), name)
     if name.startswith("generated-"):
         return parse_model(generated_model(int(name.rpartition("-")[2])), name)
     return liukit.load_model(os.path.join(ROOT, "bench", "fixtures", name + ".model"))
@@ -615,6 +619,48 @@ def test_rational_input_reports_are_pinned(name, monkeypatch):
     assert calls
     assert hashlib.sha256(stable_json(report_json_dict(report)).encode()).hexdigest() == json_sha
     assert hashlib.sha256(report_latex(report).encode()).hexdigest() == latex_sha
+
+
+def _assembled(model: ModelSpec, mode: str) -> LiuReport:
+    """The report as `bench/probe.py`'s traced run assembles it, phase by phase.
+
+    It builds the whole constrained inequality, solves the multipliers on it
+    with `solve_multipliers` and reads both degrees from it; `derive` works
+    on the inequality's pieces instead.
+    """
+    cls = classify(model.space, model.fields)
+    dec = decouple(model)
+    selection = select_constraints(model, mode=mode)
+    ineq = constrained_inequality(model, dec, selection)
+    sol = solve_multipliers(model, dec, selection, ineq)
+    higher = cls.sorted_higher()
+    restrictions = emit_restrictions(model, cls, sol.reduced)
+    diagnostics = {
+        "zetaDegree": ineq.degree_in(cls.sorted_highest()) if cls.highest else 0,
+        "etaDegree": ineq.degree_in(higher) if higher else 0,
+        "etaDegreeBound": model.space.order + 1,
+        "constraintCount": len(selection.entries),
+        "equalityCount": len(restrictions.equalities),
+        "highestCount": len(cls.highest),
+        "higherCount": len(cls.higher),
+        "classical": all(k == 0 for _, k in selection.entries),
+    }
+    return LiuReport(model, selection.mode, cls, selection, dec, sol.values, restrictions, sol.nonzero,
+                     tuple(sorted(diagnostics.items())))
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [(name, mode) for name in ("grade2", "korteweg", "korteweg-eps2", "korteweg-o3", *(f"generated-{s}" for s in SEEDS))
+     for mode in ("pruned", "all")] + [(name, "pruned") for name in sorted(RATIONAL_INPUTS)],
+)
+def test_derive_equals_the_phase_by_phase_assembly(name, mode):
+    # The benchmark's traced run hashes the assembled report against the
+    # plain one, so the two paths must agree on every input.  The rational
+    # inputs run pruned only: assembling mass + energy's full inequality
+    # takes about 10 s.
+    model = _model_named(name)
+    assert derive(model, mode) == _assembled(model, mode)
 
 
 def _python(code: str, stdin: bytes = b"") -> bytes:

@@ -7,7 +7,10 @@ quadratic form's entries by variable pair, the even forms and the residual.
 (a) Reversing the fields and the laws together keeps the restrictions, and
     so does reversing the fields alone.
 (b) Doubling the entropy's density and flux doubles every restriction.
-(c) Replacing the last law by itself plus 2 x the first keeps them.
+(c) Replacing the last law by itself plus 2 x the first keeps them, and so
+    does replacing `korteweg`'s mass law by mass + energy, whose decoupling
+    divides by pivots that are not monomials (restrictions only: the side
+    conditions depend on the pivots).
 (d) Writing a material entropy in divergence form, density `weight*s` and
     flux `weight*s*v + Js`, keeps them, and the mass multiplier `Lam[1,0]`
     grows by exactly `s`.  Its premise is a first law `w_t + (w v)_x = 0`
@@ -74,6 +77,17 @@ def _recombine(m):
     return m._replace(laws=m.laws[:-1] + (law,))
 
 
+def _first_plus_last(m):
+    first, last = m.laws[0], m.laws[-1]
+    law = BalanceLaw(
+        first.name,
+        first.density + last.density,
+        first.flux + last.flux,
+        first.production + last.production,
+    )
+    return m._replace(laws=(law,) + m.laws[1:])
+
+
 def _double_entropy(m):
     two = Expression.number(2)
     return m._replace(entropy=m.entropy._replace(density=two * m.entropy.density, flux=two * m.entropy.flux))
@@ -112,3 +126,9 @@ def test_divergence_form_keeps_the_restrictions(name, mode):
     assert [(i, k) for i, k, _ in divergence.multipliers] == [(i, k) for i, k, _ in material.multipliers]
     for (i, k, a), (_, _, b) in zip(material.multipliers, divergence.multipliers):
         assert b - a == (s if (i, k) == (1, 0) else ZERO)
+
+
+def test_mass_plus_energy_keeps_the_restrictions():
+    model = load_builtin("korteweg")
+    assert [law.name for law in model.laws] == ["mass", "momentum", "energy"]
+    assert _restrictions(derive(_first_plus_last(model))) == _restrictions(derive(model))
