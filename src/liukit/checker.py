@@ -49,7 +49,6 @@ from .expr import (
     Expression,
     ExprError,
     FuncSym,
-    Substitution,
     ZERO,
     _canonical_atoms,
     _ranks,
@@ -58,6 +57,7 @@ from .expr import (
 from .balance import ModelSpec
 from .liu import LiuReport, _by_degree, _mono_label, quadratic_form
 from .modelfile import CheckError
+from .subst import Substitution
 
 # The solution records are defined beside their parser and stay importable from here.
 from .solution import (  # noqa: F401

@@ -6,10 +6,11 @@ failed, 4 a candidate check failed.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .jet import StateSpaceError
 from .expr import ExprError, ParseError
@@ -20,10 +21,14 @@ from .models import builtin_names, load_builtin, load_builtin_solution
 from ._util import stable_json
 
 # A process compiles only the modules its command runs: `check` imports the
-# checker and the solution grammar (`liukit.solution`), `fdb` the fdb module
-# and `report_latex` the LaTeX printers (`liukit.latex`), so `derive --format
-# json|text` loads none of them.  `CheckError` is defined in `modelfile`, so
-# `main` catches it without the solution grammar.
+# checker, the solution grammar (`liukit.solution`) and substitution
+# (`liukit.subst`), `fdb` the fdb module, and `report_latex` the LaTeX report
+# and printers (`liukit.latex`), so `derive --format json|text` loads none of
+# them.  `CheckError` is defined in `modelfile`, so `main` catches it without
+# the solution grammar.  `parse_args` reads the command line from the option
+# table `COMMANDS` as argparse would, without importing argparse and the
+# gettext and locale modules it loads; `liukit._usage` formats usage and help
+# from the same table, and is imported only to print them.
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -143,73 +148,169 @@ def _cmd_fdb(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="liukit",
-        description="Derive thermodynamic restrictions from gradient-extended "
-        "entropy exploitation and check candidate constitutive equations.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+DESCRIPTION = (
+    "Derive thermodynamic restrictions from gradient-extended "
+    "entropy exploitation and check candidate constitutive equations."
+)
+REQUIRED = ...  # the default of an option that must be given
+_OUT = (("--out",), "out", str, None, None, "write output to this file instead of stdout")
+_HELP = (("-h", "--help"), "help", bool, None, False, "show this help message and exit")
 
-    d = sub.add_parser("derive", help="derive restrictions for a model")
-    d.add_argument("model", nargs="?", help="model file path")
-    d.add_argument("--builtin", choices=builtin_names(), help="use a built-in model")
-    d.add_argument(
-        "--all-extensions",
-        action="store_true",
-        help="constrain with every gradient extension instead of the pruned set",
-    )
-    d.add_argument("--order", type=int, help="extension order cap for --all-extensions")
-    d.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    d.add_argument("--out", help="write output to this file instead of stdout")
-    d.add_argument(
-        "--verify",
-        action="store_true",
-        help="re-derive with the other constraint set and require identical restrictions",
-    )
-    d.set_defaults(func=_cmd_derive)
+# Each subcommand's handler, help and options, one row per option: its names,
+# dest, type (bool for a flag), choices, default and help.  A name without
+# dashes is a positional that may be left out.  `parse_args` reads the rows,
+# and tests/test_cli.py builds an argparse parser from them to compare with.
+COMMANDS = {
+    "derive": (_cmd_derive, "derive restrictions for a model", (
+        (("model",), "model", str, None, None, "model file path"),
+        (("--builtin",), "builtin", str, builtin_names(), None, "use a built-in model"),
+        (("--all-extensions",), "all_extensions", bool, None, False,
+         "constrain with every gradient extension instead of the pruned set"),
+        (("--order",), "order", int, None, None, "extension order cap for --all-extensions"),
+        (("--format",), "format", str, ("text", "json", "latex"), "text", None),
+        _OUT,
+        (("--verify",), "verify", bool, None, False,
+         "re-derive with the other constraint set and require identical restrictions"),
+    )),
+    "check": (_cmd_check, "check a candidate solution against a model", (
+        (("model",), "model", str, None, None, "model file path"),
+        (("solution",), "solution", str, None, None, "solution file path"),
+        (("--builtin",), "builtin", str, builtin_names(), None, "use a built-in model and solution"),
+        (("--all-extensions",), "all_extensions", bool, None, False,
+         "check against the restrictions derived with every gradient extension instead of the pruned set"),
+        (("--sample", "--samples"), "samples", int, None, None, "override scenario sample counts"),
+        (("--seed",), "seed", int, None, None, "override scenario seeds"),
+        (("--tol",), "tol", float, None, None, "override scenario tolerances"),
+        (("--format",), "format", str, ("text", "json"), "text", None),
+        _OUT,
+    )),
+    "fdb": (_cmd_fdb, "print the expansion of an iterated total derivative", (
+        (("--m",), "order", int, None, REQUIRED, "derivative order"),
+        (("--s",), "arity", int, None, 1, "number of inner arguments"),
+        (("--verify",), "verify", bool, None, False,
+         "cross-check the expansion against the iterated total-derivative operator"),
+        (("--format",), "format", str, ("text", "json"), "text", None),
+        _OUT,
+    )),
+}
+_COMMAND = (("command",), "command", str, tuple(COMMANDS), REQUIRED, None)
 
-    c = sub.add_parser("check", help="check a candidate solution against a model")
-    c.add_argument("model", nargs="?", help="model file path")
-    c.add_argument("solution", nargs="?", help="solution file path")
-    c.add_argument("--builtin", choices=builtin_names(), help="use a built-in model and solution")
-    c.add_argument(
-        "--all-extensions",
-        action="store_true",
-        help="check against the restrictions derived with every gradient extension instead of the pruned set",
-    )
-    c.add_argument(
-        "--sample",
-        "--samples",
-        dest="samples",
-        type=int,
-        help="override scenario sample counts",
-    )
-    c.add_argument("--seed", type=int, help="override scenario seeds")
-    c.add_argument("--tol", type=float, help="override scenario tolerances")
-    c.add_argument("--format", choices=("text", "json"), default="text")
-    c.add_argument("--out", help="write output to this file instead of stdout")
-    c.set_defaults(func=_cmd_check)
 
-    f = sub.add_parser("fdb", help="print the expansion of an iterated total derivative")
-    f.add_argument("--m", dest="order", type=int, required=True, help="derivative order")
-    f.add_argument("--s", dest="arity", type=int, default=1, help="number of inner arguments")
-    f.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check the expansion against the iterated total-derivative operator",
-    )
-    f.add_argument("--format", choices=("text", "json"), default="text")
-    f.add_argument("--out", help="write output to this file instead of stdout")
-    f.set_defaults(func=_cmd_fdb)
-    return p
+def _fail(command: str | None, message: str):
+    from ._usage import fail  # usage text is built only to be printed
+
+    fail(command, message)
+
+
+def _option(command: str | None, options: dict, arg: str):
+    """How argparse reads `arg`: (row, name, explicit value) for an option,
+    (None, arg, None) for an unknown one, None for a positional."""
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    if arg in options:
+        return options[arg], arg, None
+    name, eq, explicit = arg.partition("=")
+    if eq and name in options:
+        return options[name], name, explicit
+    if arg[1] == "-":
+        # A unique prefix of a long option names it; an exact name won above.
+        hits = [o for o in options if o.startswith(name)]
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+        if hits:
+            return options[hits[0]], hits[0], explicit if eq else None
+    elif arg[1] == "h":
+        return _HELP, "-h", arg[2:]
+    if " " in arg or re.fullmatch(r"-\d+|-\d*\.\d+", arg):
+        return None
+    return None, arg, None
+
+
+def _value(command: str | None, row, text: str):
+    names, _, kind, choices = row[:4]
+    try:
+        value = kind(text)
+    except ValueError:
+        _fail(command, f"argument {'/'.join(names)}: invalid {kind.__name__} value: {text!r}")
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        _fail(command, f"argument {'/'.join(names)}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _scan(command: str | None, rows, argv: list[str]) -> tuple[dict, list[str]]:
+    """The values of `rows` in `argv` by dest, and the arguments left unrecognized.
+
+    As argparse reads them: every argument is classified before any is
+    consumed, the first run of positional arguments fills the positionals,
+    and what follows `--` is positional.
+    """
+    options = {name: row for row in (_HELP, *rows) for name in row[0] if name[0] == "-"}
+    positionals = [row[1] for row in rows if row[0][0][0] != "-"]
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(command, options, arg) for arg in argv[:end]] + [None] * (len(argv) - end - 1)
+    argv = argv[:end] + argv[end + 1:]
+    values = {row[1]: row[4] for row in rows}
+    extras: list[str] = []
+    i = 0
+    while i < len(argv):
+        arg, kind = argv[i], kinds[i]
+        i += 1
+        if kind is None:
+            if positionals:
+                values[positionals.pop(0)] = arg
+            else:
+                extras.append(arg)
+            if i < len(argv) and kinds[i] is not None:
+                positionals = []  # the run ended
+            continue
+        row, name, explicit = kind
+        if row is None:
+            extras.append(name)
+        elif row[2] is bool:
+            if explicit is not None:
+                _fail(command, f"argument {'/'.join(row[0])}: ignored explicit argument {explicit!r}")
+            if row is _HELP:
+                from ._usage import show_help
+
+                show_help(command)
+            values[row[1]] = True
+        else:
+            if explicit is None:
+                if i == len(argv) or kinds[i] is not None:
+                    _fail(command, f"argument {'/'.join(row[0])}: expected one argument")
+                explicit = argv[i]
+                i += 1
+            values[row[1]] = _value(command, row, explicit)
+    missing = ["/".join(row[0]) for row in rows if values[row[1]] is REQUIRED]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    return values, extras
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command line as a namespace of `command` and the command's dests.
+
+    A usage error prints the usage and `liukit[ CMD]: error: MSG` to stderr
+    and raises SystemExit(2); -h/--help prints help and raises SystemExit(0).
+    """
+    argv = list(argv)
+    top = {"-h": _HELP, "--help": _HELP}
+    i = next((i for i, arg in enumerate(argv) if _option(None, top, arg) is None), len(argv))
+    _, extras = _scan(None, (), argv[:i])
+    if i == len(argv):
+        _fail(None, "the following arguments are required: command")
+    command = _value(None, _COMMAND, argv[i])
+    values, more = _scan(command, COMMANDS[command][2], argv[i + 1:])
+    if extras + more:
+        _fail(None, "unrecognized arguments: " + " ".join(extras + more))
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (FileFormatError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

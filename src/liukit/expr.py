@@ -57,6 +57,12 @@ addition, and sorting the ints sorts the terms canonically.  The report
 prints each minor from its sorted ints, reading each key's fields from the
 top down, so it neither unpacks a key nor re-sorts a monomial.
 
+Substitution.  The binding set, `Substitution`, with its cycle check and
+its closing over derivative atoms, is in `liukit.subst`, which
+`Expression.subs` imports on its call; the passes that apply a closed set
+(`_subs_pass`, `_rebuild`) stay here.  `derive` never substitutes, so its
+process does not compile `liukit.subst`.
+
 Printing.  `to_text` is here; the LaTeX printers are in `liukit.latex`,
 which only `derive --format latex` imports, so the text and JSON paths do
 not compile them.  Float evaluation is in `liukit.checker`, which only
@@ -70,13 +76,16 @@ import re
 from bisect import bisect
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
 
 from .jet import _ATOM_IDS, ATOMS, Frozen, JetVariable, intern_atom
 
+if TYPE_CHECKING:
+    from .subst import Substitution
+
 __all__ = [
     "Atom", "BindingError", "CollectError", "ExprError", "Expression", "FuncSym", "ONE",
-    "ParseContext", "ParseError", "Substitution", "ZERO", "as_expression", "parse",
+    "ParseContext", "ParseError", "ZERO", "as_expression", "parse",
     "poly_gcd", "principal_minors", "to_text",
 ]
 
@@ -742,6 +751,33 @@ class Expression:
         the coefficient expression, which is free of the listed variables.
         The denominator must not involve them.
         """
+        vset = self._collection_ids(variables)
+        buckets = {}
+        for b, v in _split(self._n, vset).items():
+            exps = [0] * len(vset)
+            for i, e in zip(b[::2], b[1::2]):
+                exps[vset[i]] = e
+            buckets[tuple(exps)] = v
+        return {k: Expression(v, self._d) for k, v in sorted(buckets.items())}
+
+    def linear_coefficients(self, variables: Sequence[Atom]) -> list["Expression"] | None:
+        """The coefficient of each of `variables`, or None when a term has degree 2 or more in them.
+
+        These are `collect`'s degree-1 entries, under the same checks, but
+        the part free of `variables` is never built, so with a nonconstant
+        denominator it costs no gcd.
+        """
+        vset = self._collection_ids(variables)
+        out = [ZERO] * len(vset)
+        for b, v in _split(self._n, vset).items():
+            if len(b) > 2 or b and b[1] > 1:
+                return None
+            if b:
+                out[vset[b[0]]] = Expression(v, self._d)
+        return out
+
+    def _collection_ids(self, variables: Sequence[Atom]) -> dict[int, int]:
+        """{atom id: position} of `variables`; raises CollectError on a repeat or one in the denominator."""
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise CollectError("duplicate collection variable")
@@ -751,13 +787,7 @@ class Expression:
             hits = ([i for i in m[::2] if i in vset] for m, _ in self._den)
             first = max(next(filter(None, hits)), key=_ranks().__getitem__)  # first in canonical order
             raise CollectError(f"denominator involves collection variable {ATOMS[first].text()}")
-        buckets = {}
-        for b, v in _split(self._n, vset).items():
-            exps = [0] * len(variables)
-            for i, e in zip(b[::2], b[1::2]):
-                exps[vset[i]] = e
-            buckets[tuple(exps)] = v
-        return {k: Expression(v, self._d) for k, v in sorted(buckets.items())}
+        return vset
 
     def degree_in(self, variables: Iterable[Atom]) -> int:
         """The numerator's total degree in `variables`, read off each monomial without splitting it."""
@@ -777,7 +807,7 @@ class Expression:
 
     # -- substitution ---------------------------------------------------
 
-    def subs(self, bindings: Mapping | "Substitution") -> "Expression":
+    def subs(self, bindings: Mapping | Substitution) -> "Expression":
         """Replace atoms by expressions, closing over derivatives.
 
         Binding a base function symbol also binds every derivative atom of
@@ -789,6 +819,8 @@ class Expression:
         stand in for the mapping, so that the atoms it resolves are reused
         across calls.
         """
+        from .subst import Substitution
+
         sub = bindings if isinstance(bindings, Substitution) else Substitution(bindings)
         return _subs_pass(self, sub) if sub.bind else self
 
@@ -1094,131 +1126,8 @@ def _atom_total(time: bool, i: int) -> Poly:
 
 
 # -- substitution machinery ----------------------------------------------
-
-
-def _name(a: Atom) -> str:
-    """The name a binding of `a` goes by: a jet's field, or a symbol's name."""
-    return a.field if isinstance(a, JetVariable) else a.name
-
-
-def _closing_order(graph: Mapping[str, Sequence[str]]) -> Iterator[str]:
-    """Every name of the graph, each after the names it uses.
-
-    Depth first from each name in sorted order, on an explicit stack,
-    neighbours in the order the graph lists them, so a chain of any length
-    nests no call.  A name met again while it is still on the path raises
-    the cycle, named from the first root down.
-    """
-    done: set[str] = set()
-    for r in sorted(graph):
-        if r in done:
-            continue
-        path, todo = {r: None}, [iter(graph[r])]  # path: the names on the stack, in order
-        while todo:
-            for m in todo[-1]:
-                if m in path:
-                    raise BindingError(f"cyclic bindings: {' -> '.join([*path, m])}")
-                if m not in done:
-                    path[m] = None
-                    todo.append(iter(graph[m]))
-                    break
-            else:
-                todo.pop()
-                n, _ = path.popitem()
-                done.add(n)
-                yield n
-
-
-class Substitution:
-    """A validated, acyclic binding set, every bound atom of it closed.
-
-    `keys` indexes the bound atoms by the name their bindings go by (a jet's
-    field, a symbol's name), and the binding graph joins each name to the
-    bound names its replacements use.  One walk of that graph checks it for
-    cycles and closes each name's bound atoms after those of the names it
-    uses, so each closing is one pass over closed replacements.  Every
-    binding is closed, used or not.  The jets of a bound field and the
-    derivatives of a bound symbol are derived, and closed, when first met.
-
-    `Expression.subs` builds one per call from a mapping; a caller that
-    substitutes the same bindings into many expressions can build it once
-    and pass it instead, so each derivative atom is derived once.
-    """
-
-    def __init__(self, bindings: Mapping):
-        self.bind = {k: as_expression(v) for k, v in bindings.items()}
-        self.keys: dict[str, list] = {}
-        for k in self.bind:
-            self.keys.setdefault(_name(k), []).append(k)
-        self.cache: dict = {}  # atom id -> replacement, or None when unbound
-        self.powers: dict = {}
-        graph = {
-            n: sorted({m for k in ks for m in self._uses(k) if m in self.keys})
-            for n, ks in self.keys.items()
-        }
-        for n in _closing_order(graph):
-            for k in self.keys[n]:
-                self.resolve(k)
-
-    def _uses(self, k: Atom) -> Iterator[str]:
-        """The names that resolving the replacement of k can meet.
-
-        Those of its atoms, and for a bound field also the fields its
-        function symbols depend on: the field's jets are total derivatives
-        of the replacement, which hold the jets of those fields.
-        """
-        for a in self.bind[k].atoms():
-            yield _name(a)
-            if isinstance(a, FuncSym) and isinstance(k, JetVariable) and k.is_field:
-                yield from (d.field for d in a.deps)
-
-    def resolve(self, a: Atom) -> Expression | None:
-        i = a.id
-        if i in self.cache:
-            return self.cache[i]
-        out = self._resolve(a)
-        if out is not None:
-            # Closed once, by one pass that meets only closed replacements.
-            out = _subs_pass(out, self)
-        self.cache[i] = out
-        return out
-
-    def power(self, i: int, e: int, den: bool) -> Poly:
-        """Numerator (or denominator) of the replacement of atom i, to the e-th power."""
-        key = (i, e, den)
-        p = self.powers.get(key)
-        if p is None:
-            rep = self.cache[i]
-            p = p_pow(rep._d if den else rep._n, e)
-            self.powers[key] = p
-        return p
-
-    def _resolve(self, a: Atom) -> Expression | None:
-        hit = self.bind.get(a)
-        if hit is not None:
-            return hit
-        if isinstance(a, JetVariable):
-            e = None if a.is_field else self.bind.get(JetVariable(a.field))
-            if e is not None:
-                # The field's replacement, differentiated t_order times in t, then in x.
-                for _ in range(a.t_order):
-                    e = e.total_t()
-                for _ in range(a.x_order):
-                    e = e.total_x()
-            return e
-        fits = [
-            c for c in self.keys.get(a.name, ())
-            if isinstance(c, FuncSym) and c.deps == a.deps
-            and all(co <= ao for co, ao in zip(c.orders, a.orders))
-        ]
-        if not fits:
-            return None
-        best = max(fits, key=lambda c: (sum(c.orders), c.orders))
-        # One derivative of the next-lower atom, which resolves through `best` too.
-        k = max(i for i, (co, ao) in enumerate(zip(best.orders, a.orders)) if ao > co)
-        orders = list(a.orders)
-        orders[k] -= 1
-        return self.resolve(FuncSym(a.name, a.deps, orders)).diff(a.deps[k])
+# `Substitution`, the closed binding set, is in `liukit.subst`; the passes
+# that apply one are here, with the kernel they call.
 
 
 def _rebuild(part: Poly, sub: Substitution, bound: set[int]) -> tuple[Poly, Poly]:

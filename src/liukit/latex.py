@@ -1,16 +1,22 @@
-"""LaTeX printing of expressions, for `derive --format latex`.
+"""LaTeX printing, for `derive --format latex`: expressions and the report.
 
 A part prints through `expr._poly_text`, as `to_text` does, so the terms
 keep the canonical order and signs; only the monomial printer differs.
 Greek field and symbol names print as their letters, and a derivative atom
-as a partial-derivative fraction.  Only `liu.report_latex` and the package's
+as a partial-derivative fraction.  `report_latex` walks a `LiuReport`;
+`liu.report_latex` delegates to it.  Only that delegate and the package's
 `to_latex` export import this module, so a process that prints text or JSON
 never compiles it.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .jet import ATOMS, JetVariable
 from .expr import Atom, Expression, Mono, Number, _canonical_atoms, _frac_text, _poly_text
+
+if TYPE_CHECKING:
+    from .liu import LiuReport
 
 
 _GREEK = {
@@ -81,3 +87,45 @@ def to_latex(e: Expression) -> str:
     if e.den_is_one:
         return num
     return rf"\frac{{{num}}}{{{_poly_text(e._den, _mono_latex)}}}"
+
+
+def report_latex(report: LiuReport) -> str:
+    """The report typeset as LaTeX: multipliers, equalities, the quadratic form's entries, even forms, residual."""
+    m = report.model
+    r = report.restrictions
+    lines: list[str] = []
+    lines.append(r"\section*{Thermodynamic restrictions: " + m.name + "}")
+    lines.append(r"\subsection*{Multipliers}")
+    lines.append(r"\begin{align*}")
+    for i, k, v in report.multipliers:
+        lines.append(rf"\Lambda^{{({k})}}_{{{i}}} &= {to_latex(v)} \\")
+    lines.append(r"\end{align*}")
+    lines.append(r"\subsection*{Equalities}")
+    lines.append(r"\begin{align*}")
+    for e in r.equalities:
+        lines.append(rf"{to_latex(e.expr)} &= 0 \\")
+    lines.append(r"\end{align*}")
+    if r.quadratic is not None:
+        q = r.quadratic
+        lines.append(r"\subsection*{Quadratic form}")
+        lines.append(r"\begin{align*}")
+        for i, j, e in q.entries:
+            vi = _jet_latex(q.variables[i])
+            vj = _jet_latex(q.variables[j])
+            lines.append(rf"M_{{{vi},\,{vj}}} &= {to_latex(e)} \\")
+        lines.append(r"\end{align*}")
+    if r.even_forms:
+        lines.append(r"\subsection*{Even forms}")
+        lines.append(r"\begin{align*}")
+        for f in r.even_forms:
+            for idx, v in f.entries:
+                mono = r"\,".join(
+                    _jet_latex(x) + (f"^{{{e}}}" if e > 1 else "") for x, e in zip(f.variables, idx) if e
+                )
+                lines.append(rf"c^{{({f.degree})}}_{{{mono}}} &= {to_latex(v)} \\")
+        lines.append(r"\end{align*}")
+    lines.append(r"\subsection*{Residual production}")
+    lines.append(r"\begin{align*}")
+    lines.append(rf"{to_latex(r.residual)} &\ge 0")
+    lines.append(r"\end{align*}")
+    return "\n".join(lines) + "\n"

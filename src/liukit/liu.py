@@ -239,11 +239,11 @@ def _eliminate(
     solved_jets: list[JetVariable] = []
     for k in range(top, -1, -1):
         jets = [JetVariable(f, 1, k) for f in model.fields]
-        _, eqs = _affine(free, jets, _NOT_LINEAR)
+        eqs = _linear(free, jets)
         level = {i: pieces.get((i, kk), ZERO) for i, kk in selection.entries if kk == k}
         # A piece must hold no time jet of a higher order either: the
         # elimination there did not see its multiplier.
-        coeffs = {i: _affine(piece, jets + solved_jets, _NOT_LINEAR)[1] for i, piece in level.items()}
+        coeffs = {i: _linear(piece, jets + solved_jets) for i, piece in level.items()}
         if any(not c.is_zero for cs in coeffs.values() for c in cs[n:]):
             raise EngineError(_COUPLED)
         solved_jets += jets
@@ -265,6 +265,18 @@ def _eliminate(
     solved.sort(key=lambda t: (t[1], t[0]))
     nonzero.extend(c for c in dec.nonzero if c not in nonzero)
     return MultiplierSolution(tuple(solved), free, tuple(nonzero))
+
+
+def _linear(expr: Expression, jets: Sequence[JetVariable]) -> list[Expression]:
+    """The coefficient of each time jet in an equation that must be affine in them.
+
+    Only the coefficients are built: the elimination never reads the part
+    free of the jets.
+    """
+    coeffs = expr.linear_coefficients(jets)
+    if coeffs is None:
+        raise EngineError(_NOT_LINEAR)
+    return coeffs
 
 
 def _by_degree(
@@ -634,47 +646,8 @@ def format_report(record: dict) -> str:
 
 
 def report_latex(report: LiuReport) -> str:
-    # Imported here: only `derive --format latex` prints LaTeX.
-    from .latex import _jet_latex, to_latex
-
-    m = report.model
-    r = report.restrictions
-    lines: list[str] = []
-    lines.append(r"\section*{Thermodynamic restrictions: " + m.name + "}")
-    lines.append(r"\subsection*{Multipliers}")
-    lines.append(r"\begin{align*}")
-    for i, k, v in report.multipliers:
-        lines.append(rf"\Lambda^{{({k})}}_{{{i}}} &= {to_latex(v)} \\")
-    lines.append(r"\end{align*}")
-    lines.append(r"\subsection*{Equalities}")
-    lines.append(r"\begin{align*}")
-    for e in r.equalities:
-        lines.append(rf"{to_latex(e.expr)} &= 0 \\")
-    lines.append(r"\end{align*}")
-    if r.quadratic is not None:
-        q = r.quadratic
-        lines.append(r"\subsection*{Quadratic form}")
-        lines.append(r"\begin{align*}")
-        for i, j, e in q.entries:
-            vi = _jet_latex(q.variables[i])
-            vj = _jet_latex(q.variables[j])
-            lines.append(rf"M_{{{vi},\,{vj}}} &= {to_latex(e)} \\")
-        lines.append(r"\end{align*}")
-    if r.even_forms:
-        lines.append(r"\subsection*{Even forms}")
-        lines.append(r"\begin{align*}")
-        for f in r.even_forms:
-            for idx, v in f.entries:
-                mono = r"\,".join(
-                    _jet_latex(x) + (f"^{{{e}}}" if e > 1 else "") for x, e in zip(f.variables, idx) if e
-                )
-                lines.append(rf"c^{{({f.degree})}}_{{{mono}}} &= {to_latex(v)} \\")
-        lines.append(r"\end{align*}")
-    lines.append(r"\subsection*{Residual production}")
-    lines.append(r"\begin{align*}")
-    lines.append(rf"{to_latex(r.residual)} &\ge 0")
-    lines.append(r"\end{align*}")
-    return "\n".join(lines) + "\n"
+    from .latex import report_latex  # only `derive --format latex` compiles the LaTeX module
+    return report_latex(report)
 
 
 def same_restrictions(a: Restrictions, b: Restrictions) -> bool:

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .jet import Frozen, JetVariable
-from .expr import Atom, Expression, FuncSym, ParseContext, Substitution, ZERO
+from .expr import Atom, Expression, FuncSym, ParseContext, ZERO
 from .balance import ModelError, ModelSpec
 from .modelfile import (
     FileFormatError,
@@ -36,6 +36,7 @@ from .modelfile import (
     _read_text,
     parse_jet_name,
 )
+from .subst import Substitution
 
 
 DEFAULT_SAMPLES = 64

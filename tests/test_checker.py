@@ -39,13 +39,13 @@ from liukit.expr import (
     Expression,
     FuncSym,
     ParseContext,
-    Substitution,
     ZERO,
     parse,
     principal_minors,
 )
 from liukit.jet import JetVariable, StateSpace
 from liukit.liu import EvenForm, Restrictions, derive, quadratic_form
+from liukit.subst import Substitution
 
 from conftest import model_ctx
 

@@ -1,8 +1,11 @@
 """Command line driver: exit codes, formats, and output destinations."""
 from __future__ import annotations
 
+import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -983,6 +986,184 @@ class TestParserShape:
             proc.wait(timeout=60)
             assert proc.returncode == 0
             assert b"Traceback" not in proc.stderr.read()
+
+
+def _argparse_parser() -> argparse.ArgumentParser:
+    """The parser argparse builds from the CLI's option table."""
+    p = argparse.ArgumentParser(prog="liukit", description=cli.DESCRIPTION)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (_, about, rows) in cli.COMMANDS.items():
+        sp = sub.add_parser(name, help=about)
+        for names, dest, kind, choices, default, text in rows:
+            if names[0][0] != "-":
+                sp.add_argument(dest, nargs="?", help=text)
+            elif kind is bool:
+                sp.add_argument(*names, dest=dest, action="store_true", help=text)
+            elif default is cli.REQUIRED:
+                sp.add_argument(*names, dest=dest, type=kind, choices=choices, required=True, help=text)
+            else:
+                sp.add_argument(*names, dest=dest, type=kind, choices=choices, default=default, help=text)
+    return p
+
+
+def _parsed(parse, argv: list[str]) -> tuple:
+    """("ok", repr of every dest) or ("exit", status, the text after "error: ", whether stdout got help)."""
+    err, out = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+            ns = parse(argv)
+    except SystemExit as exc:
+        return "exit", exc.code, err.getvalue().partition("error: ")[2], bool(out.getvalue())
+    return "ok", repr(vars(ns))  # repr: a nan --tol equals itself
+
+
+# Every documented option, both `=` forms, unique and ambiguous prefixes, the
+# --sample/--samples alias, negative values, unknown options, missing
+# values, bad choices, ints and floats, extra positionals, a missing command
+# and -h/--help.  Readings that may differ between argparse releases
+# (positionals split by an option, `--`, exponent-form negatives, a prefix of
+# both alias names) are pinned below instead, as Python 3.11's argparse reads
+# them.
+_PARSER_CORPUS = """derive
+derive --builtin korteweg
+derive --builtin=grade2 --format=json
+derive --bu grade2 --form=json --format latex
+derive model.model --all-extensions --order 3 --format text --out o.txt --verify
+derive --out=o.txt model.model
+derive --builtin grade2 model.model
+derive --for json --all --ver --ord 2 --bui korteweg
+derive --or 3
+derive --ord=3 --all
+derive --order -1 --all-extensions
+derive --all-extensions --order=-1
+derive -1
+derive -
+derive --verify --verify
+derive --o 3
+derive --a
+derive --verify=x
+derive --verify=
+derive --order
+derive --order=
+derive --order --verify
+derive --out --verify
+derive --out=--verify
+derive --order x
+derive --order 1.5
+derive --builtin nosuch
+derive --builtin Grade2
+derive --format pdf
+derive --format=
+derive --foo
+derive --foo=1
+derive -x
+derive a b
+derive --builtin korteweg check
+derive -h --o
+derive --order x -h
+derive --bogus -h
+derive --help
+derive -h
+derive --he
+derive --h=1
+check
+check m.model s.solution
+check --builtin grade2 m.model s.solution
+check m.model s.solution --builtin grade2
+check m.model s.solution extra
+check --all-ext --sample 16 --seed 3 --tol 0.5 --format json --out o
+check --samples=-2 --seed=-0 --tol=1e-3
+check --sample 3 --samples 4
+check --seed 1 --seed 2
+check --s 3
+check --se 5 --t -.5 --f json --ou x
+check --o x
+check --sample
+check --sample=x
+check --samples 1.5
+check --seed x
+check --tol x
+check --tol -inf
+check --format latex
+check --help
+fdb --m 2
+fdb --m=3 --s=-2 --verify --format json --out o
+fdb --m -3
+fdb
+fdb --s 2
+fdb --m
+fdb --m 2 --s
+fdb --m 2 --s x
+fdb --mm 2
+fdb --m 2 --format latex
+fdb --m 2 extra
+fdb --help
+foo
+-1
+--foo
+--foo derive
+-x derive
+--bogus -h derive
+bogus -h
+-h
+--help
+--he
+--help=1
+"""
+
+
+@pytest.mark.parametrize("line", ["", *_PARSER_CORPUS.splitlines()])
+def test_parser_reads_the_table_as_argparse_does(line):
+    argv = line.split()
+    assert _parsed(cli.parse_args, argv) == _parsed(_argparse_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        # The first run of positionals fills both, so a later one is extra.
+        ("check a --samples 3 b", "unrecognized arguments: b"),
+        ("check --sa 3", "ambiguous option: --sa could match --sample, --samples"),
+        ("check --tol -1e5", "argument --tol: expected one argument"),
+    ],
+)
+def test_parser_keeps_the_argparse_readings_of_python_3_11(line, error):
+    assert _parsed(cli.parse_args, line.split()) == ("exit", 2, error + "\n", False)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout differs between releases")
+@pytest.mark.parametrize("columns", ["80", "40", "30"])
+@pytest.mark.parametrize(
+    "line", ["", "-h", "derive -h", "check --help", "fdb -h", "derive --o", "check --tol", "fdb", "bogus"]
+)
+def test_usage_and_help_are_argparse_3_11_byte_for_byte(line, columns, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    outputs = []
+    for parse in (cli.parse_args, _argparse_parser().parse_args):
+        err, out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out), pytest.raises(SystemExit) as ei:
+            parse(line.split())
+        outputs.append((ei.value.code, err.getvalue(), out.getvalue()))
+    assert outputs[0] == outputs[1]
+
+
+def test_arguments_after_a_double_dash_are_positional():
+    assert vars(cli.parse_args(["derive", "--", "-x"]))["model"] == "-x"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], *([name, "--help"] for name in cli.COMMANDS)])
+def test_help_lists_every_option_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: liukit ")
+    if len(argv) == 1:
+        names = [*cli.COMMANDS, "--help"]
+    else:
+        names = ["--help", *(n for row in cli.COMMANDS[argv[0]][2] for n in row[0])]
+    for name in names:
+        assert re.search(rf"^  .*{re.escape(name)}\b", out, re.M), name
 
 
 # SHA-256 of the CLI's stdout for derive in every format: both built-ins and

@@ -20,13 +20,13 @@ from liukit.expr import (
     ONE,
     ParseContext,
     ParseError,
-    Substitution,
     ZERO,
     parse,
     to_text,
 )
 from liukit.jet import JetVariable
 from liukit.latex import to_latex
+from liukit.subst import Substitution
 
 RHO = JetVariable("rho")
 EPS = JetVariable("eps")

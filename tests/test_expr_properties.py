@@ -70,7 +70,6 @@ from liukit.expr import (
     Expression,
     FuncSym,
     ParseContext,
-    Substitution,
     ZERO,
     parse,
     principal_minors,
@@ -80,6 +79,7 @@ from liukit.jet import ATOMS, JetVariable
 from liukit.latex import to_latex
 from liukit.liu import constrained_inequality, decouple, derive, multiplier_symbol, select_constraints
 from liukit.models import load_builtin
+from liukit.subst import Substitution
 
 RHO = JetVariable("rho")
 EPS = JetVariable("eps")

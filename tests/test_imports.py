@@ -129,6 +129,74 @@ def test_check_loads_the_solution_grammar_but_not_latex():
     assert "liukit.latex" not in loaded
 
 
+# argparse, and the gettext and locale modules it loads, cost every process
+# a few milliseconds; the CLI reads its option table without them, and
+# builds usage text (`liukit._usage`) only to print it.
+_ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_derive_loads_neither_argparse_nor_substitution(fmt):
+    loaded = _cli_modules(["derive", "--builtin", "korteweg", "--format", fmt])
+    assert "liukit.liu" in loaded
+    assert not loaded & {*_ARGPARSE, "liukit.subst", "liukit.latex", "liukit._usage"}
+
+
+def test_check_loads_substitution_but_not_argparse():
+    loaded = _cli_modules(["check", "--builtin", "korteweg", "--samples", "8"])
+    assert "liukit.subst" in loaded
+    assert not loaded & {*_ARGPARSE, "liukit._usage"}
+
+
+_SUBST_FIRST = """
+import liukit.subst
+from liukit.expr import ParseContext, parse, to_text
+from liukit.jet import JetVariable
+
+ctx = ParseContext(["rho", "eps"])
+sub = liukit.subst.Substitution({JetVariable("rho"): parse("2*eps", ctx)})
+print(to_text(parse("rho^2 + rho_x", ctx).subs(sub)))
+"""
+
+_SUBS_UNLOADED = """
+import sys
+from liukit.expr import ParseContext, parse, to_text
+from liukit.jet import JetVariable
+
+rho = JetVariable("rho")
+ctx = ParseContext(["rho"], {"f": [rho]})
+f = ctx.sym("f")
+before = "liukit.subst" in sys.modules
+out = parse("D(f, rho)*f", ctx).subs({f: parse("rho^3", ctx)})
+print(before, "liukit.subst" in sys.modules, to_text(out))
+"""
+
+_SUBS_CYCLE = """
+from liukit import expr
+from liukit.expr import ParseContext, parse
+from liukit.jet import JetVariable
+
+ctx = ParseContext(["rho"], {"a": [JetVariable("rho")], "b": [JetVariable("rho")]})
+a, b = ctx.sym("a"), ctx.sym("b")
+try:
+    parse("a", ctx).subs({a: parse("b + 1", ctx), b: parse("a*rho", ctx)})
+except expr.BindingError as exc:
+    print(type(exc).__module__, exc)
+"""
+
+
+def test_substitution_imports_first_in_a_fresh_interpreter():
+    assert _python(_SUBST_FIRST).strip() == "4*eps^2 + 2*eps_x"
+
+
+def test_subs_loads_substitution_on_its_call():
+    assert _python(_SUBS_UNLOADED).split() == ["False", "True", "3*rho^5"]
+
+
+def test_binding_cycle_raises_the_expr_binding_error():
+    assert _python(_SUBS_CYCLE).strip() == "liukit.expr cyclic bindings: a -> b -> a"
+
+
 def test_modelfile_does_not_load_the_solution_grammar():
     out = _python("import sys, liukit.modelfile; print(sorted(m for m in sys.modules if m.startswith('liukit')))")
     assert "liukit.modelfile" in out
