@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import gc
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -25,10 +24,11 @@ from ._util import stable_json
 # (`liukit.subst`), `fdb` the fdb module, and `report_latex` the LaTeX report
 # and printers (`liukit.latex`), so `derive --format json|text` loads none of
 # them.  `CheckError` is defined in `modelfile`, so `main` catches it without
-# the solution grammar.  `parse_args` reads the command line from the option
-# table `COMMANDS` as argparse would, without importing argparse and the
-# gettext and locale modules it loads; `liukit._usage` formats usage and help
-# from the same table, and is imported only to print them.
+# the solution grammar.  Argparse, built from the option table `COMMANDS`,
+# defines how a command line is read and prints every usage error and help;
+# `parse_args` reads the common forms itself, as every argparse release
+# does, so a run given one imports neither argparse nor the gettext and
+# locale modules it loads.
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -154,12 +154,11 @@ DESCRIPTION = (
 )
 REQUIRED = ...  # the default of an option that must be given
 _OUT = (("--out",), "out", str, None, None, "write output to this file instead of stdout")
-_HELP = (("-h", "--help"), "help", bool, None, False, "show this help message and exit")
 
 # Each subcommand's handler, help and options, one row per option: its names,
 # dest, type (bool for a flag), choices, default and help.  A name without
-# dashes is a positional that may be left out.  `parse_args` reads the rows,
-# and tests/test_cli.py builds an argparse parser from them to compare with.
+# dashes is a positional that may be left out.  `build_parser` and the fast
+# path of `parse_args` both read the rows.
 COMMANDS = {
     "derive": (_cmd_derive, "derive restrictions for a model", (
         (("model",), "model", str, None, None, "model file path"),
@@ -193,118 +192,80 @@ COMMANDS = {
         _OUT,
     )),
 }
-_COMMAND = (("command",), "command", str, tuple(COMMANDS), REQUIRED, None)
 
 
-def _fail(command: str | None, message: str):
-    from ._usage import fail  # usage text is built only to be printed
+def build_parser():
+    """The argparse parser of the option table, which reads every command line
+    the fast path of `parse_args` leaves, and prints usage, errors and help."""
+    import argparse
 
-    fail(command, message)
-
-
-def _option(command: str | None, options: dict, arg: str):
-    """How argparse reads `arg`: (row, name, explicit value) for an option,
-    (None, arg, None) for an unknown one, None for a positional."""
-    if arg[:1] != "-" or arg in ("-", "--"):
-        return None
-    if arg in options:
-        return options[arg], arg, None
-    name, eq, explicit = arg.partition("=")
-    if eq and name in options:
-        return options[name], name, explicit
-    if arg[1] == "-":
-        # A unique prefix of a long option names it; an exact name won above.
-        hits = [o for o in options if o.startswith(name)]
-        if len(hits) > 1:
-            _fail(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
-        if hits:
-            return options[hits[0]], hits[0], explicit if eq else None
-    elif arg[1] == "h":
-        return _HELP, "-h", arg[2:]
-    if " " in arg or re.fullmatch(r"-\d+|-\d*\.\d+", arg):
-        return None
-    return None, arg, None
-
-
-def _value(command: str | None, row, text: str):
-    names, _, kind, choices = row[:4]
-    try:
-        value = kind(text)
-    except ValueError:
-        _fail(command, f"argument {'/'.join(names)}: invalid {kind.__name__} value: {text!r}")
-    if choices is not None and value not in choices:
-        listed = ", ".join(map(repr, choices))
-        _fail(command, f"argument {'/'.join(names)}: invalid choice: {value!r} (choose from {listed})")
-    return value
-
-
-def _scan(command: str | None, rows, argv: list[str]) -> tuple[dict, list[str]]:
-    """The values of `rows` in `argv` by dest, and the arguments left unrecognized.
-
-    As argparse reads them: every argument is classified before any is
-    consumed, the first run of positional arguments fills the positionals,
-    and what follows `--` is positional.
-    """
-    options = {name: row for row in (_HELP, *rows) for name in row[0] if name[0] == "-"}
-    positionals = [row[1] for row in rows if row[0][0][0] != "-"]
-    end = argv.index("--") if "--" in argv else len(argv)
-    kinds = [_option(command, options, arg) for arg in argv[:end]] + [None] * (len(argv) - end - 1)
-    argv = argv[:end] + argv[end + 1:]
-    values = {row[1]: row[4] for row in rows}
-    extras: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg, kind = argv[i], kinds[i]
-        i += 1
-        if kind is None:
-            if positionals:
-                values[positionals.pop(0)] = arg
+    parser = argparse.ArgumentParser(prog="liukit", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, about, rows) in COMMANDS.items():
+        command = sub.add_parser(name, help=about)
+        for names, dest, kind, choices, default, text in rows:
+            if names[0][0] != "-":
+                command.add_argument(dest, nargs="?", help=text)
+            elif kind is bool:
+                command.add_argument(*names, dest=dest, action="store_true", help=text)
             else:
-                extras.append(arg)
-            if i < len(argv) and kinds[i] is not None:
-                positionals = []  # the run ended
-            continue
-        row, name, explicit = kind
+                command.add_argument(*names, dest=dest, type=kind, choices=choices, default=default,
+                                     required=default is REQUIRED, help=text)
+    return parser
+
+
+def _read_common(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a command line in the common forms, or None.
+
+    Those are a command, then exact option names, each option that takes a
+    value followed by a valid one that does not start with `-`, and one run
+    of at most as many positionals as the command has, with every required
+    option given.  Every argparse release reads them as this does.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    rows = COMMANDS[argv[0]][2]
+    options = {name: row for row in rows for name in row[0] if name[0] == "-"}
+    slots = [row[1] for row in rows if row[0][0][0] != "-"]
+    values = {row[1]: row[4] for row in rows}
+    read = False  # whether the run of positionals has begun
+    args = iter(argv[1:])
+    for arg in args:
+        row = options.get(arg)
         if row is None:
-            extras.append(name)
-        elif row[2] is bool:
-            if explicit is not None:
-                _fail(command, f"argument {'/'.join(row[0])}: ignored explicit argument {explicit!r}")
-            if row is _HELP:
-                from ._usage import show_help
-
-                show_help(command)
+            if arg[:1] == "-" or not slots:
+                return None
+            values[slots.pop(0)] = arg
+            read = True
+            continue
+        if read:
+            slots = []  # an option ends the run
+        if row[2] is bool:
             values[row[1]] = True
-        else:
-            if explicit is None:
-                if i == len(argv) or kinds[i] is not None:
-                    _fail(command, f"argument {'/'.join(row[0])}: expected one argument")
-                explicit = argv[i]
-                i += 1
-            values[row[1]] = _value(command, row, explicit)
-    missing = ["/".join(row[0]) for row in rows if values[row[1]] is REQUIRED]
-    if missing:
-        _fail(command, "the following arguments are required: " + ", ".join(missing))
-    return values, extras
+            continue
+        text = next(args, "-")
+        if text[:1] == "-":
+            return None
+        try:
+            value = row[2](text)
+        except ValueError:
+            return None
+        if row[3] is not None and value not in row[3]:
+            return None
+        values[row[1]] = value
+    if REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=argv[0], **values)
 
 
-def parse_args(argv: list[str]) -> SimpleNamespace:
+def parse_args(argv: list[str]):
     """The command line as a namespace of `command` and the command's dests.
 
-    A usage error prints the usage and `liukit[ CMD]: error: MSG` to stderr
-    and raises SystemExit(2); -h/--help prints help and raises SystemExit(0).
+    Argparse reads whatever `_read_common` does not: a usage error prints the
+    usage and `liukit[ CMD]: error: MSG` to stderr and raises SystemExit(2), and
+    -h/--help prints help and raises SystemExit(0).
     """
-    argv = list(argv)
-    top = {"-h": _HELP, "--help": _HELP}
-    i = next((i for i, arg in enumerate(argv) if _option(None, top, arg) is None), len(argv))
-    _, extras = _scan(None, (), argv[:i])
-    if i == len(argv):
-        _fail(None, "the following arguments are required: command")
-    command = _value(None, _COMMAND, argv[i])
-    values, more = _scan(command, COMMANDS[command][2], argv[i + 1:])
-    if extras + more:
-        _fail(None, "unrecognized arguments: " + " ".join(extras + more))
-    return SimpleNamespace(command=command, **values)
+    return _read_common(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

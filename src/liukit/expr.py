@@ -521,12 +521,21 @@ def _gcd_primitive(p: Poly, q: Poly) -> Poly:
         return _p_one()
     if p == q:
         return _int_normalize(p)
-    var = min({i for m in chain(p, q) for i in m[::2]}, key=_ranks().__getitem__)  # the last canonical atom
+    atoms_p = {i for m in p for i in m[::2]}
+    atoms_q = {i for m in q for i in m[::2]}
+    if atoms_p != atoms_q:
+        # A common divisor is free of every atom only one side holds, so it
+        # divides that side's coefficients in those atoms: fold the gcd over
+        # them, in one call for all such atoms rather than a nested one each.
+        parts = chain(_split(p, atoms_p - atoms_q).values(), _split(q, atoms_q - atoms_p).values())
+        g: Poly = {}
+        for part in sorted(parts, key=len):  # the smallest first, whose gcds are cheapest
+            g = poly_gcd(g, part)
+            if p_is_const(g):
+                break
+        return g
+    var = min(atoms_p, key=_ranks().__getitem__)  # the last canonical atom
     a, b = _in_var(p, var), _in_var(q, var)
-    if max(a) == 0:
-        return poly_gcd(p, _content(b))
-    if max(b) == 0:
-        return poly_gcd(q, _content(a))
     ca, cb = _content(a), _content(b)
     d = poly_gcd(ca, cb)
     a = {e: _p_div_exact(c, ca) for e, c in a.items()}

@@ -13,6 +13,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liukit import cli
 from liukit.cli import DERIVE_MAX_ORDER, main
@@ -831,6 +832,15 @@ class TestDeepInputs:
         sp.write_text(text.replace("let q3 = 0\n", lets, 1))
         return _cli("check", str(mp), str(sp), "--samples", "8")
 
+    def test_rational_grade2_with_all_extensions_at_order_3_derives(self, tmp_path):
+        # Its gcds pair polynomials in hundreds of atoms with ones in a few.
+        line = "flux = rho*gamma*v + Jg\n"
+        model = tmp_path / "rational-grade2.model"
+        model.write_text(_read("grade2.model").replace(line, line + "production = gamma/(1 + rho)\n"))
+        proc = _cli("derive", str(model), "--all-extensions", "--order", "3", "--format", "json")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["equalities"]
+
     def test_long_let_chain_closes(self, tmp_path):
         proc = self._chain(tmp_path, "0")
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -1019,11 +1029,10 @@ def _parsed(parse, argv: list[str]) -> tuple:
 
 # Every documented option, both `=` forms, unique and ambiguous prefixes, the
 # --sample/--samples alias, negative values, unknown options, missing
-# values, bad choices, ints and floats, extra positionals, a missing command
-# and -h/--help.  Readings that may differ between argparse releases
-# (positionals split by an option, `--`, exponent-form negatives, a prefix of
-# both alias names) are pinned below instead, as Python 3.11's argparse reads
-# them.
+# values, bad choices, ints and floats, extra positionals, positionals split
+# by an option (which argparse 3.13.13 accepts and earlier releases reject),
+# a missing command and -h/--help.  The tests below also pin three readings:
+# a prefix of both alias names, an exponent-form negative and `--`.
 _PARSER_CORPUS = """derive
 derive --builtin korteweg
 derive --builtin=grade2 --format=json
@@ -1071,6 +1080,7 @@ check m.model s.solution
 check --builtin grade2 m.model s.solution
 check m.model s.solution --builtin grade2
 check m.model s.solution extra
+check a --samples 3 b
 check --all-ext --sample 16 --seed 3 --tol 0.5 --format json --out o
 check --samples=-2 --seed=-0 --tol=1e-3
 check --sample 3 --samples 4
@@ -1118,11 +1128,46 @@ def test_parser_reads_the_table_as_argparse_does(line):
     assert _parsed(cli.parse_args, argv) == _parsed(_argparse_parser().parse_args, argv)
 
 
+# Values of every kind: valid and bad ints, floats and choices, negative
+# numbers, option-like words and paths.
+_VALUES = ["0", "3", "-1", "-.5", "1e-3", "x", "1.5", "json", "latex", "grade2", "m.model", "", "-x", "-h"]
+_VALID = {int: ["0", "3"], float: ["0.5", "1e-3"], str: ["o.txt"]}
+
+
+def _command_line(command: str):
+    """argv lists after `command`, built from the option table.
+
+    A third are in the common forms: exact names, valid values, positionals
+    in any position.  A third also give options any value, and a third add
+    unique and ambiguous prefixes, `=` forms, -h and `--`.
+    """
+    rows = cli.COMMANDS[command][2] if command in cli.COMMANDS else [r for c in cli.COMMANDS.values() for r in c[2]]
+    options = [row for row in rows if row[0][0][0] == "-"]
+    names = [name for row in options for name in row[0]]
+
+    def valued(values):
+        return st.sampled_from([row for row in options if row[2] is not bool]).flatmap(
+            lambda row: st.tuples(st.sampled_from(row[0]), st.sampled_from(values(row))).map(list))
+
+    plain = [*(name for row in options if row[2] is bool for name in row[0]), "m.model", "s.solution"]
+    common = st.one_of(valued(lambda row: row[3] or _VALID[row[2]]), st.sampled_from(plain).map(lambda w: [w]))
+    odd = valued(lambda row: [*(row[3] or ()), *_VALUES])
+    words = [*names, *(n[:k] for n in names for k in range(3, len(n))), "-h", "--help", "--", "-", "--bogus", *_VALUES]
+    noise = st.one_of(odd.map(lambda pair: ["=".join(pair)]), st.sampled_from(words).map(lambda w: [w]))
+    chunks = st.one_of(*(st.lists(st.one_of(*kinds), max_size=6)
+                         for kinds in ([common], [common, odd], [common, odd, noise])))
+    return chunks.map(lambda chunks: [command, *(w for c in chunks for w in c)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.sampled_from([*cli.COMMANDS, "bogus", "-h"]).flatmap(_command_line))
+def test_generated_command_lines_read_as_argparse_does(argv):
+    assert _parsed(cli.parse_args, argv) == _parsed(_argparse_parser().parse_args, argv)
+
+
 @pytest.mark.parametrize(
     "line, error",
     [
-        # The first run of positionals fills both, so a later one is extra.
-        ("check a --samples 3 b", "unrecognized arguments: b"),
         ("check --sa 3", "ambiguous option: --sa could match --sample, --samples"),
         ("check --tol -1e5", "argument --tol: expected one argument"),
     ],
@@ -1131,7 +1176,6 @@ def test_parser_keeps_the_argparse_readings_of_python_3_11(line, error):
     assert _parsed(cli.parse_args, line.split()) == ("exit", 2, error + "\n", False)
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout differs between releases")
 @pytest.mark.parametrize("columns", ["80", "40", "30"])
 @pytest.mark.parametrize(
     "line", ["", "-h", "derive -h", "check --help", "fdb -h", "derive --o", "check --tol", "fdb", "bogus"]

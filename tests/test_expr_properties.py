@@ -546,6 +546,17 @@ def test_poly_gcd_of_products_matches_sympy():
     check()
 
 
+def test_poly_gcd_with_thousands_of_unshared_atoms_does_not_nest_per_atom():
+    # The sides share only rho, so a common divisor divides each coefficient
+    # of the wide side over the other atoms: one call reads them all, where
+    # eliminating one atom per nested call overflowed the recursion limit.
+    one_plus_rho = parse("1 + rho", CTX).num_poly()
+    wide = {m: k for k in range(1, 3000) for m in Expression.jet(JetVariable("rho", 0, k)).num_poly()}
+    p = expr_mod.p_mul(one_plus_rho, wide)
+    q = expr_mod.p_mul(one_plus_rho, parse("2 - rho", CTX).num_poly())
+    assert expr_mod.poly_gcd(p, q) == expr_mod.poly_gcd(q, p) == one_plus_rho
+
+
 def _normalizations_in_subs(n: int, monkeypatch) -> int:
     """Calls of _normalize while substituting into an n-term polynomial."""
     rho, eps, q1 = Expression.jet(RHO), Expression.jet(EPS), Expression.sym(Q1)

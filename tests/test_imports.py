@@ -130,8 +130,8 @@ def test_check_loads_the_solution_grammar_but_not_latex():
 
 
 # argparse, and the gettext and locale modules it loads, cost every process
-# a few milliseconds; the CLI reads its option table without them, and
-# builds usage text (`liukit._usage`) only to print it.
+# a few milliseconds; the CLI reads the common command lines without them,
+# and loads argparse for the rest, to read them and print usage and help.
 _ARGPARSE = {"argparse", "gettext", "locale"}
 
 
@@ -139,13 +139,44 @@ _ARGPARSE = {"argparse", "gettext", "locale"}
 def test_derive_loads_neither_argparse_nor_substitution(fmt):
     loaded = _cli_modules(["derive", "--builtin", "korteweg", "--format", fmt])
     assert "liukit.liu" in loaded
-    assert not loaded & {*_ARGPARSE, "liukit.subst", "liukit.latex", "liukit._usage"}
+    assert not loaded & {*_ARGPARSE, "liukit.subst", "liukit.latex"}
 
 
 def test_check_loads_substitution_but_not_argparse():
     loaded = _cli_modules(["check", "--builtin", "korteweg", "--samples", "8"])
     assert "liukit.subst" in loaded
-    assert not loaded & {*_ARGPARSE, "liukit._usage"}
+    assert not loaded & _ARGPARSE
+
+
+# Each argv is parsed in turn; `None` stands for the argv of every benchmark
+# input, as bench/inputs.py builds them.
+_PARSE = """
+import contextlib, io, sys
+sys.path.insert(0, {bench!r})
+from inputs import WORKLOADS
+from liukit import cli
+argvs = {argvs!r} or [inp.cli_args(1) for inputs in WORKLOADS.values() for inp in inputs]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in argvs:
+        try:
+            cli.parse_args(argv)
+        except SystemExit:
+            pass
+print(len(argvs), "argparse" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argvs, loaded",
+    [
+        (None, "8 False"),
+        ([["fdb", "--m", "2"]], "1 False"),
+        ([["derive", "--o"]], "1 True"),
+        ([["-h"]], "1 True"),
+    ],
+)
+def test_argparse_is_loaded_only_for_unusual_command_lines(argvs, loaded):
+    assert _python(_PARSE.format(bench=os.path.join(ROOT, "bench"), argvs=argvs)).strip() == loaded
 
 
 _SUBST_FIRST = """
